@@ -152,6 +152,12 @@ def validate_config(cfg):
     horizon = int(cfg.get("horizon", 10_000))
     if horizon < 1:
         raise ConfigError("horizon", "must be >= 1")
+    eig_stride = int(met_cfg.get("eig_stride", 100))
+    if eig_stride < 1:
+        raise ConfigError("metrics.eig_stride", "must be >= 1")
+    log_stride = int(cfg.get("log_stride", 1))
+    if log_stride < 1:
+        raise ConfigError("log_stride", "must be >= 1")
 
     return RunObjects(
         mode=mode,
@@ -166,8 +172,8 @@ def validate_config(cfg):
         delta=delta,
         theta0=theta0,
         gamma=gamma,
-        eig_stride=int(met_cfg.get("eig_stride", 100)),
-        log_stride=int(cfg.get("log_stride", 1)),
+        eig_stride=eig_stride,
+        log_stride=log_stride,
     )
 
 

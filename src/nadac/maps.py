@@ -224,7 +224,10 @@ def smoothed_clamp_value(N, sigma, z):
     G_Nmz = ndtr((N - z) / sigma)
     g_mz = _INV_SQRT_2PI / sigma * np.exp(-0.5 * (z / sigma) ** 2)
     g_Nmz = _INV_SQRT_2PI / sigma * np.exp(-0.5 * ((N - z) / sigma) ** 2)
-    return N - z * G_mz - (N - z) * G_Nmz + sigma**2 * (g_mz - g_Nmz)
+    # the exact value lies in (0, N); the clip removes the cancellation error
+    # of the closed form far outside the interval (about -3e-16 at z = -8 sigma)
+    value = N - z * G_mz - (N - z) * G_Nmz + sigma**2 * (g_mz - g_Nmz)
+    return np.minimum(np.maximum(value, 0.0), N)
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,10 @@ class MetricAccumulator:
     steps: int = 0
     gram_normalized: np.ndarray = field(init=False)
     p_inv: np.ndarray = field(init=False)  # independent Sherman-Morrison track
-    sum_phi_sq: float = 1.0  # r_t
-    sum_x_pow_gamma: float = 0.0
-    sum_phi_pow_gamma: float = 0.0
     sum_track_sq: float = 0.0
     sum_sign_mismatch: float = 0.0
     sum_pred_regret: float = 0.0
     sum_a_psi_sq: float = 0.0
-    sum_x_sq: float = 0.0
     sum_v_pow_gamma: float = 0.0
     sum_w_pow_gamma: float = 0.0
     sum_xnext_pow_gamma: float = 0.0
@@ -82,10 +78,6 @@ class MetricAccumulator:
         phi = np.asarray(phi, dtype=float)
         nphi2 = float(phi @ phi)
         self.gram_normalized += np.outer(phi, phi) / (1.0 + nphi2)
-        self.sum_phi_sq += nphi2
-        self.sum_phi_pow_gamma += nphi2 ** (gamma / 2.0)
-        self.sum_x_sq += float(np.dot(x, x))
-        self.sum_x_pow_gamma += float(np.linalg.norm(x)) ** gamma
         self.sum_v_pow_gamma += float(np.linalg.norm(v)) ** gamma
         self.sum_w_pow_gamma += float(np.linalg.norm(w)) ** gamma
         self.sum_xnext_pow_gamma += float(np.linalg.norm(x_next)) ** gamma

@@ -1,30 +1,25 @@
-"""Closed-loop simulation engine.
+"""Simulation engine: one loop for closed-loop and open-loop runs.
 
-Co-simulates the adaptive loop and the oracle reference trajectory on a
-shared noise stream, advancing the estimator once per step.  Step order at
-time t: probe -> input -> plant -> estimator update -> metrics; the
-controller always sees the estimate that was current one update ago.
+A closed-loop run co-simulates the adaptive loop and the oracle reference
+trajectory on a shared noise stream; an open-loop identification run drives
+the plant with an exogenous input and has no reference.  Both advance the
+estimator once per step.  Step order at time t: input -> reference ->
+noise -> plant -> estimator update -> metrics; the controller always sees
+the estimate that was current one update ago.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import control, estimator, metrics
 
 __all__ = [
-    "PlantSpec",
-    "NoiseSpec",
-    "RunRecord",
-    "RunAbort",
-    "plant_step",
-    "noise_sample",
-    "spawn_streams",
-    "run_closed_loop",
-    "run_open_loop_id",
+    "PlantSpec", "NoiseSpec", "RunRecord", "RunAbort", "plant_step", "noise_sample",
+    "spawn_streams", "run_closed_loop", "run_open_loop_id",
 ]
 
 DIVERGENCE_CEILING = 1e9
@@ -128,60 +123,74 @@ def spawn_streams(seed):
     return dict(zip(names, (np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4))))
 
 
+# Per-step columns of a run record: (attribute, CSV label, width, fill).  A
+# width of "n" or "m" spreads the column over that many CSV fields (x0, x1,
+# ...); None makes it one scalar field.  The state columns hold T+1 rows
+# (x_0 .. x_T), every other column T.
+COLUMNS = (
+    ("x", "x", "n", np.nan),
+    ("u", "u", "m", np.nan),
+    ("v", "v", "m", 0.0),
+    ("w", "w", "n", np.nan),
+    ("x_star", "xstar", "n", np.nan),
+    ("u_star", "ustar", "m", np.nan),
+    ("param_err", "param_err", None, np.nan),
+    ("j_t", "J_t", None, np.nan),
+    ("lambda_t", "lambda_t", None, np.nan),
+    ("v_lyap", "V_t", None, np.nan),
+    ("d_t", "d_t", None, np.nan),
+    ("mu_t", "mu_t", None, np.nan),
+    ("a_t", "a_t", None, np.nan),
+    ("projected", "projected", None, False),
+)
+STATE_COLUMNS = ("x", "x_star")
+
+
 @dataclass
 class RunRecord:
-    """Full per-step log of one simulation plus manifest metadata."""
+    """Full per-step log of one simulation plus manifest metadata: one array
+    per entry of COLUMNS for ``horizon`` steps, set to the column's fill until
+    written (x_star, u_star and j_t stay NaN in a run without a reference)."""
 
     n: int
     m: int
-    x: np.ndarray  # (T+1, n)
-    u: np.ndarray  # (T, m)
-    v: np.ndarray  # (T, m)
-    w: np.ndarray  # (T, n)
-    x_star: np.ndarray  # (T+1, n) or nan for open-loop runs
-    u_star: np.ndarray  # (T, m)
-    param_err: np.ndarray  # (T,)
-    j_t: np.ndarray
-    lambda_t: np.ndarray
-    v_lyap: np.ndarray
-    d_t: np.ndarray
-    mu_t: np.ndarray
-    a_t: np.ndarray
-    projected: np.ndarray
+    horizon: int
     manifest: dict = field(default_factory=dict)
     acc: metrics.MetricAccumulator | None = None
     final_state: estimator.EstimatorState | None = None
     steps_completed: int = 0
 
+    def __post_init__(self):
+        for attr, _, width, fill in COLUMNS:
+            rows = self.horizon + (attr in STATE_COLUMNS)
+            shape = (rows,) if width is None else (rows, getattr(self, width))
+            setattr(self, attr, np.full(shape, fill))
+
     def csv_header(self):
         cols = ["t"]
-        cols += [f"x{i}" for i in range(self.n)]
-        cols += [f"u{i}" for i in range(self.m)]
-        cols += [f"v{i}" for i in range(self.m)]
-        cols += [f"w{i}" for i in range(self.n)]
-        cols += [f"xstar{i}" for i in range(self.n)]
-        cols += [f"ustar{i}" for i in range(self.m)]
-        cols += ["param_err", "J_t", "lambda_t", "V_t", "d_t", "mu_t", "a_t", "projected"]
+        for _, label, width, _ in COLUMNS:
+            if width is None:
+                cols.append(label)
+            else:
+                cols += [f"{label}{i}" for i in range(getattr(self, width))]
         return cols
 
     def write_csv(self, path, stride=1):
+        T = self.steps_completed
+        blocks = []
+        for attr, _, width, _ in COLUMNS:
+            arr = getattr(self, attr)[:T]
+            if width is None:
+                arr = arr[:, None]
+            # repr of a Python float round-trips; flags print as 0/1
+            blocks.append(arr.astype(int) if arr.dtype == bool else arr)
         with open(path, "w") as fh:
             fh.write(",".join(self.csv_header()) + "\n")
-            for t in range(0, self.steps_completed, stride):
-                row = [str(t)]
-                for arr in (self.x[t], self.u[t], self.v[t], self.w[t], self.x_star[t], self.u_star[t]):
-                    row += [repr(float(z)) for z in arr]
-                row += [
-                    repr(float(self.param_err[t])),
-                    repr(float(self.j_t[t])),
-                    repr(float(self.lambda_t[t])),
-                    repr(float(self.v_lyap[t])),
-                    repr(float(self.d_t[t])),
-                    repr(float(self.mu_t[t])),
-                    repr(float(self.a_t[t])),
-                    str(int(self.projected[t])),
-                ]
-                fh.write(",".join(row) + "\n")
+            for t in range(0, T, stride):
+                row = [t]
+                for block in blocks:
+                    row += block[t].tolist()
+                fh.write(",".join(map(repr, row)) + "\n")
 
     def summary(self):
         last = self.steps_completed - 1
@@ -202,173 +211,32 @@ class RunRecord:
         return out
 
 
-def _alloc_record(T, n, m):
-    nan = float("nan")
-    return RunRecord(
-        n=n,
-        m=m,
-        x=np.full((T + 1, n), nan),
-        u=np.full((T, m), nan),
-        v=np.zeros((T, m)),
-        w=np.full((T, n), nan),
-        x_star=np.full((T + 1, n), nan),
-        u_star=np.full((T, m), nan),
-        param_err=np.full(T, nan),
-        j_t=np.full(T, nan),
-        lambda_t=np.full(T, nan),
-        v_lyap=np.full(T, nan),
-        d_t=np.full(T, nan),
-        mu_t=np.full(T, nan),
-        a_t=np.full(T, nan),
-        projected=np.zeros(T, dtype=bool),
-    )
-
-
 def run_closed_loop(
-    plant,
-    pset,
-    mech,
-    probe,
-    noise,
-    horizon,
-    seed,
-    theta0=None,
-    delta=0.5,
-    gamma=4.0,
-    eig_stride=100,
-    stage_cost=None,
-    divergence_ceiling=DIVERGENCE_CEILING,
+    plant, pset, mech, probe, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
+    eig_stride=100, stage_cost=None, divergence_ceiling=DIVERGENCE_CEILING,
     collect_metrics=True,
 ):
     """Adaptive closed loop plus oracle reference on a shared noise stream."""
-    n, m = plant.n, plant.m
     if not pset.contains(plant.theta_star, shrunk=True):
         raise ValueError("theta_star must lie strictly inside the shrunken set")
-    if not noise.bounded and plant.link.bounded:
-        raise ValueError("bounded links require almost-surely bounded noise")
 
-    theta0 = np.zeros((n + m, n)) if theta0 is None else np.asarray(theta0, dtype=float)
-    state = estimator.new_estimator(theta0, pset, delta, plant.link)
-    streams = spawn_streams(seed)
-    rng_noise, rng_probe = streams["noise"], streams["probe"]
+    def next_input(theta_ctrl, x, t, rng):
+        return control.adaptive_input(mech, theta_ctrl, x, probe, t, rng)
 
     # reference mechanism gets its own Riccati cache so warm starts do not
     # leak between the theta* solve and the moving theta_hat solves
-    ref_mech = _fresh_mechanism(mech)
-
-    rec = _alloc_record(horizon, n, m)
-    acc = metrics.MetricAccumulator(
-        n=n, m=m, theta_star=plant.theta_star, stage_cost=stage_cost
-    )
-    rec.acc = acc
-
-    x = np.asarray(plant.x0, dtype=float).copy()
-    x_star = x.copy()
-    theta_ctrl = state.theta_hat.copy()  # theta_hat_{t-1} as seen by the controller
-    rec.x[0] = x
-    rec.x_star[0] = x_star
-    lam = 0.0
-    tic = time.perf_counter()
-
-    for t in range(horizon):
-        u, v = control.adaptive_input(mech, theta_ctrl, x, probe, t, rng_probe)
-        u_star = control.policy_eval(ref_mech, plant.theta_star, x_star)
-        w = noise_sample(noise, rng_noise)
-
-        try:
-            x_next = plant_step(plant, x, u, w)
-            x_star_next = plant_step(plant, x_star, u_star, w)
-        except ValueError as exc:
-            rec.steps_completed = t
-            raise RunAbort(str(exc), t, rec) from exc
-        if np.linalg.norm(x_next) > divergence_ceiling:
-            rec.steps_completed = t
-            raise RunAbort(
-                f"state norm {np.linalg.norm(x_next):.3e} exceeded the divergence ceiling",
-                t,
-                rec,
-            )
-
-        phi = np.concatenate([x, u])
-        theta_prev = state.theta_hat
-        try:
-            state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, pset)
-        except estimator.NumericalAbort as exc:
-            rec.steps_completed = t
-            raise RunAbort(str(exc), t, rec) from exc
-
-        if collect_metrics:
-            acc.update(
-                phi,
-                x,
-                x_next,
-                v,
-                w,
-                diag,
-                plant.link,
-                theta_hat=theta_prev,
-                theta_hat_next=state_next.theta_hat,
-                x_star=x_star,
-                u=u,
-                u_star=u_star,
-                gamma=gamma,
-            )
-            if t % eig_stride == 0 or t == horizon - 1:
-                lam = metrics.lambda_min_normalized(acc)
-
-        rec.u[t] = u
-        rec.v[t] = v
-        rec.w[t] = w
-        rec.u_star[t] = u_star
-        rec.x[t + 1] = x_next
-        rec.x_star[t + 1] = x_star_next
-        rec.param_err[t] = np.linalg.norm(plant.theta_star - state_next.theta_hat)
-        rec.j_t[t] = acc.sum_track_sq / (t + 1) if collect_metrics else float("nan")
-        rec.lambda_t[t] = lam
-        rec.v_lyap[t] = acc.lyapunov_v if collect_metrics else float("nan")
-        rec.d_t[t] = diag.d_gain
-        rec.mu_t[t] = diag.mu_weight
-        rec.a_t[t] = diag.a_weight
-        rec.projected[t] = diag.projected
-
-        theta_ctrl = theta_prev  # controller at t+1 uses theta_hat_t
-        state = state_next
-        x = x_next
-        x_star = x_star_next
-
-    rec.steps_completed = horizon
-    rec.final_state = state
-    rec.manifest["wall_time_s"] = time.perf_counter() - tic
-    rec.manifest["seed"] = seed
-    return rec
-
-
-def _fresh_mechanism(mech):
+    ref_mech = mech
     if isinstance(mech, control.RiccatiFeedback):
-        return control.RiccatiFeedback(
-            Q=mech.Q,
-            R=mech.R,
-            lift_kind=mech.lift_kind,
-            lipschitz_L=mech.lipschitz_L,
-            param_lipschitz_L1=mech.param_lipschitz_L1,
-            dare_tol=mech.dare_tol,
-            dare_max_iter=mech.dare_max_iter,
-        )
-    return mech
+        ref_mech = replace(mech, _cache_theta=None, _cache_p=None)
+    return _run(
+        plant, pset, next_input, ref_mech, noise, horizon, seed, theta0, delta,
+        gamma, eig_stride, stage_cost, divergence_ceiling, collect_metrics,
+    )
 
 
 def run_open_loop_id(
-    plant,
-    pset,
-    input_policy,
-    noise,
-    horizon,
-    seed,
-    theta0=None,
-    delta=0.5,
-    gamma=4.0,
-    eig_stride=100,
-    divergence_ceiling=DIVERGENCE_CEILING,
+    plant, pset, input_policy, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
+    eig_stride=100, divergence_ceiling=DIVERGENCE_CEILING,
 ):
     """Identification-only run under an exogenous input policy.
 
@@ -376,77 +244,107 @@ def run_open_loop_id(
     ("state_feedback", K) with u = K x.  The estimator observes the loop but
     never closes it.
     """
+    zero = np.zeros(plant.m)
+    if input_policy == "zero":
+        def next_input(theta_ctrl, x, t, rng):
+            return zero, zero
+    elif isinstance(input_policy, tuple) and input_policy[0] == "iid_uniform":
+        def next_input(theta_ctrl, x, t, rng):
+            return rng.uniform(-input_policy[1], input_policy[1], size=plant.m), zero
+    elif isinstance(input_policy, tuple) and input_policy[0] == "state_feedback":
+        def next_input(theta_ctrl, x, t, rng):
+            return np.asarray(input_policy[1]) @ x, zero
+    else:
+        raise ValueError(f"unknown input policy {input_policy!r}")
+    return _run(
+        plant, pset, next_input, None, noise, horizon, seed, theta0, delta,
+        gamma, eig_stride, None, divergence_ceiling, True,
+    )
+
+
+# failures inside a step; each ends the run with a RunAbort carrying the
+# record of the steps completed before it
+_STEP_FAILURES = (
+    ValueError, control.DareError, estimator.ProjectionError, estimator.NumericalAbort
+)
+
+
+def _run(
+    plant, pset, next_input, ref_mech, noise, horizon, seed, theta0, delta,
+    gamma, eig_stride, stage_cost, divergence_ceiling, collect_metrics,
+):
+    """The loop of both entry points.  ``next_input(theta_ctrl, x, t, rng)``
+    returns (u, v), drawing from the probe stream; ``ref_mech`` is None in a
+    run without a reference trajectory."""
     n, m = plant.n, plant.m
     if not noise.bounded and plant.link.bounded:
         raise ValueError("bounded links require almost-surely bounded noise")
     theta0 = np.zeros((n + m, n)) if theta0 is None else np.asarray(theta0, dtype=float)
     state = estimator.new_estimator(theta0, pset, delta, plant.link)
     streams = spawn_streams(seed)
-    rng_noise, rng_input = streams["noise"], streams["probe"]
+    rng_noise, rng_probe = streams["noise"], streams["probe"]
+    has_ref = ref_mech is not None
 
-    rec = _alloc_record(horizon, n, m)
-    acc = metrics.MetricAccumulator(n=n, m=m, theta_star=plant.theta_star)
-    rec.acc = acc
+    rec = RunRecord(n=n, m=m, horizon=horizon)
+    acc = rec.acc = metrics.MetricAccumulator(
+        n=n, m=m, theta_star=plant.theta_star, stage_cost=stage_cost
+    )
 
-    x = np.asarray(plant.x0, dtype=float).copy()
-    rec.x[0] = x
+    x = rec.x[0] = np.array(plant.x0, dtype=float)
+    x_star = u_star = x_star_next = None
+    if has_ref:
+        x_star = rec.x_star[0] = x.copy()
+    theta_ctrl = state.theta_hat.copy()  # theta_hat_{t-1} as seen by the controller
     lam = 0.0
     tic = time.perf_counter()
 
-    for t in range(horizon):
-        if input_policy == "zero":
-            u = np.zeros(m)
-        elif isinstance(input_policy, tuple) and input_policy[0] == "iid_uniform":
-            u = rng_input.uniform(-input_policy[1], input_policy[1], size=m)
-        elif isinstance(input_policy, tuple) and input_policy[0] == "state_feedback":
-            u = np.asarray(input_policy[1]) @ x
-        else:
-            raise ValueError(f"unknown input policy {input_policy!r}")
-
-        w = noise_sample(noise, rng_noise)
-        try:
+    try:
+        for t in range(horizon):
+            u, v = next_input(theta_ctrl, x, t, rng_probe)
+            if has_ref:
+                u_star = control.policy_eval(ref_mech, plant.theta_star, x_star)
+            w = noise_sample(noise, rng_noise)
             x_next = plant_step(plant, x, u, w)
-        except ValueError as exc:
-            rec.steps_completed = t
-            raise RunAbort(str(exc), t, rec) from exc
-        if np.linalg.norm(x_next) > divergence_ceiling:
-            rec.steps_completed = t
-            raise RunAbort("state exceeded the divergence ceiling", t, rec)
+            if has_ref:
+                x_star_next = plant_step(plant, x_star, u_star, w)
+            norm = np.linalg.norm(x_next)
+            if norm > divergence_ceiling:
+                raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
+            phi = np.concatenate([x, u])
+            theta_prev = state.theta_hat
+            state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, pset)
+            if collect_metrics:
+                acc.update(
+                    phi, x, x_next, v, w, diag, plant.link,
+                    theta_hat=theta_prev, theta_hat_next=state_next.theta_hat,
+                    x_star=x_star, u=u, u_star=u_star, gamma=gamma,
+                )
+                if t % eig_stride == 0 or t == horizon - 1:
+                    lam = metrics.lambda_min_normalized(acc)
+                rec.v_lyap[t] = acc.lyapunov_v
+                if has_ref:
+                    rec.j_t[t] = acc.sum_track_sq / (t + 1)
 
-        phi = np.concatenate([x, u])
-        theta_prev = state.theta_hat
-        state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, pset)
-        acc.update(
-            phi,
-            x,
-            x_next,
-            np.zeros(m),
-            w,
-            diag,
-            plant.link,
-            theta_hat=theta_prev,
-            theta_hat_next=state_next.theta_hat,
-            gamma=gamma,
-        )
-        if t % eig_stride == 0 or t == horizon - 1:
-            lam = metrics.lambda_min_normalized(acc)
-
-        rec.u[t] = u
-        rec.w[t] = w
-        rec.x[t + 1] = x_next
-        rec.param_err[t] = np.linalg.norm(plant.theta_star - state_next.theta_hat)
-        rec.lambda_t[t] = lam
-        rec.v_lyap[t] = acc.lyapunov_v
-        rec.d_t[t] = diag.d_gain
-        rec.mu_t[t] = diag.mu_weight
-        rec.a_t[t] = diag.a_weight
-        rec.projected[t] = diag.projected
-
-        state = state_next
-        x = x_next
+            rec.u[t] = u
+            rec.v[t] = v
+            rec.w[t] = w
+            rec.x[t + 1] = x_next
+            if has_ref:
+                rec.u_star[t] = u_star
+                rec.x_star[t + 1] = x_star_next
+            rec.param_err[t] = np.linalg.norm(plant.theta_star - state_next.theta_hat)
+            rec.lambda_t[t] = lam
+            rec.d_t[t] = diag.d_gain
+            rec.mu_t[t] = diag.mu_weight
+            rec.a_t[t] = diag.a_weight
+            rec.projected[t] = diag.projected
+            theta_ctrl = theta_prev  # controller at t+1 uses theta_hat_t
+            state, x, x_star = state_next, x_next, x_star_next
+    except _STEP_FAILURES as exc:
+        rec.steps_completed = t
+        raise RunAbort(str(exc), t, rec) from exc
 
     rec.steps_completed = horizon
     rec.final_state = state
-    rec.manifest["wall_time_s"] = time.perf_counter() - tic
-    rec.manifest["seed"] = seed
+    rec.manifest.update(wall_time_s=time.perf_counter() - tic, seed=seed)
     return rec

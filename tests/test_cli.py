@@ -1,11 +1,12 @@
 """Command-line surface: exit codes, artifacts, sweeps, reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from nadac import cli, config as cfgmod
+from nadac import cli, config as cfgmod, control, estimator
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,6 +76,65 @@ def test_divergent_run_is_runtime_abort(tmp_path, capsys):
     assert code == cli.EXIT_RUNTIME
     assert "runtime abort" in capsys.readouterr().err
     assert (tmp_path / "o" / "run_truncated.csv").exists()
+
+
+def _leaky_relu_cfg(mode, horizon=50):
+    # the estimate moves every step, so Riccati feedback re-solves the DARE
+    # every step
+    cfg = {
+        "mode": mode,
+        "plant": {
+            "n": 2, "m": 2, "link": {"kind": "leaky_relu", "slope": 0.3},
+            "theta_star": [[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]],
+        },
+        "parameter_set": {"kind": "frobenius_ball", "radius": 5.0, "rho_eps": 0.5},
+        "noise": {"kind": "uniform_cube", "half_width": 0.1},
+        "horizon": horizon,
+    }
+    if mode == "closed_loop":
+        cfg["policy"] = {"kind": "riccati_feedback", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                         "R": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg["probe"] = {"b": 0.125, "half_width": 1.0}
+    else:
+        cfg["input_policy"] = {"kind": "iid_uniform", "half_width": 1.0}
+    return cfg
+
+
+@pytest.mark.parametrize("mode, owner, attr, error", [
+    ("closed_loop", control, "solve_dare", control.DareError("no fixed point")),
+    ("closed_loop", estimator, "estimator_step", estimator.ProjectionError("no bracket")),
+    ("open_loop", estimator, "estimator_step", estimator.NumericalAbort("non-finite update")),
+], ids=["closed-dare", "closed-projection", "open-numerical"])
+def test_numerical_failure_is_runtime_abort(tmp_path, capsys, monkeypatch, mode, owner,
+                                            attr, error):
+    real, calls = getattr(owner, attr), []
+
+    def fail_on_fifth_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, fail_on_fifth_call)
+    p = _write_cfg(tmp_path, _leaky_relu_cfg(mode))
+    code = cli.main(["run", str(p), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime abort" in err and str(error) in err
+    step = int(re.search(r"\(step (\d+)\)", err).group(1))
+    assert step > 0
+    lines = (tmp_path / "o" / "run_truncated.csv").read_text().splitlines()
+    assert lines[0].startswith("t,x0,x1,u0,u1,")
+    assert len(lines) == 1 + step
+
+
+@pytest.mark.parametrize("field", ["metrics.eig_stride", "log_stride"])
+def test_stride_below_one_is_validation_error(tmp_path, capsys, field):
+    cfg = _opinion_cfg(horizon=50)
+    cfgmod.set_field(cfg, field, 0)
+    code = cli.main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
 
 
 def test_validate_ok(capsys):

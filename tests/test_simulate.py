@@ -291,6 +291,52 @@ def test_open_loop_state_feedback_policy():
     np.testing.assert_allclose(rec.u[:100], rec.x[:100] @ K.T, atol=1e-12)
 
 
+def _identification_plant():
+    theta_star = np.array([[0.5], [0.3]])
+    return simulate.PlantSpec(
+        theta_star=theta_star, link=maps.Identity(dim=1), n=1, m=1, x0=np.array([1.0])
+    )
+
+
+@pytest.mark.parametrize("input_policy", [
+    "zero", ("iid_uniform", 1.0), ("state_feedback", np.array([[-0.4]])),
+], ids=["zero", "iid_uniform", "state_feedback"])
+def test_open_loop_record_has_no_reference(input_policy):
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
+    rec = simulate.run_open_loop_id(
+        _identification_plant(), est.FrobeniusBall(2.0), input_policy, noise, 50, 4
+    )
+    assert np.isnan(rec.x_star).all()
+    assert np.isnan(rec.u_star).all()
+    assert np.isnan(rec.j_t).all()
+    assert (rec.v == 0.0).all()
+    assert np.isfinite(rec.x).all() and np.isfinite(rec.u).all()
+
+
+@pytest.mark.parametrize("input_policy, calls_per_step", [
+    (("state_feedback", np.array([[-0.4]])), 1),
+    (("iid_uniform", 1.0), 1),
+    (None, 2),  # closed loop: adaptive and reference trajectories
+], ids=["state_feedback", "iid_uniform", "closed_loop"])
+def test_plant_step_calls_per_step(monkeypatch, input_policy, calls_per_step):
+    real, calls = simulate.plant_step, []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "plant_step", counting)
+    plant = _identification_plant()
+    pset = est.FrobeniusBall(2.0)
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
+    if input_policy is None:
+        _run(plant, pset, _null_policy(1, 1), control.ProbingSignal(decay_b=0.125, dim=1),
+             noise, 40, 5)
+    else:
+        simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
+    assert len(calls) == calls_per_step * 40
+
+
 # ---------------------------------------------------------------------------
 # record plumbing
 
