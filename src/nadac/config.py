@@ -26,8 +26,10 @@ def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
     # a manifest echoes its config under "config"; accept either form
-    if "config" in cfg and "plant" not in cfg:
+    if isinstance(cfg, dict) and "config" in cfg and "plant" not in cfg:
         cfg = cfg["config"]
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
     return cfg
 
 
@@ -37,6 +39,27 @@ def _require(cfg, key, path, typ=None):
     val = cfg[key]
     if typ is not None and not isinstance(val, typ):
         raise ConfigError(f"{path}.{key}", f"expected {typ}, got {type(val).__name__}")
+    return val
+
+
+def _number(val, path, kind=float):
+    """``kind(val)``, or a ConfigError naming ``path`` when val is not a number
+    (for kind=_floats, not an array of numbers)."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"not numeric: {val!r}") from None
+
+
+def _floats(val):
+    return np.asarray(val, dtype=float)
+
+
+def _section(cfg, key, default):
+    """An optional sub-object of the config; ``default`` when absent."""
+    val = cfg.get(key, default)
+    if not isinstance(val, dict):
+        raise ConfigError(key, f"expected an object, got {type(val).__name__}")
     return val
 
 
@@ -65,20 +88,24 @@ def validate_config(cfg):
         raise ConfigError("mode", f"must be closed_loop or open_loop, got {mode!r}")
 
     plant_cfg = _require(cfg, "plant", "", dict)
-    n = int(_require(plant_cfg, "n", "plant"))
-    m = int(_require(plant_cfg, "m", "plant"))
+    n = _number(_require(plant_cfg, "n", "plant"), "plant.n", int)
+    m = _number(_require(plant_cfg, "m", "plant"), "plant.m", int)
     if n < 1 or m < 1:
         raise ConfigError("plant.n", "dimensions must be positive")
     try:
         link = maps.link_from_config(_require(plant_cfg, "link", "plant", dict), n)
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"plant.link.{exc.args[0]}", "missing required field") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError("plant.link", str(exc)) from exc
-    theta_star = np.asarray(_require(plant_cfg, "theta_star", "plant", list), dtype=float)
+    theta_star = _number(
+        _require(plant_cfg, "theta_star", "plant", list), "plant.theta_star", _floats
+    )
     if theta_star.shape != (n + m, n):
         raise ConfigError(
             "plant.theta_star", f"expected shape ({n + m}, {n}), got {theta_star.shape}"
         )
-    x0 = np.asarray(plant_cfg.get("x0", np.zeros(n).tolist()), dtype=float)
+    x0 = _number(plant_cfg.get("x0", np.zeros(n).tolist()), "plant.x0", _floats)
     if x0.shape != (n,):
         raise ConfigError("plant.x0", f"expected length {n}")
 
@@ -91,12 +118,12 @@ def validate_config(cfg):
             "plant.theta_star", "must lie strictly inside the shrunken parameter set"
         )
 
-    est_cfg = cfg.get("estimator", {})
-    delta = float(est_cfg.get("delta", 0.5))
+    est_cfg = _section(cfg, "estimator", {})
+    delta = _number(est_cfg.get("delta", 0.5), "estimator.delta")
     if delta <= 0:
         raise ConfigError("estimator.delta", "must be positive")
-    theta0 = np.asarray(
-        est_cfg.get("theta0", np.zeros((n + m, n)).tolist()), dtype=float
+    theta0 = _number(
+        est_cfg.get("theta0", np.zeros((n + m, n)).tolist()), "estimator.theta0", _floats
     )
     if theta0.shape != (n + m, n):
         raise ConfigError("estimator.theta0", f"expected shape ({n + m}, {n})")
@@ -106,7 +133,7 @@ def validate_config(cfg):
     noise_cfg = _require(cfg, "noise", "", dict)
     try:
         noise = simulate.noise_from_config(noise_cfg, n)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("noise", str(exc)) from exc
     if link.bounded and not noise.bounded:
         raise ConfigError("noise.kind", "Gaussian noise is not allowed with bounded links")
@@ -117,45 +144,52 @@ def validate_config(cfg):
     if mode == "closed_loop":
         try:
             mech = control.policy_from_config(_require(cfg, "policy", "", dict), n, m)
-        except ValueError as exc:
+        except KeyError as exc:
+            raise ConfigError("policy", f"missing required field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError("policy", str(exc)) from exc
         try:
-            probe = control.probe_from_config(cfg.get("probe", {"b": 0.0, "bound_eps": 0.0}), mech.raw_dim)
-        except ValueError as exc:
+            probe = control.probe_from_config(
+                _section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0}), mech.raw_dim
+            )
+        except (TypeError, ValueError) as exc:
             raise ConfigError("probe", str(exc)) from exc
     else:
-        ip_cfg = cfg.get("input_policy", {"kind": "zero"})
+        ip_cfg = _section(cfg, "input_policy", {"kind": "zero"})
         kind = ip_cfg.get("kind", "zero")
         if kind == "zero":
             input_policy = "zero"
         elif kind == "iid_uniform":
-            input_policy = ("iid_uniform", float(ip_cfg.get("half_width", 1.0)))
+            input_policy = (
+                "iid_uniform",
+                _number(ip_cfg.get("half_width", 1.0), "input_policy.half_width"),
+            )
         elif kind == "state_feedback":
-            K = np.asarray(_require(ip_cfg, "K", "input_policy"), dtype=float)
+            K = _number(_require(ip_cfg, "K", "input_policy"), "input_policy.K", _floats)
             if K.shape != (m, n):
                 raise ConfigError("input_policy.K", f"expected shape ({m}, {n})")
             input_policy = ("state_feedback", K)
         else:
             raise ConfigError("input_policy.kind", f"unknown kind {kind!r}")
 
-    met_cfg = cfg.get("metrics", {})
-    gamma = float(met_cfg.get("gamma", 4.0))
+    met_cfg = _section(cfg, "metrics", {})
+    gamma = _number(met_cfg.get("gamma", 4.0), "metrics.gamma")
     if met_cfg.get("rate_probes", False):
         if gamma <= 2:
             raise ConfigError("metrics.gamma", "rate probes need gamma > 2")
-        b = float(cfg.get("probe", {}).get("b", 0.0))
+        b = _number(_section(cfg, "probe", {}).get("b", 0.0), "probe.b")
         try:
             metrics.eta_default(b, gamma)
         except ValueError as exc:
             raise ConfigError("metrics.gamma", str(exc)) from exc
 
-    horizon = int(cfg.get("horizon", 10_000))
+    horizon = _number(cfg.get("horizon", 10_000), "horizon", int)
     if horizon < 1:
         raise ConfigError("horizon", "must be >= 1")
-    eig_stride = int(met_cfg.get("eig_stride", 100))
+    eig_stride = _number(met_cfg.get("eig_stride", 100), "metrics.eig_stride", int)
     if eig_stride < 1:
         raise ConfigError("metrics.eig_stride", "must be >= 1")
-    log_stride = int(cfg.get("log_stride", 1))
+    log_stride = _number(cfg.get("log_stride", 1), "log_stride", int)
     if log_stride < 1:
         raise ConfigError("log_stride", "must be >= 1")
 
@@ -168,7 +202,7 @@ def validate_config(cfg):
         input_policy=input_policy,
         noise=noise,
         horizon=horizon,
-        seed=int(cfg.get("seed", 0)),
+        seed=_number(cfg.get("seed", 0), "seed", int),
         delta=delta,
         theta0=theta0,
         gamma=gamma,

@@ -49,9 +49,10 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
         raise ValueError("tol must be positive")
     P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     for _ in range(max_iter):
-        nxt = A.T @ P @ A - A.T @ P @ np.linalg.solve(R + P, P @ A) + Q
+        at_p = A.T @ P  # A.T @ P @ A evaluates left to right
+        nxt = at_p @ A - at_p @ np.linalg.solve(R + P, P @ A) + Q
         nxt = 0.5 * (nxt + nxt.T)
-        res = float(np.max(np.abs(nxt - P)))
+        res = float(np.abs(nxt - P).max())
         P = nxt
         if res <= tol:
             return P
@@ -224,7 +225,7 @@ class CustomPolicy:
 def policy_eval(mech, theta, x, pset=None):
     """Full policy output for one state (lift applied, no probe)."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("state must be finite")
     if pset is not None and not pset.contains(theta):
         raise ValueError("theta lies outside the parameter set")

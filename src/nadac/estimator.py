@@ -10,6 +10,7 @@ forces the estimate sequence to settle even without excitation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "StepDiagnostics",
     "new_estimator",
     "support_value",
+    "frobenius_norm",
     "step_weights",
     "estimator_step",
     "project_weighted",
@@ -47,6 +49,19 @@ class NumericalAbort(RuntimeError):
 # Parameter sets
 
 
+def frobenius_norm(a):
+    """np.linalg.norm(a) of a float array, to the last bit and without its
+    dispatch: the square root of the array's dot product with itself,
+    raveled in memory order as np.linalg.norm ravels it."""
+    a = np.asarray(a, dtype=float).ravel("K")
+    return math.sqrt(a @ a)
+
+
+def _spectral(a):
+    """np.linalg.norm(a, 2) of a matrix: its largest singular value."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 @dataclass(frozen=True)
 class FrobeniusBall:
     """Theta = {theta : ||theta||_F <= radius}; the shrunken copy used by the
@@ -63,10 +78,10 @@ class FrobeniusBall:
 
     def contains(self, theta, shrunk=False, tol=1e-12):
         r = self.radius * (self.rho_eps if shrunk else 1.0)
-        return float(np.linalg.norm(theta)) <= r * (1.0 + tol)
+        return frobenius_norm(theta) <= r * (1.0 + tol)
 
     def support_value(self, phi, n=None):
-        return self.radius * float(np.linalg.norm(phi))
+        return self.radius * frobenius_norm(phi)
 
     def sample(self, n, m, rng):
         """Uniform-in-radius random member, for randomized checks."""
@@ -96,16 +111,14 @@ class BlockOperatorBalls:
     def contains(self, theta, shrunk=False, tol=1e-12):
         n = theta.shape[1]
         s = self.rho_eps if shrunk else 1.0
-        na = float(np.linalg.norm(theta[:n].T, 2))
-        nb = float(np.linalg.norm(theta[n:].T, 2)) if theta.shape[0] > n else 0.0
+        na = _spectral(theta[:n].T)
+        nb = _spectral(theta[n:].T) if theta.shape[0] > n else 0.0
         return na <= s * self.radius_a * (1.0 + tol) and nb <= s * self.radius_b * (1.0 + tol)
 
     def support_value(self, phi, n=None):
         if n is None:
             raise ValueError("block set needs the state dimension to split phi")
-        return self.radius_a * float(np.linalg.norm(phi[:n])) + self.radius_b * float(
-            np.linalg.norm(phi[n:])
-        )
+        return self.radius_a * frobenius_norm(phi[:n]) + self.radius_b * frobenius_norm(phi[n:])
 
     def sample(self, n, m, rng):
         a = rng.standard_normal((n, n))
@@ -137,7 +150,7 @@ def parameter_set_from_config(cfg):
 def support_value(pset, phi, n=None):
     """sup over theta in Theta of ||theta^T phi|| (exact for both kinds)."""
     phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise ValueError("regressor must be finite")
     return pset.support_value(phi, n=n)
 
@@ -299,6 +312,8 @@ class StepDiagnostics:
     mu_weight: float
     residual_norm: float = float("nan")
     projected: bool = False
+    quad: float = float("nan")  # phi^T P phi with the pre-update P
+    prediction: np.ndarray | None = None  # f(theta_hat^T phi), pre-update theta_hat
 
 
 def new_estimator(theta0, pset, delta, f):
@@ -326,18 +341,16 @@ def step_weights(state, phi, f, pset):
     Mutates state.r_accum (r_t includes the current regressor by definition).
     """
     phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise ValueError("regressor must be finite")
     state.r_accum += float(phi @ phi)
-    c = float(np.linalg.norm(state.theta_hat.T @ phi)) + support_value(
-        pset, phi, n=state.n
-    )
+    c = frobenius_norm(state.theta_hat.T @ phi) + pset.support_value(phi, n=state.n)
     d = 0.5 * f.alpha_env(c)
     g_bar = f.beta_env(c)
     quad = float(phi @ state.p_matrix @ phi)
     mu = (1.0 + np.log(state.r_accum)) ** (1.0 + state.delta) + d * g_bar**2 * quad
     a = 1.0 / (mu + d * d * quad)
-    return StepDiagnostics(d_gain=d, g_bar=g_bar, a_weight=a, mu_weight=mu)
+    return StepDiagnostics(d_gain=d, g_bar=g_bar, a_weight=a, mu_weight=mu, quad=quad)
 
 
 def estimator_step(state, phi, x_next, f, pset):
@@ -353,15 +366,12 @@ def estimator_step(state, phi, x_next, f, pset):
             f"dimension mismatch: phi {phi.shape}, x_next {x_next.shape}, "
             f"expected ({state.n + state.m},) and ({state.n},)"
         )
-    st = replace(
-        state,
-        theta_hat=state.theta_hat.copy(),
-        p_matrix=state.p_matrix.copy(),
-    )
+    # the arrays are shared with ``state`` until replaced below; neither is
+    # ever written in place
+    st = replace(state)
     diag = step_weights(st, phi, f, pset)
-    d, a, mu = diag.d_gain, diag.a_weight, diag.mu_weight
+    d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
 
-    quad = float(phi @ st.p_matrix @ phi)
     contraction = a * d * d * quad
     if contraction >= 1.0:
         # impossible in exact arithmetic: a*(mu + d^2 quad) = 1; re-derive in
@@ -384,10 +394,11 @@ def estimator_step(state, phi, x_next, f, pset):
     p_next = st.p_matrix - (a * d * d) * np.outer(p_phi, p_phi)
     p_next = 0.5 * (p_next + p_next.T)
 
-    residual = x_next - f.eval(st.theta_hat.T @ phi)
-    diag.residual_norm = float(np.linalg.norm(residual))
+    diag.prediction = f.eval(st.theta_hat.T @ phi)
+    residual = x_next - diag.prediction
+    diag.residual_norm = frobenius_norm(residual)
     candidate = st.theta_hat + (d / mu) * np.outer(p_next @ phi, residual)
-    if not np.all(np.isfinite(candidate)):
+    if not np.isfinite(candidate).all():
         raise NumericalAbort(f"non-finite parameter update at step {st.step}")
 
     if pset.contains(candidate):

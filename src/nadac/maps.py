@@ -46,13 +46,13 @@ class EnvelopeContractError(ValueError):
 
 
 def _check_radius(c):
-    if not np.isfinite(c) or c < 0:
+    if not math.isfinite(c) or c < 0:
         raise ValueError(f"envelope radius must be finite and >= 0, got {c}")
 
 
 def _check_finite(z):
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("link input must be finite")
     return z
 
@@ -220,13 +220,15 @@ def smoothed_clamp_value(N, sigma, z):
     if N <= 0 or sigma <= 0:
         raise ValueError("smoothed clamp requires N > 0 and sigma > 0")
     z = _check_finite(z)
-    G_mz = ndtr(-z / sigma)
-    G_Nmz = ndtr((N - z) / sigma)
-    g_mz = _INV_SQRT_2PI / sigma * np.exp(-0.5 * (z / sigma) ** 2)
-    g_Nmz = _INV_SQRT_2PI / sigma * np.exp(-0.5 * ((N - z) / sigma) ** 2)
+    n_mz = N - z
+    # both standardized endpoints in one array, so that each of ndtr and exp
+    # runs once; squaring -z/sigma gives exactly (z/sigma)^2
+    s = np.array((-z / sigma, n_mz / sigma))
+    G = ndtr(s)
+    g = _INV_SQRT_2PI / sigma * np.exp(-0.5 * s**2)
     # the exact value lies in (0, N); the clip removes the cancellation error
     # of the closed form far outside the interval (about -3e-16 at z = -8 sigma)
-    value = N - z * G_mz - (N - z) * G_Nmz + sigma**2 * (g_mz - g_Nmz)
+    value = N - z * G[0] - n_mz * G[1] + sigma**2 * (g[0] - g[1])
     return np.minimum(np.maximum(value, 0.0), N)
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimator import frobenius_norm
+
 __all__ = [
     "MetricAccumulator",
     "lambda_min_normalized",
@@ -68,7 +70,8 @@ class MetricAccumulator:
         w,
         diag,
         link,
-        theta_hat=None,  # estimate used at this step (pre-update), for psi
+        theta_hat=None,  # estimate used at this step (pre-update), for psi;
+        # diag.prediction, when set, is f(theta_hat^T phi) from the estimator
         theta_hat_next=None,  # post-update estimate, for the Lyapunov value
         x_star=None,
         u=None,
@@ -77,12 +80,13 @@ class MetricAccumulator:
     ):
         phi = np.asarray(phi, dtype=float)
         nphi2 = float(phi @ phi)
-        self.gram_normalized += np.outer(phi, phi) / (1.0 + nphi2)
-        self.sum_v_pow_gamma += float(np.linalg.norm(v)) ** gamma
-        self.sum_w_pow_gamma += float(np.linalg.norm(w)) ** gamma
-        self.sum_xnext_pow_gamma += float(np.linalg.norm(x_next)) ** gamma
+        phi_phi = np.outer(phi, phi)
+        self.gram_normalized += phi_phi / (1.0 + nphi2)
+        self.sum_v_pow_gamma += frobenius_norm(v) ** gamma
+        self.sum_w_pow_gamma += frobenius_norm(w) ** gamma
+        self.sum_xnext_pow_gamma += frobenius_norm(x_next) ** gamma
 
-        self.p_inv += (diag.d_gain**2 / diag.mu_weight) * np.outer(phi, phi)
+        self.p_inv += (diag.d_gain**2 / diag.mu_weight) * phi_phi
 
         if x_star is not None:
             dx = np.asarray(x) - np.asarray(x_star)
@@ -90,19 +94,22 @@ class MetricAccumulator:
             if u is not None and u_star is not None:
                 du = np.asarray(u) - np.asarray(u_star)
                 self.sum_track_sq += float(du @ du)
-            self.sum_sign_mismatch += float(np.sum(np.abs(_sgn(x) - _sgn(x_star))))
+            self.sum_sign_mismatch += float(np.abs(_sgn(x) - _sgn(x_star)).sum())
             if self.stage_cost is not None and u is not None and u_star is not None:
                 self.sum_stage_cost_sq += (
                     float(self.stage_cost(x, u)) - float(self.stage_cost(x_star, u_star))
                 ) ** 2
 
         if self.theta_star is not None and theta_hat is not None:
-            psi = link.eval(self.theta_star.T @ phi) - link.eval(theta_hat.T @ phi)
+            prediction = diag.prediction
+            if prediction is None:
+                prediction = link.eval(theta_hat.T @ phi)
+            psi = link.eval(self.theta_star.T @ phi) - prediction
             psi_sq = float(psi @ psi)
             self.sum_pred_regret += psi_sq / diag.mu_weight
             self.sum_a_psi_sq += diag.a_weight * psi_sq
             err = self.theta_star - (theta_hat_next if theta_hat_next is not None else theta_hat)
-            self.lyapunov_v = float(np.trace(err.T @ self.p_inv @ err))
+            self.lyapunov_v = float((err.T @ self.p_inv @ err).trace())
 
         self.steps += 1
 

@@ -54,7 +54,7 @@ class PlantSpec:
 def plant_step(spec, x, u, w):
     """x_{t+1} = f(A x + B u) + w."""
     x_next = spec.link.eval(spec.a_matrix @ x + spec.b_matrix @ u) + w
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise ValueError("plant produced a non-finite state")
     return x_next
 
@@ -126,7 +126,7 @@ def spawn_streams(seed):
 # Per-step columns of a run record: (attribute, CSV label, width, fill).  A
 # width of "n" or "m" spreads the column over that many CSV fields (x0, x1,
 # ...); None makes it one scalar field.  The state columns hold T+1 rows
-# (x_0 .. x_T), every other column T.
+# (x_0 .. x_T), every other column T.  The one flag column comes last.
 COLUMNS = (
     ("x", "x", "n", np.nan),
     ("u", "u", "m", np.nan),
@@ -177,20 +177,16 @@ class RunRecord:
 
     def write_csv(self, path, stride=1):
         T = self.steps_completed
-        blocks = []
-        for attr, _, width, _ in COLUMNS:
-            arr = getattr(self, attr)[:T]
-            if width is None:
-                arr = arr[:, None]
-            # repr of a Python float round-trips; flags print as 0/1
-            blocks.append(arr.astype(int) if arr.dtype == bool else arr)
+        # the float columns as one table, then the flag column as 0/1; repr
+        # of a Python float round-trips
+        *value_columns, (flag_attr, *_) = COLUMNS
+        floats = np.column_stack([getattr(self, attr)[:T] for attr, *_ in value_columns])
+        flags = getattr(self, flag_attr)
         with open(path, "w") as fh:
             fh.write(",".join(self.csv_header()) + "\n")
             for t in range(0, T, stride):
-                row = [t]
-                for block in blocks:
-                    row += block[t].tolist()
-                fh.write(",".join(map(repr, row)) + "\n")
+                row = ",".join(map(repr, floats[t].tolist()))
+                fh.write(f"{t},{row},{'1' if flags[t] else '0'}\n")
 
     def summary(self):
         last = self.steps_completed - 1
@@ -307,7 +303,7 @@ def _run(
             x_next = plant_step(plant, x, u, w)
             if has_ref:
                 x_star_next = plant_step(plant, x_star, u_star, w)
-            norm = np.linalg.norm(x_next)
+            norm = estimator.frobenius_norm(x_next)
             if norm > divergence_ceiling:
                 raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
             phi = np.concatenate([x, u])
@@ -332,7 +328,7 @@ def _run(
             if has_ref:
                 rec.u_star[t] = u_star
                 rec.x_star[t + 1] = x_star_next
-            rec.param_err[t] = np.linalg.norm(plant.theta_star - state_next.theta_hat)
+            rec.param_err[t] = estimator.frobenius_norm(plant.theta_star - state_next.theta_hat)
             rec.lambda_t[t] = lam
             rec.d_t[t] = diag.d_gain
             rec.mu_t[t] = diag.mu_weight

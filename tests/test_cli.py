@@ -137,6 +137,41 @@ def test_stride_below_one_is_validation_error(tmp_path, capsys, field):
     assert field in capsys.readouterr().err
 
 
+def _set_field(field, value):
+    def mutate(cfg):
+        cfgmod.set_field(cfg, field, value)
+        return cfg
+    return mutate
+
+
+def _link_without_scale(cfg):
+    cfg["plant"]["link"] = {"kind": "scaled_tanh"}
+    return cfg
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("horizon", _set_field("horizon", "many")),
+    ("seed", _set_field("seed", "x")),
+    ("plant.n", _set_field("plant.n", "four")),
+    ("estimator.delta", _set_field("estimator.delta", "small")),
+    ("metrics.eig_stride", _set_field("metrics.eig_stride", "x")),
+    ("log_stride", _set_field("log_stride", [1])),
+    ("plant.x0", _set_field("plant.x0", "zero")),
+    ("plant.theta_star", _set_field("plant.theta_star", [["a"] * 4] * 5)),
+    ("config", lambda cfg: [cfg]),  # a JSON list at the root
+    ("plant.link.a", _link_without_scale),
+], ids=["horizon", "seed", "plant.n", "estimator.delta", "metrics.eig_stride",
+        "log_stride", "plant.x0", "plant.theta_star", "root-list", "link-missing-a"])
+def test_malformed_field_is_validation_error(tmp_path, capsys, field, mutate):
+    cfg = mutate(_opinion_cfg(horizon=50))
+    p = _write_cfg(tmp_path, cfg)
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION, err
+        assert f"validation error: {field}:" in err
+
+
 def test_validate_ok(capsys):
     assert cli.main(["validate", str(cli.preset_path("opinion"))]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "ok"
@@ -220,3 +255,29 @@ def test_golden_first_rows_stable(tmp_path):
     got = (tmp_path / "g" / "run.csv").read_text()
     want = (DATA / "opinion_h100.csv").read_text()
     assert got == want
+
+
+def _golden_run(tmp_path, cfg, name):
+    p = _write_cfg(tmp_path, cfg)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "g")]) == cli.EXIT_OK
+    assert (tmp_path / "g" / "run.csv").read_text() == (DATA / name).read_text()
+
+
+def test_golden_epidemic_sigma5_stable(tmp_path):
+    # frozen 100-step epidemic trajectory: smoothed-clamp link, block
+    # operator-ball set, quadratic input lift and a DARE re-solve per step
+    with open(cli.preset_path("epidemic_sigma5")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 100
+    cfg["log_stride"] = 1
+    _golden_run(tmp_path, cfg, "epidemic_sigma5_h100.csv")
+
+
+def test_golden_open_loop_iid_stable(tmp_path):
+    # frozen 100-step open-loop identification of the opinion plant under
+    # i.i.d. uniform inputs: one plant step per step, no reference
+    cfg = _opinion_cfg()
+    cfg["mode"] = "open_loop"
+    cfg["input_policy"] = {"kind": "iid_uniform", "half_width": 1.0}
+    del cfg["policy"], cfg["probe"]
+    _golden_run(tmp_path, cfg, "opinion_openloop_iid_h100.csv")

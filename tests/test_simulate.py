@@ -337,6 +337,32 @@ def test_plant_step_calls_per_step(monkeypatch, input_policy, calls_per_step):
     assert len(calls) == calls_per_step * 40
 
 
+@pytest.mark.parametrize("input_policy, calls_per_step", [
+    (("state_feedback", np.array([[-0.4]])), 3),
+    (("iid_uniform", 1.0), 3),
+    (None, 4),  # closed loop: the reference trajectory adds a plant step
+], ids=["state_feedback", "iid_uniform", "closed_loop"])
+def test_link_eval_calls_per_step(monkeypatch, input_policy, calls_per_step):
+    # plant step(s), the estimator's prediction f(theta_hat^T phi), which the
+    # metrics reuse, and the metrics' own f(theta*^T phi)
+    real, calls = maps.Identity.eval, []
+
+    def counting(self, z):
+        calls.append(None)
+        return real(self, z)
+
+    monkeypatch.setattr(maps.Identity, "eval", counting)
+    plant = _identification_plant()
+    pset = est.FrobeniusBall(2.0)
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
+    if input_policy is None:
+        _run(plant, pset, _null_policy(1, 1), control.ProbingSignal(decay_b=0.125, dim=1),
+             noise, 40, 5)
+    else:
+        simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
+    assert len(calls) == calls_per_step * 40
+
+
 # ---------------------------------------------------------------------------
 # record plumbing
 
@@ -361,6 +387,67 @@ def test_csv_header_order_and_write(tmp_path):
     # floats round-trip exactly through repr
     first = lines[1].split(",")
     assert float(first[1]) == rec.x[0, 0]
+
+
+def _reference_csv(rec, stride=1):
+    # plain writer: repr of every float, flags as 0/1, one row per stride
+    lines = [",".join(rec.csv_header())]
+    for t in range(0, rec.steps_completed, stride):
+        row = [repr(t)]
+        for attr, _, _, _ in simulate.COLUMNS:
+            values = np.atleast_1d(getattr(rec, attr)[t])
+            if values.dtype == bool:
+                row += ["1" if flag else "0" for flag in values]
+            else:
+                row += [repr(float(z)) for z in values]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _projected_record():
+    rng = np.random.default_rng(17)
+    rec = simulate.RunRecord(n=2, m=3, horizon=11)
+    for attr, _, _, _ in simulate.COLUMNS:
+        arr = getattr(rec, attr)
+        if arr.dtype == bool:
+            arr[[1, 3, 4, 9]] = True
+        else:
+            arr[...] = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-9, 9, arr.shape)
+    rec.j_t[2] = np.nan
+    rec.x[5, 1] = -0.0
+    rec.steps_completed = 11
+    return rec
+
+
+def _truncated_record():
+    plant = simulate.PlantSpec(
+        theta_star=_identity_plant(a_gain=2.0).theta_star, link=maps.Identity(dim=2),
+        n=2, m=2, x0=np.array([1.0, 1.0]),
+    )
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1)
+    with pytest.raises(simulate.RunAbort) as exc:
+        _run(plant, est.FrobeniusBall(5.0, rho_eps=0.9), _null_policy(2, 2),
+             control.ProbingSignal(decay_b=0.0, dim=2), noise, 500, 0,
+             divergence_ceiling=1e3)
+    return exc.value.record
+
+
+def _empty_record():
+    return simulate.RunRecord(n=2, m=2, horizon=5)  # aborted at step 0
+
+
+@pytest.mark.parametrize("make_record, stride", [
+    (_projected_record, 1),
+    (_projected_record, 3),
+    (_truncated_record, 1),
+    (_truncated_record, 3),
+    (_empty_record, 1),
+], ids=["projected-1", "projected-3", "truncated-1", "truncated-3", "empty"])
+def test_write_csv_matches_reference_writer(tmp_path, make_record, stride):
+    rec = make_record()
+    out = tmp_path / "run.csv"
+    rec.write_csv(out, stride=stride)
+    assert out.read_text() == _reference_csv(rec, stride)
 
 
 def test_summary_fields():
