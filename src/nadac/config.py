@@ -43,23 +43,27 @@ def _require(cfg, key, path, typ=None):
 
 
 def _number(val, path, kind=float):
-    """``kind(val)``, or a ConfigError naming ``path`` when val is not a number
-    (for kind=_floats, not an array of numbers)."""
+    """``kind(val)``, or a ConfigError naming ``path`` when val is not a
+    finite number (for kind=_floats, not an array of finite numbers)."""
     try:
-        return kind(val)
-    except (TypeError, ValueError):
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"not numeric: {val!r}") from None
+    if kind is not int and not np.isfinite(out).all():
+        raise ConfigError(path, f"not finite: {val!r}")
+    return out
 
 
 def _floats(val):
     return np.asarray(val, dtype=float)
 
 
-def _section(cfg, key, default):
-    """An optional sub-object of the config; ``default`` when absent."""
+def _section(cfg, key, default, prefix=""):
+    """An optional sub-object of the config; ``default`` when absent.
+    ``prefix`` is the dotted path of ``cfg`` plus a dot, for the message."""
     val = cfg.get(key, default)
     if not isinstance(val, dict):
-        raise ConfigError(key, f"expected an object, got {type(val).__name__}")
+        raise ConfigError(prefix + key, f"expected an object, got {type(val).__name__}")
     return val
 
 
@@ -109,8 +113,14 @@ def validate_config(cfg):
     if x0.shape != (n,):
         raise ConfigError("plant.x0", f"expected length {n}")
 
+    pset_cfg = _require(cfg, "parameter_set", "", dict)
+    for key in ("radius", "radius_a", "radius_b", "rho_eps"):
+        if key in pset_cfg:
+            _number(pset_cfg[key], f"parameter_set.{key}")
     try:
-        pset = estimator.parameter_set_from_config(_require(cfg, "parameter_set", "", dict))
+        pset = estimator.parameter_set_from_config(pset_cfg)
+    except KeyError as exc:
+        raise ConfigError(f"parameter_set.{exc.args[0]}", "missing required field") from exc
     except ValueError as exc:
         raise ConfigError("parameter_set", str(exc)) from exc
     if not pset.contains(theta_star, shrunk=True):
@@ -142,12 +152,26 @@ def validate_config(cfg):
     probe = None
     input_policy = None
     if mode == "closed_loop":
+        policy_cfg = _require(cfg, "policy", "", dict)
+        _section(policy_cfg, "gain", {}, "policy.")
         try:
-            mech = control.policy_from_config(_require(cfg, "policy", "", dict), n, m)
+            mech = control.policy_from_config(policy_cfg, n, m)
         except KeyError as exc:
             raise ConfigError("policy", f"missing required field {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError("policy", str(exc)) from exc
+        # the arrays the policy parsed: Riccati weights on the state and on
+        # the raw input (before the lift), or the pinning pattern
+        if isinstance(mech, control.RiccatiFeedback):
+            raw_dim = m - 3 if mech.lift_kind == "quadratic_si" else m
+            arrays = {"Q": (mech.Q, (n, n)), "R": (mech.R, (raw_dim, raw_dim))}
+        else:
+            arrays = {"pattern": (mech.pattern, (m,))}
+        for key, (arr, shape) in arrays.items():
+            if arr.shape != shape or not np.isfinite(arr).all():
+                raise ConfigError(
+                    f"policy.{key}", f"expected finite entries of shape {shape}, got {arr.shape}"
+                )
         try:
             probe = control.probe_from_config(
                 _section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0}), mech.raw_dim
@@ -192,6 +216,9 @@ def validate_config(cfg):
     log_stride = _number(cfg.get("log_stride", 1), "log_stride", int)
     if log_stride < 1:
         raise ConfigError("log_stride", "must be >= 1")
+    seed = _number(cfg.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
 
     return RunObjects(
         mode=mode,
@@ -202,7 +229,7 @@ def validate_config(cfg):
         input_policy=input_policy,
         noise=noise,
         horizon=horizon,
-        seed=_number(cfg.get("seed", 0), "seed", int),
+        seed=seed,
         delta=delta,
         theta0=theta0,
         gamma=gamma,

@@ -1,7 +1,11 @@
 """Run diagnostics: excitation, tracking, regret, and Lyapunov quantities.
 
-Everything here is a running sum over one trajectory, updated once per step
-and recomputable offline from the CSV log (no hidden state).
+Everything here is a running sum over one trajectory, absorbed one block of
+consecutive steps at a time and recomputable offline from the CSV log (no
+hidden state).  A block gives the same floats as its steps taken one by one:
+running sums are sequential adds along the step axis (np.cumsum, never
+np.sum or einsum), products are stacked matmuls, one BLAS call per step, and
+powers stay per-element Python float powers.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .estimator import frobenius_norm
 
 __all__ = [
     "MetricAccumulator",
@@ -34,9 +36,46 @@ def _sgn(x):
     return np.sign(x)
 
 
+def _steps(a, ndim):
+    """``a`` as floats with a leading step axis: unchanged when it already has
+    one (more than ``ndim`` dimensions, the per-step rank), else a block of
+    one step.  None stays None."""
+    if a is None:
+        return None
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim > ndim else a[None]
+
+
+def _dots(a, b):
+    """a_k @ b_k for each step k, each one BLAS dot as in the per-step code."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _running(carry, terms):
+    """carry + terms[0] + terms[1] + ..., one IEEE add per step in step
+    order, as ``+=`` once per step; returns the value after each step."""
+    return np.cumsum(np.concatenate([np.asarray(carry, dtype=float)[None], terms]), axis=0)[1:]
+
+
+def _total(carry, terms):
+    """The last value of _running(carry, terms), as a float."""
+    return float(_running(carry, terms)[-1])
+
+
+def _pow(a, p):
+    """a_k ** p per element as Python floats (the C pow), which numpy's
+    power does not match to the last bit."""
+    return np.array([ak ** p for ak in a.tolist()])
+
+
+def _norm_pow(a, p):
+    """||a_k|| ** p for each step k."""
+    return _pow(np.sqrt(_dots(a, a)), p)
+
+
 @dataclass
 class MetricAccumulator:
-    """Per-run accumulator; update() once per step in trajectory order."""
+    """Per-run accumulator; update() absorbs steps in trajectory order."""
 
     n: int
     m: int
@@ -77,41 +116,68 @@ class MetricAccumulator:
         u=None,
         u_star=None,
         gamma=4.0,
+        prediction_star=None,  # f(theta*^T phi), when the caller has it
     ):
-        phi = np.asarray(phi, dtype=float)
-        nphi2 = float(phi @ phi)
-        phi_phi = np.outer(phi, phi)
-        self.gram_normalized += phi_phi / (1.0 + nphi2)
-        self.sum_v_pow_gamma += frobenius_norm(v) ** gamma
-        self.sum_w_pow_gamma += frobenius_norm(w) ** gamma
-        self.sum_xnext_pow_gamma += frobenius_norm(x_next) ** gamma
+        """Absorb K consecutive steps.  Each per-step argument carries a
+        leading step axis of length K, and the fields d_gain, mu_weight,
+        a_weight and prediction of ``diag`` are per-step arrays; without the
+        axis the call is one step.  Returns the Lyapunov value V_t and the
+        tracking sum after each step, two arrays of length K."""
+        phi = _steps(phi, 1)
+        x, x_next, v, w = (_steps(a, 1) for a in (x, x_next, v, w))
+        x_star, u, u_star = (_steps(a, 1) for a in (x_star, u, u_star))
+        theta_hat, theta_hat_next = (_steps(a, 2) for a in (theta_hat, theta_hat_next))
+        d_gain, mu, a_weight = (
+            _steps(a, 0) for a in (diag.d_gain, diag.mu_weight, diag.a_weight)
+        )
+        K = len(phi)
 
-        self.p_inv += (diag.d_gain**2 / diag.mu_weight) * phi_phi
+        phi_phi = phi[:, :, None] * phi[:, None, :]
+        gram = _running(self.gram_normalized, phi_phi / (1.0 + _dots(phi, phi))[:, None, None])
+        self.gram_normalized = gram[-1]
+        self.sum_v_pow_gamma = _total(self.sum_v_pow_gamma, _norm_pow(v, gamma))
+        self.sum_w_pow_gamma = _total(self.sum_w_pow_gamma, _norm_pow(w, gamma))
+        self.sum_xnext_pow_gamma = _total(self.sum_xnext_pow_gamma, _norm_pow(x_next, gamma))
 
+        p_inv = _running(self.p_inv, (_pow(d_gain, 2) / mu)[:, None, None] * phi_phi)
+        self.p_inv = p_inv[-1]
+
+        track = np.full(K, self.sum_track_sq)
         if x_star is not None:
-            dx = np.asarray(x) - np.asarray(x_star)
-            self.sum_track_sq += float(dx @ dx)
+            dx = x - x_star
+            terms = _dots(dx, dx)[:, None]
             if u is not None and u_star is not None:
-                du = np.asarray(u) - np.asarray(u_star)
-                self.sum_track_sq += float(du @ du)
-            self.sum_sign_mismatch += float(np.abs(_sgn(x) - _sgn(x_star)).sum())
+                du = u - u_star
+                terms = np.column_stack([terms, _dots(du, du)])
+            # the state term and then the input term of each step, in turn
+            track = _running(self.sum_track_sq, terms.ravel())[terms.shape[1] - 1 :: terms.shape[1]]
+            self.sum_track_sq = float(track[-1])
+            mismatch = np.abs(_sgn(x) - _sgn(x_star)).sum(axis=1)
+            self.sum_sign_mismatch = _total(self.sum_sign_mismatch, mismatch)
             if self.stage_cost is not None and u is not None and u_star is not None:
-                self.sum_stage_cost_sq += (
-                    float(self.stage_cost(x, u)) - float(self.stage_cost(x_star, u_star))
-                ) ** 2
+                gaps = [
+                    (float(self.stage_cost(*row)) - float(self.stage_cost(*ref))) ** 2
+                    for row, ref in zip(zip(x, u), zip(x_star, u_star))
+                ]
+                self.sum_stage_cost_sq = _total(self.sum_stage_cost_sq, gaps)
 
+        lyapunov = np.full(K, self.lyapunov_v)
         if self.theta_star is not None and theta_hat is not None:
-            prediction = diag.prediction
+            prediction = _steps(diag.prediction, 1)
             if prediction is None:
-                prediction = link.eval(theta_hat.T @ phi)
-            psi = link.eval(self.theta_star.T @ phi) - prediction
-            psi_sq = float(psi @ psi)
-            self.sum_pred_regret += psi_sq / diag.mu_weight
-            self.sum_a_psi_sq += diag.a_weight * psi_sq
+                prediction = np.array([link.eval(th.T @ p) for th, p in zip(theta_hat, phi)])
+            if prediction_star is None:
+                prediction_star = [link.eval(self.theta_star.T @ p) for p in phi]
+            psi = _steps(prediction_star, 1) - prediction
+            psi_sq = _dots(psi, psi)
+            self.sum_pred_regret = _total(self.sum_pred_regret, psi_sq / mu)
+            self.sum_a_psi_sq = _total(self.sum_a_psi_sq, a_weight * psi_sq)
             err = self.theta_star - (theta_hat_next if theta_hat_next is not None else theta_hat)
-            self.lyapunov_v = float((err.T @ self.p_inv @ err).trace())
+            lyapunov = np.trace(err.transpose(0, 2, 1) @ p_inv @ err, axis1=1, axis2=2)
+            self.lyapunov_v = float(lyapunov[-1])
 
-        self.steps += 1
+        self.steps += K
+        return lyapunov, track
 
 
 def lambda_min_normalized(acc):

@@ -4,8 +4,9 @@ A closed-loop run co-simulates the adaptive loop and the oracle reference
 trajectory on a shared noise stream; an open-loop identification run drives
 the plant with an exogenous input and has no reference.  Both advance the
 estimator once per step.  Step order at time t: input -> reference ->
-noise -> plant -> estimator update -> metrics; the controller always sees
-the estimate that was current one update ago.
+noise -> plant -> estimator update; the controller always sees the estimate
+that was current one update ago.  The run metrics absorb the steps a block
+at a time.
 """
 
 from __future__ import annotations
@@ -264,6 +265,10 @@ _STEP_FAILURES = (
     ValueError, control.DareError, estimator.ProjectionError, estimator.NumericalAbort
 )
 
+# most steps the metrics absorb at once; a block also ends at every
+# eig_stride step and at the horizon
+METRIC_BLOCK = 256
+
 
 def _run(
     plant, pset, next_input, ref_mech, noise, horizon, seed, theta0, delta,
@@ -271,7 +276,12 @@ def _run(
 ):
     """The loop of both entry points.  ``next_input(theta_ctrl, x, t, rng)``
     returns (u, v), drawing from the probe stream; ``ref_mech`` is None in a
-    run without a reference trajectory."""
+    run without a reference trajectory.
+
+    The metrics read nothing back into the loop, so they absorb blocks of
+    steps: the loop buffers what the record does not hold (the estimator's
+    prediction, f(theta*^T phi) and theta_hat after each update) and hands a
+    block to the accumulator when it ends, or before a failing step aborts."""
     n, m = plant.n, plant.m
     if not noise.bounded and plant.link.bounded:
         raise ValueError("bounded links require almost-surely bounded noise")
@@ -285,13 +295,50 @@ def _run(
     acc = rec.acc = metrics.MetricAccumulator(
         n=n, m=m, theta_star=plant.theta_star, stage_cost=stage_cost
     )
+    theta_star_t = plant.theta_star.T
+    prediction = np.empty((METRIC_BLOCK, n))
+    prediction_star = np.empty((METRIC_BLOCK, n))
+    thetas = np.empty((METRIC_BLOCK + 1, n + m, n))  # row 0: the estimate before the block
+    thetas[0] = state.theta_hat
+    start = 0  # first step of the current block
+    lam = 0.0
+
+    def block_end(first):
+        # one past the block's last step: the next eig_stride step, the cap
+        # or the horizon, whichever comes first
+        next_eig = -(-first // eig_stride) * eig_stride
+        return min(next_eig + 1, first + METRIC_BLOCK, horizon)
+
+    def absorb(stop):
+        """Hand steps start .. stop-1 to the metrics and log their rows."""
+        nonlocal start, lam
+        rows, k = slice(start, stop), stop - start
+        rec.lambda_t[rows] = lam
+        if collect_metrics and k:
+            diag = estimator.StepDiagnostics(
+                d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
+                mu_weight=rec.mu_t[rows], prediction=prediction[:k],
+            )
+            x_star, u_star = (rec.x_star[rows], rec.u_star[rows]) if has_ref else (None, None)
+            rec.v_lyap[rows], track = acc.update(
+                np.concatenate([rec.x[rows], rec.u[rows]], axis=1), rec.x[rows],
+                rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, plant.link,
+                theta_hat=thetas[:k], theta_hat_next=thetas[1 : k + 1], x_star=x_star,
+                u=rec.u[rows], u_star=u_star, gamma=gamma, prediction_star=prediction_star[:k],
+            )
+            if has_ref:
+                rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
+            if (stop - 1) % eig_stride == 0 or stop == horizon:
+                lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
+            thetas[0] = thetas[k]
+        start = stop
 
     x = rec.x[0] = np.array(plant.x0, dtype=float)
     x_star = u_star = x_star_next = None
     if has_ref:
         x_star = rec.x_star[0] = x.copy()
     theta_ctrl = state.theta_hat.copy()  # theta_hat_{t-1} as seen by the controller
-    lam = 0.0
+    stop = block_end(0)
     tic = time.perf_counter()
 
     try:
@@ -310,16 +357,10 @@ def _run(
             theta_prev = state.theta_hat
             state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, pset)
             if collect_metrics:
-                acc.update(
-                    phi, x, x_next, v, w, diag, plant.link,
-                    theta_hat=theta_prev, theta_hat_next=state_next.theta_hat,
-                    x_star=x_star, u=u, u_star=u_star, gamma=gamma,
-                )
-                if t % eig_stride == 0 or t == horizon - 1:
-                    lam = metrics.lambda_min_normalized(acc)
-                rec.v_lyap[t] = acc.lyapunov_v
-                if has_ref:
-                    rec.j_t[t] = acc.sum_track_sq / (t + 1)
+                k = t - start
+                prediction_star[k] = plant.link.eval(theta_star_t @ phi)
+                prediction[k] = diag.prediction
+                thetas[k + 1] = state_next.theta_hat
 
             rec.u[t] = u
             rec.v[t] = v
@@ -329,14 +370,17 @@ def _run(
                 rec.u_star[t] = u_star
                 rec.x_star[t + 1] = x_star_next
             rec.param_err[t] = estimator.frobenius_norm(plant.theta_star - state_next.theta_hat)
-            rec.lambda_t[t] = lam
             rec.d_t[t] = diag.d_gain
             rec.mu_t[t] = diag.mu_weight
             rec.a_t[t] = diag.a_weight
             rec.projected[t] = diag.projected
             theta_ctrl = theta_prev  # controller at t+1 uses theta_hat_t
             state, x, x_star = state_next, x_next, x_star_next
+            if t + 1 == stop:
+                absorb(stop)
+                stop = block_end(stop)
     except _STEP_FAILURES as exc:
+        absorb(t)
         rec.steps_completed = t
         raise RunAbort(str(exc), t, rec) from exc
 

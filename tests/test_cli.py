@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, artifacts, sweeps, reproducibility."""
 
+import functools
 import json
+import operator
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nadac import cli, config as cfgmod, control, estimator
 
@@ -172,6 +175,91 @@ def test_malformed_field_is_validation_error(tmp_path, capsys, field, mutate):
         assert f"validation error: {field}:" in err
 
 
+def _preset_cfg(name, horizon=100):
+    with open(cli.preset_path(name)) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = horizon
+    cfg["log_stride"] = 1
+    return cfg
+
+
+def _get_path(cfg, path):
+    """The field or array entry at ``path``, a tuple of keys and indices."""
+    return functools.reduce(operator.getitem, path, cfg)
+
+
+def _set_path(cfg, path, value):
+    _get_path(cfg, path[:-1])[path[-1]] = value
+
+
+def _set_entry(*path, value):
+    def mutate(cfg):
+        _set_path(cfg, path, value)
+        return cfg
+    return mutate
+
+
+@pytest.mark.parametrize("preset, field, mutate", [
+    ("opinion", "policy.gain", _set_field("policy.gain", 1.0)),
+    ("opinion", "parameter_set.radius", _set_field("parameter_set.radius", None)),
+    ("opinion", "parameter_set.rho_eps", _set_field("parameter_set.rho_eps", [])),
+    ("epidemic_sigma5", "parameter_set.radius_a", _set_field("parameter_set.radius_a", {})),
+    ("epidemic_sigma5", "parameter_set.radius_b", _set_field("parameter_set.radius_b", None)),
+    ("epidemic_sigma5", "plant.theta_star", _set_entry("plant", "theta_star", 0, 0, value=None)),
+    ("opinion", "plant.x0", _set_entry("plant", "x0", 0, value=None)),
+    ("epidemic_sigma5", "policy.Q", _set_field("policy.Q", 1.0)),
+    ("epidemic_sigma5", "policy.R", _set_field("policy.R", [[1.0]])),
+    ("opinion", "seed", _set_field("seed", -1)),
+], ids=["gain-not-object", "radius-null", "rho_eps-list", "radius_a-object",
+        "radius_b-null", "theta_star-null-entry", "x0-null-entry", "Q-scalar",
+        "R-wrong-size", "seed-negative"])
+def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
+    p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION, err
+        assert f"validation error: {field}:" in err
+
+
+def _paths(node, prefix=()):
+    """The path of every field and array entry under ``node``, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+def _json_kind(val):
+    return "number" if type(val) in (int, float) else type(val).__name__
+
+
+_PRESET_CFGS = {name: _preset_cfg(name, horizon=3) for name in ("opinion", "epidemic_sigma5")}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10), st.floats(-3.0, 10.0),
+    st.text(max_size=4), st.just([]), st.just({}),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_type_mutation_exits_cleanly(tmp_path, data):
+    # one field or array entry of a shipped preset takes a JSON value of
+    # another type: validate exits 0 or 2, run 0, 2 or 3, and nothing raises
+    name = data.draw(st.sampled_from(sorted(_PRESET_CFGS)))
+    cfg = json.loads(json.dumps(_PRESET_CFGS[name]))
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    old = _json_kind(_get_path(cfg, path))
+    _set_path(cfg, path, data.draw(_JSON_VALUES.filter(lambda val: _json_kind(val) != old)))
+    p = _write_cfg(tmp_path, cfg)
+    assert cli.main(["validate", str(p)]) in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) in (
+        cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_RUNTIME
+    )
+
+
 def test_validate_ok(capsys):
     assert cli.main(["validate", str(cli.preset_path("opinion"))]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "ok"
@@ -281,3 +369,40 @@ def test_golden_open_loop_iid_stable(tmp_path):
     cfg["input_policy"] = {"kind": "iid_uniform", "half_width": 1.0}
     del cfg["policy"], cfg["probe"]
     _golden_run(tmp_path, cfg, "opinion_openloop_iid_h100.csv")
+
+
+def _open_loop_iid_cfg():
+    cfg = _opinion_cfg()
+    cfg["mode"] = "open_loop"
+    cfg["input_policy"] = {"kind": "iid_uniform", "half_width": 1.0}
+    del cfg["policy"], cfg["probe"]
+    return cfg
+
+
+def _block_crossing_cfg():
+    # the live-learning Riccati config: 700 steps run the metrics in blocks
+    # that reach their size cap, and an eig stride of 300 does not divide
+    # the horizon
+    cfg = _leaky_relu_cfg("closed_loop", horizon=700)
+    cfg["metrics"] = {"gamma": 4.0, "eig_stride": 300}
+    return cfg
+
+
+# golden CSV name -> the config that wrote it; golden_summaries.json holds
+# the manifest summary of each, which the CSV does not pin (gain ratio,
+# sign and prediction regret)
+GOLDENS = {
+    "opinion_h100.csv": _opinion_cfg,
+    "epidemic_sigma5_h100.csv": lambda: _preset_cfg("epidemic_sigma5"),
+    "opinion_openloop_iid_h100.csv": _open_loop_iid_cfg,
+    "live_riccati_h700_stride300.csv": _block_crossing_cfg,
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDENS))
+def test_golden_csv_and_summary_stable(tmp_path, name):
+    _golden_run(tmp_path, GOLDENS[name](), name)
+    got = json.loads((tmp_path / "g" / "run_manifest.json").read_text())["summary"]
+    want = json.loads((DATA / "golden_summaries.json").read_text())[name]
+    # compared as text: exact for every float, and NaN equals NaN
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -134,6 +134,84 @@ def test_lyapunov_p_inv_tracks_independent_recursion():
     assert acc.lyapunov_v == pytest.approx(expect[0, 0] * 1.0)
 
 
+def _reference_step(acc, phi, x, x_next, v, w, d, mu, a, prediction, prediction_star,
+                    theta_hat_next, x_star, u, u_star, gamma):
+    """One step of the accumulator's arithmetic as written per step, with
+    ``+=`` on every sum: the reference the block path must reproduce."""
+    phi_phi = np.outer(phi, phi)
+    acc.gram_normalized += phi_phi / (1.0 + float(phi @ phi))
+    acc.sum_v_pow_gamma += est.frobenius_norm(v) ** gamma
+    acc.sum_w_pow_gamma += est.frobenius_norm(w) ** gamma
+    acc.sum_xnext_pow_gamma += est.frobenius_norm(x_next) ** gamma
+    acc.p_inv += (d**2 / mu) * phi_phi
+    dx, du = x - x_star, u - u_star
+    acc.sum_track_sq += float(dx @ dx)
+    acc.sum_track_sq += float(du @ du)
+    acc.sum_sign_mismatch += float(np.abs(np.sign(x) - np.sign(x_star)).sum())
+    acc.sum_stage_cost_sq += (
+        float(acc.stage_cost(x, u)) - float(acc.stage_cost(x_star, u_star))
+    ) ** 2
+    psi = prediction_star - prediction
+    psi_sq = float(psi @ psi)
+    acc.sum_pred_regret += psi_sq / mu
+    acc.sum_a_psi_sq += a * psi_sq
+    err = acc.theta_star - theta_hat_next
+    acc.lyapunov_v = float((err.T @ acc.p_inv @ err).trace())
+    acc.steps += 1
+    return acc.lyapunov_v, acc.sum_track_sq
+
+
+def test_blocks_absorb_exactly_as_single_steps():
+    # one random trajectory fed through the per-step reference, step by step
+    # and in uneven blocks: every running sum and the V_t and tracking
+    # series agree to the bit
+    rng = np.random.default_rng(3)
+    n, m, T = 3, 2, 600
+    theta_star = rng.standard_normal((n + m, n))
+    x = rng.standard_normal((T + 1, n))
+    u = rng.standard_normal((T, m))
+    thetas = theta_star + 0.3 * rng.standard_normal((T + 1, n + m, n))
+    steps = {
+        "phi": np.hstack([x[:-1], u]), "x": x[:-1], "x_next": x[1:],
+        "v": 0.1 * rng.standard_normal((T, m)), "w": 0.1 * rng.standard_normal((T, n)),
+        "x_star": x[:-1] + 0.2 * rng.standard_normal((T, n)), "u": u,
+        "u_star": u + 0.2 * rng.standard_normal((T, m)),
+        "theta_hat_next": thetas[1:],
+        "prediction_star": np.tanh(rng.standard_normal((T, n))),
+    }
+    d, mu, a = rng.uniform(1e-3, 1.0, T), rng.uniform(1.0, 50.0, T), rng.uniform(1e-3, 1.0, T)
+    prediction = np.tanh(rng.standard_normal((T, n)))
+
+    def fresh():
+        return _acc(n=n, m=m, theta_star=theta_star,
+                    stage_cost=lambda x, u: float(x @ x) + float(u @ u))
+
+    def feed(acc, rows):
+        diag = est.StepDiagnostics(d_gain=d[rows], g_bar=1.0, a_weight=a[rows],
+                                   mu_weight=mu[rows], prediction=prediction[rows])
+        return acc.update(diag=diag, link=maps.ScaledTanh(dim=n), gamma=10.0,
+                          theta_hat=thetas[rows], **{key: val[rows] for key, val in steps.items()})
+
+    ref = fresh()
+    ref_series = np.array([
+        _reference_step(ref, d=float(d[t]), mu=float(mu[t]), a=float(a[t]),
+                        prediction=prediction[t], gamma=10.0,
+                        **{key: val[t] for key, val in steps.items()})
+        for t in range(T)
+    ]).T
+    cuts = np.cumsum([0, 1, 7, 256, T - 264])
+    for blocks in (range(T), [slice(i, j) for i, j in zip(cuts[:-1], cuts[1:])]):
+        # range(T): arguments without the step axis, a block of one each
+        acc = fresh()
+        series = [np.concatenate(s) for s in zip(*(feed(acc, rows) for rows in blocks))]
+        for key, val in vars(ref).items():
+            if isinstance(val, np.ndarray):
+                assert np.array_equal(vars(acc)[key], val), key
+            elif key != "stage_cost":
+                assert vars(acc)[key] == val, key
+        assert np.array_equal(series, ref_series)
+
+
 # ---------------------------------------------------------------------------
 # gain ratio / stage cost
 

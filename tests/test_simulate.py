@@ -190,6 +190,34 @@ def test_divergence_guard_aborts_with_partial_record():
     assert exc.value.record.steps_completed == exc.value.step
 
 
+def test_abort_mid_block_keeps_the_rows_before_it(monkeypatch):
+    # step 150 lies inside the metrics block of steps 101..200; the rows
+    # before it are absorbed before the abort and match an unaborted run
+    plant = _identity_plant(a_gain=0.4)
+    pset = est.FrobeniusBall(3.0, rho_eps=0.9)
+    probe = control.ProbingSignal(decay_b=0.125, dim=2)
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    full = _run(plant, pset, _null_policy(2, 2), probe, noise, 300, 11)
+
+    real, calls = est.estimator_step, []
+
+    def fail_at_step_150(*args):
+        calls.append(None)
+        if len(calls) == 151:
+            raise est.NumericalAbort("injected")
+        return real(*args)
+
+    monkeypatch.setattr(est, "estimator_step", fail_at_step_150)
+    with pytest.raises(simulate.RunAbort) as exc:
+        _run(plant, pset, _null_policy(2, 2), probe, noise, 300, 11)
+    rec = exc.value.record
+    assert exc.value.step == rec.steps_completed == 150
+    assert rec.acc.steps == 150
+    for attr in ("lambda_t", "v_lyap", "j_t"):
+        assert np.array_equal(getattr(rec, attr)[:150], getattr(full, attr)[:150]), attr
+        assert np.isnan(getattr(rec, attr)[150:]).all(), attr
+
+
 def test_theta_star_must_fit_the_shrunken_set():
     plant = _identity_plant(a_gain=0.5)
     pset = est.FrobeniusBall(1.0, rho_eps=0.5)  # ||theta*|| > 0.5
