@@ -58,6 +58,14 @@ def _floats(val):
     return np.asarray(val, dtype=float)
 
 
+def _numeric_leaves(cfg, prefix, keys):
+    """Each of ``keys`` present in ``cfg`` must be a finite number; the
+    error names ``prefix.key``."""
+    for key in keys:
+        if key in cfg:
+            _number(cfg[key], f"{prefix}.{key}")
+
+
 def _section(cfg, key, default, prefix=""):
     """An optional sub-object of the config; ``default`` when absent.
     ``prefix`` is the dotted path of ``cfg`` plus a dot, for the message."""
@@ -96,8 +104,10 @@ def validate_config(cfg):
     m = _number(_require(plant_cfg, "m", "plant"), "plant.m", int)
     if n < 1 or m < 1:
         raise ConfigError("plant.n", "dimensions must be positive")
+    link_cfg = _require(plant_cfg, "link", "plant", dict)
+    _numeric_leaves(link_cfg, "plant.link", ("a", "slope", "N", "sigma"))
     try:
-        link = maps.link_from_config(_require(plant_cfg, "link", "plant", dict), n)
+        link = maps.link_from_config(link_cfg, n)
     except KeyError as exc:
         raise ConfigError(f"plant.link.{exc.args[0]}", "missing required field") from exc
     except (TypeError, ValueError) as exc:
@@ -114,9 +124,7 @@ def validate_config(cfg):
         raise ConfigError("plant.x0", f"expected length {n}")
 
     pset_cfg = _require(cfg, "parameter_set", "", dict)
-    for key in ("radius", "radius_a", "radius_b", "rho_eps"):
-        if key in pset_cfg:
-            _number(pset_cfg[key], f"parameter_set.{key}")
+    _numeric_leaves(pset_cfg, "parameter_set", ("radius", "radius_a", "radius_b", "rho_eps"))
     try:
         pset = estimator.parameter_set_from_config(pset_cfg)
     except KeyError as exc:
@@ -141,6 +149,7 @@ def validate_config(cfg):
         raise ConfigError("estimator.theta0", "must lie in the parameter set")
 
     noise_cfg = _require(cfg, "noise", "", dict)
+    _numeric_leaves(noise_cfg, "noise", ("half_width", "sigma", "trunc"))
     try:
         noise = simulate.noise_from_config(noise_cfg, n)
     except (KeyError, TypeError, ValueError) as exc:
@@ -153,7 +162,9 @@ def validate_config(cfg):
     input_policy = None
     if mode == "closed_loop":
         policy_cfg = _require(cfg, "policy", "", dict)
-        _section(policy_cfg, "gain", {}, "policy.")
+        _numeric_leaves(policy_cfg, "policy", ("x_leader",))
+        gain_cfg = _section(policy_cfg, "gain", {}, "policy.")
+        _numeric_leaves(gain_cfg, "policy.gain", ("kappa0", "c1", "c2"))
         try:
             mech = control.policy_from_config(policy_cfg, n, m)
         except KeyError as exc:
@@ -172,10 +183,17 @@ def validate_config(cfg):
                 raise ConfigError(
                     f"policy.{key}", f"expected finite entries of shape {shape}, got {arr.shape}"
                 )
-        try:
-            probe = control.probe_from_config(
-                _section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0}), mech.raw_dim
+        # the DARE has B = I, so the feedback before the lift has n entries
+        if isinstance(mech, control.RiccatiFeedback) and raw_dim != n:
+            raise ConfigError(
+                "plant.m",
+                f"Riccati feedback with lift {mech.lift_kind!r} needs a raw input of "
+                f"n = {n} entries, got {raw_dim} from m = {m}",
             )
+        probe_cfg = _section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0})
+        _numeric_leaves(probe_cfg, "probe", ("b", "half_width", "bound_eps"))
+        try:
+            probe = control.probe_from_config(probe_cfg, mech.raw_dim)
         except (TypeError, ValueError) as exc:
             raise ConfigError("probe", str(exc)) from exc
     else:

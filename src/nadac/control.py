@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "PinningLeader",
@@ -36,6 +37,20 @@ class DareError(RuntimeError):
         self.residual = residual
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(a, b):
+    """np.linalg.solve(a, b) for float64 arrays, to the last bit and without
+    its Python-level dispatch: the LAPACK gufunc it wraps, under the same
+    floating-point error state, so a singular ``a`` raises LinAlgError and
+    warns nothing."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="dd->d")
+
+
 def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     """Fixed point of P = A^T P A - A^T P (R + P)^{-1} P A + Q.
 
@@ -48,11 +63,12 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     if tol <= 0:
         raise ValueError("tol must be positive")
     P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    a_t = A.T
     for _ in range(max_iter):
-        at_p = A.T @ P  # A.T @ P @ A evaluates left to right
-        nxt = at_p @ A - at_p @ np.linalg.solve(R + P, P @ A) + Q
+        at_p = a_t @ P  # A.T @ P @ A evaluates left to right
+        nxt = at_p @ A - at_p @ _solve(R + P, P @ A) + Q
         nxt = 0.5 * (nxt + nxt.T)
-        res = float(np.abs(nxt - P).max())
+        res = float(np.maximum.reduce(np.abs(nxt - P), axis=None))
         P = nxt
         if res <= tol:
             return P
@@ -163,7 +179,8 @@ class RiccatiFeedback:
         """DARE solution for theta's A-block, warm-started per mechanism."""
         n = self.Q.shape[0]
         A = _a_block(theta, n)
-        if self._cache_theta is not None and np.array_equal(A, self._cache_theta):
+        # A has the same shape on every call, so == decides equality alone
+        if self._cache_theta is not None and (A == self._cache_theta).all():
             return self._cache_p
         p0 = self._cache_p
         P = solve_dare(A, self.Q, self.R, tol=self.dare_tol, max_iter=self.dare_max_iter, p0=p0)
@@ -175,7 +192,7 @@ class RiccatiFeedback:
         n = self.Q.shape[0]
         A = _a_block(theta, n)
         P = self.riccati_solution(theta)
-        return np.linalg.solve(self.R + P, P @ (A @ x))
+        return _solve(self.R + P, P @ (A @ x))
 
     def lift(self, x, u_raw):
         if self.lift_kind == "direct":

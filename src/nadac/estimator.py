@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,13 @@ def frobenius_norm(a):
     return math.sqrt(a @ a)
 
 
-def _spectral(a):
-    """np.linalg.norm(a, 2) of a matrix: its largest singular value."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def _spectral_within(a, bound):
+    """np.linalg.norm(a, 2) <= bound: the largest singular value of a matrix
+    against a bound.  ||a||_2 <= ||a||_F, so a Frobenius norm below the bound
+    by more than the SVD's rounding settles it without the SVD."""
+    if frobenius_norm(a) <= bound * (1.0 - 1e-9):
+        return True
+    return float(np.linalg.svd(a, compute_uv=False)[0]) <= bound
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,12 @@ class BlockOperatorBalls:
     def contains(self, theta, shrunk=False, tol=1e-12):
         n = theta.shape[1]
         s = self.rho_eps if shrunk else 1.0
-        na = _spectral(theta[:n].T)
-        nb = _spectral(theta[n:].T) if theta.shape[0] > n else 0.0
-        return na <= s * self.radius_a * (1.0 + tol) and nb <= s * self.radius_b * (1.0 + tol)
+        # both blocks are tested, so a non-finite block raises as the SVD does
+        in_a = _spectral_within(theta[:n].T, s * self.radius_a * (1.0 + tol))
+        in_b = theta.shape[0] <= n or _spectral_within(
+            theta[n:].T, s * self.radius_b * (1.0 + tol)
+        )
+        return in_a and in_b
 
     def support_value(self, phi, n=None):
         if n is None:
@@ -368,7 +375,14 @@ def estimator_step(state, phi, x_next, f, pset):
         )
     # the arrays are shared with ``state`` until replaced below; neither is
     # ever written in place
-    st = replace(state)
+    st = EstimatorState(
+        theta_hat=state.theta_hat,
+        p_matrix=state.p_matrix,
+        r_accum=state.r_accum,
+        step=state.step,
+        delta=state.delta,
+        projection_count=state.projection_count,
+    )
     diag = step_weights(st, phi, f, pset)
     d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
 

@@ -6,6 +6,7 @@ import operator
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -220,6 +221,53 @@ def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
         err = capsys.readouterr().err
         assert code == cli.EXIT_VALIDATION, err
         assert f"validation error: {field}:" in err
+
+
+def _affine_gain(c1, c2):
+    def mutate(cfg):
+        cfg["policy"]["gain"] = {"kind": "affine_norm", "c1": c1, "c2": c2}
+        return cfg
+    return mutate
+
+
+_NULL_LEAVES = [
+    ("opinion", "policy.x_leader", _set_field("policy.x_leader", None)),
+    ("opinion", "policy.gain.kappa0", _set_field("policy.gain.kappa0", None)),
+    ("opinion", "policy.gain.c1", _affine_gain(None, 0.5)),
+    ("opinion", "policy.gain.c2", _affine_gain(0.5, None)),
+    ("opinion", "noise.half_width", _set_field("noise.half_width", None)),
+    ("epidemic_sigma5", "noise.sigma", _set_field("noise.sigma", None)),
+    ("epidemic_sigma5", "noise.trunc", _set_field("noise.trunc", None)),
+    ("opinion", "probe.b", _set_field("probe.b", None)),
+    ("epidemic_sigma5", "probe.half_width", _set_field("probe.half_width", None)),
+    ("opinion", "plant.link.a", _set_field("plant.link.a", None)),
+    ("epidemic_sigma5", "plant.link.N", _set_field("plant.link.N", None)),
+    ("epidemic_sigma5", "plant.link.sigma", _set_field("plant.link.sigma", None)),
+]
+
+
+@pytest.mark.parametrize("preset, field, mutate", _NULL_LEAVES,
+                         ids=[field for _, field, _ in _NULL_LEAVES])
+def test_null_numeric_leaf_names_its_path(tmp_path, capsys, preset, field, mutate):
+    p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION, err
+        assert f"validation error: {field}:" in err
+
+
+def test_direct_riccati_needs_n_raw_inputs(tmp_path, capsys):
+    # the DARE has B = I: with m = 3 inputs and n = 2 states the raw
+    # feedback cannot be formed, which used to surface only at step 0
+    cfg = _leaky_relu_cfg("closed_loop")
+    cfg["plant"]["m"] = 3
+    cfg["plant"]["theta_star"].append([0.0, 0.0])
+    cfg["policy"]["R"] = np.eye(3).tolist()
+    p = _write_cfg(tmp_path, cfg)
+    assert cli.main(["validate", str(p)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error: plant.m:" in err and "n = 2" in err
 
 
 def _paths(node, prefix=()):

@@ -1,5 +1,7 @@
 """Policies, probing signals, and the Riccati fixed-point solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,58 @@ def test_dare_non_convergence_reports_last_iterate():
 def test_dare_rejects_bad_tol():
     with pytest.raises(ValueError):
         control.solve_dare(np.eye(2), np.eye(2), np.eye(2), tol=0.0)
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_solve_is_numpy_solve_bit_for_bit(size):
+    # _solve calls the gufunc behind np.linalg.solve; a numpy release that
+    # moves or changes that private gufunc fails here
+    rng = np.random.default_rng(100 + size)
+    for _ in range(20):
+        a = rng.standard_normal((size, size)) + size * np.eye(size)
+        for b in (rng.standard_normal(size), rng.standard_normal((size, size)),
+                  rng.standard_normal((size, 3))):
+            out = control._solve(a, b)
+            assert out.shape == b.shape and out.dtype == np.float64
+            assert (out == np.linalg.solve(a, b)).all()
+
+
+@pytest.mark.parametrize("b", [np.ones(2), np.eye(2)], ids=["vector", "matrix"])
+def test_solve_singular_raises_linalgerror_without_warning(b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            control._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), b)
+
+
+def _reference_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
+    """The fixed-point loop as written on np.linalg.solve."""
+    P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    for _ in range(max_iter):
+        at_p = A.T @ P
+        nxt = at_p @ A - at_p @ np.linalg.solve(R + P, P @ A) + Q
+        nxt = 0.5 * (nxt + nxt.T)
+        res = float(np.abs(nxt - P).max())
+        P = nxt
+        if res <= tol:
+            return P
+    raise AssertionError("reference DARE did not converge")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_dare_is_reference_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        A = rng.uniform(-2.0, 2.0, (n, n))
+        g = rng.standard_normal((n, n))
+        Q = g @ g.T + np.eye(n)
+        R = np.diag(rng.uniform(0.5, 2.0, n))
+        cold = control.solve_dare(A, Q, R)
+        assert (cold == _reference_dare(A, Q, R)).all()
+        # warm start from a neighbouring system, as the Riccati cache does
+        A2 = A + 1e-3 * rng.standard_normal((n, n))
+        warm = control.solve_dare(A2, Q, R, p0=cold)
+        assert (warm == _reference_dare(A2, Q, R, p0=cold)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,54 @@ def test_block_set_membership_uses_operator_norm():
     assert not blocks.contains(theta_bad)
 
 
+def _svd_block_membership(pset, theta, shrunk, tol=1e-12):
+    """BlockOperatorBalls.contains with an SVD for every block."""
+    n = theta.shape[1]
+    s = pset.rho_eps if shrunk else 1.0
+    na = float(np.linalg.svd(theta[:n].T, compute_uv=False)[0])
+    nb = float(np.linalg.svd(theta[n:].T, compute_uv=False)[0])
+    return na <= s * pset.radius_a * (1.0 + tol) and nb <= s * pset.radius_b * (1.0 + tol)
+
+
+def _rank_one(rng, rows, cols, norm):
+    g = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    return g * (norm / np.linalg.norm(g, 2))
+
+
+@pytest.mark.parametrize("shrunk", [False, True])
+def test_block_membership_matches_svd_reference(shrunk):
+    # the Frobenius pre-check may only skip SVDs, never change the answer
+    rng = np.random.default_rng(17)
+    pset = est.BlockOperatorBalls(15.0, 5.0, rho_eps=0.5)
+    s = pset.rho_eps if shrunk else 1.0
+    n, m = 2, 5
+    cases = []
+    for _ in range(300):
+        scale = rng.uniform(0.0, 1.5)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, m))
+        a *= scale * s * pset.radius_a / np.linalg.norm(a)
+        b *= rng.uniform(0.0, 1.5) * s * pset.radius_b / np.linalg.norm(b)
+        cases.append((a, b))
+    # rank-one blocks, whose Frobenius and spectral norms agree, at the
+    # boundary to within the rounding of either norm
+    for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 2e-12):
+        for _ in range(25):
+            a = _rank_one(rng, n, n, factor * s * pset.radius_a)
+            b = _rank_one(rng, n, m, rng.uniform(0.0, 1.0) * s * pset.radius_b)
+            cases.append((a, b))
+            a = _rank_one(rng, n, n, rng.uniform(0.0, 1.0) * s * pset.radius_a)
+            b = _rank_one(rng, n, m, factor * s * pset.radius_b)
+            cases.append((a, b))
+    answers = set()
+    for a, b in cases:
+        theta = np.vstack([a.T, b.T])
+        expect = _svd_block_membership(pset, theta, shrunk)
+        assert pset.contains(theta, shrunk=shrunk) == expect
+        answers.add(expect)
+    assert answers == {True, False}
+
+
 def test_parameter_set_config_round_trip():
     for pset in (est.FrobeniusBall(5.0, 0.5), est.BlockOperatorBalls(15.0, 5.0, 0.5)):
         assert est.parameter_set_from_config(pset.to_config()) == pset
@@ -146,6 +194,19 @@ def test_zero_regressor_is_a_no_op():
     nxt, _ = est.estimator_step(state, np.zeros(2), np.array([3.0]), IDENT, pset)
     np.testing.assert_array_equal(nxt.theta_hat, theta0)
     np.testing.assert_array_equal(nxt.p_matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("radius", [2.0, 0.3], ids=["inside", "projecting"])
+def test_estimator_step_leaves_input_state_unmodified(radius):
+    pset = est.FrobeniusBall(radius, rho_eps=0.5)
+    state = est.new_estimator(np.array([[0.1], [0.1]]), pset, 0.5, IDENT)
+    theta, p = state.theta_hat, state.p_matrix
+    before = state.to_json()
+    nxt, diag = est.estimator_step(state, np.array([1.0, 2.0]), np.array([3.0]), IDENT, pset)
+    assert diag.projected == (radius < 1.0)
+    assert nxt is not state and nxt.step == 1
+    assert state.to_json() == before
+    assert state.theta_hat is theta and state.p_matrix is p
 
 
 def test_dimension_mismatch_rejected():
