@@ -24,6 +24,10 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_PARTIAL = 4
 
+# most sweep tasks one worker advances in lockstep; bounds a worker's memory,
+# which holds the records of its batch until the batch ends
+BATCH_MAX = 8
+
 
 def preset_path(name):
     """Path of a shipped preset file, e.g. preset_path('opinion')."""
@@ -90,17 +94,45 @@ def _apply_axis(cfg, param, value):
     cfgmod.set_field(cfg, param, value)
 
 
-def _sweep_one(task):
-    cfg, tag = task
+def _sweep_one(batch):
+    """Worker entry: run a batch of sweep tasks (config, tag) in lockstep;
+    returns one (tag, summary, error) per task, in order."""
     try:
-        rec = cfgmod.build_run(cfg)
-        return tag, rec.summary(), None
-    except (cfgmod.ConfigError, simulate.RunAbort, Exception) as exc:  # noqa: BLE001
-        return tag, None, f"{type(exc).__name__}: {exc}"
+        results = cfgmod.build_batch([cfg for cfg, _ in batch])
+    except Exception as exc:  # noqa: BLE001 - reported per task
+        results = [exc] * len(batch)
+    out = []
+    for (_, tag), result in zip(batch, results):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            out.append((tag, result.summary(), None))
+        except Exception as exc:  # noqa: BLE001
+            out.append((tag, None, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _batches(keys, workers):
+    """Task positions grouped into batches: tasks with equal keys, in task
+    order, split into near-equal parts, at least one per worker (as far as
+    the tasks go) and none larger than BATCH_MAX."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    batches = []
+    for group in groups.values():
+        parts = max(-(-len(group) // BATCH_MAX), min(workers, len(group)))
+        size, extra = divmod(len(group), parts)
+        for p in range(parts):
+            begin = p * size + min(p, extra)
+            batches.append(group[begin : begin + size + (p < extra)])
+    return batches
 
 
 def run_sweep(cfg, param, values, seeds, workers=None, out=None):
-    """Cross product of axis values and seeds; returns (rows, failures)."""
+    """Cross product of axis values and seeds; returns (rows, failures).
+    Each worker advances one batch of tasks in lockstep; rows and failures
+    keep the task order."""
     tasks = []
     for val in values:
         for seed in seeds:
@@ -108,15 +140,21 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
             _apply_axis(c, param, val)
             c["seed"] = int(seed)
             tasks.append((c, (val, int(seed))))
-    for c, _ in tasks:
-        cfgmod.validate_config(c)  # fail fast before spawning workers
+    # fail fast before spawning workers
+    keys = [cfgmod.batch_key(cfgmod.validate_config(c)) for c, _ in tasks]
+    positions = _batches(keys, workers or os.cpu_count() or 1)
+    batches = [[tasks[i] for i in batch] for batch in positions]
 
     rows, failures = [], []
     if workers == 1:
-        results = map(_sweep_one, tasks)
+        done = map(_sweep_one, batches)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
+            done = list(pool.map(_sweep_one, batches))
+    results = [None] * len(tasks)
+    for batch, batch_results in zip(positions, done):
+        for i, result in zip(batch, batch_results):
+            results[i] = result
     for tag, summary, err in results:
         if err is not None:
             failures.append((tag, err))

@@ -13,7 +13,10 @@ import numpy as np
 
 from . import control, estimator, maps, metrics, simulate
 
-__all__ = ["ConfigError", "validate_config", "build_run", "load_config", "RunObjects"]
+__all__ = [
+    "ConfigError", "validate_config", "build_run", "build_batch", "batch_key", "load_config",
+    "RunObjects",
+]
 
 
 class ConfigError(ValueError):
@@ -285,6 +288,42 @@ def build_run(cfg):
         gamma=ro.gamma,
         eig_stride=ro.eig_stride,
     )
+
+
+def _run_spec(ro):
+    closed = ro.mode == "closed_loop"
+    return simulate.RunSpec(
+        ro.plant, ro.pset, ro.noise, ro.seed, mech=ro.mech if closed else None,
+        probe=ro.probe if closed else None, input_policy=None if closed else ro.input_policy,
+        theta0=ro.theta0, delta=ro.delta, gamma=ro.gamma,
+    )
+
+
+def batch_key(ro):
+    """Runs whose validated objects have equal keys can share a batch: the
+    horizon, the eig stride and simulate.batch_key."""
+    return (ro.horizon, ro.eig_stride) + simulate.batch_key(_run_spec(ro))
+
+
+def build_batch(cfgs):
+    """Validate configs of one batch_key and execute them in lockstep
+    (simulate.run_batch).  Returns one entry per config, in order: its
+    RunRecord, or the exception it raises alone (ConfigError, RunAbort)."""
+    results = [None] * len(cfgs)
+    runs = []
+    for i, cfg in enumerate(cfgs):
+        try:
+            runs.append((i, validate_config(cfg)))
+        except ConfigError as exc:
+            results[i] = exc
+    if len({batch_key(ro) for _, ro in runs}) > 1:
+        raise ValueError("the configs of a batch must share batch_key")
+    if runs:
+        ro = runs[0][1]
+        done = simulate.run_batch([_run_spec(r) for _, r in runs], ro.horizon, ro.eig_stride)
+        for (i, _), result in zip(runs, done):
+            results[i] = result
+    return results
 
 
 def set_field(cfg, dotted, value):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
+from .maps import all_finite
+
 __all__ = [
     "PinningLeader",
     "RiccatiFeedback",
@@ -46,8 +48,8 @@ def _solve(a, b):
     """np.linalg.solve(a, b) for float64 arrays, to the last bit and without
     its Python-level dispatch: the LAPACK gufunc it wraps, under the same
     floating-point error state, so a singular ``a`` raises LinAlgError and
-    warns nothing."""
-    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    warns nothing.  Stacked systems solve slice by slice."""
+    gufunc = _umath_linalg.solve1 if b.ndim == a.ndim - 1 else _umath_linalg.solve
     return gufunc(a, b, signature="dd->d")
 
 
@@ -180,7 +182,8 @@ class RiccatiFeedback:
         n = self.Q.shape[0]
         A = _a_block(theta, n)
         # A has the same shape on every call, so == decides equality alone
-        if self._cache_theta is not None and (A == self._cache_theta).all():
+        cached = self._cache_theta
+        if cached is not None and np.logical_and.reduce(A == cached, axis=None):
             return self._cache_p
         p0 = self._cache_p
         P = solve_dare(A, self.Q, self.R, tol=self.dare_tol, max_iter=self.dare_max_iter, p0=p0)
@@ -195,14 +198,20 @@ class RiccatiFeedback:
         return _solve(self.R + P, P @ (A @ x))
 
     def lift(self, x, u_raw):
+        """The input vector from the raw feedback; rows of x and u_raw are
+        runs of a batch when they carry a run axis.  The monomials stay
+        per-run float powers, which numpy's power does not match."""
         if self.lift_kind == "direct":
             return u_raw
-        return np.concatenate([[x[0] ** 2, x[1] ** 2, x[0] * x[1]], u_raw])
+        if x.ndim == 1:
+            return np.concatenate([[x[0] ** 2, x[1] ** 2, x[0] * x[1]], u_raw])
+        monomials = [[a**2, b**2, a * b] for a, b in x[:, :2].tolist()]
+        return np.concatenate([monomials, u_raw], axis=1)
 
     def lift_probe(self, v):
         if self.lift_kind == "direct":
             return v
-        return np.concatenate([np.zeros(3), v])
+        return np.concatenate([np.zeros(v.shape[:-1] + (3,)), v], axis=-1)
 
     def to_config(self):
         return {
@@ -239,14 +248,30 @@ class CustomPolicy:
         raise ValueError("custom policies are not serializable")
 
 
+def _raw_eval(mech, theta, x):
+    """mech.raw_eval(theta, x).  For a batch, ``mech`` holds one mechanism
+    per run (one class and lift), theta and x carry a leading run axis, and
+    the result has one row per run.  Riccati feedback keeps each run's DARE
+    cache and solves the runs' feedback systems in one stacked call."""
+    if x.ndim == 1:
+        return mech.raw_eval(theta, x)
+    if isinstance(mech[0], RiccatiFeedback):
+        n = x.shape[-1]
+        P = np.array([mk.riccati_solution(th) for mk, th in zip(mech, theta)])
+        A = theta[:, :n].mT
+        return _solve(np.array([mk.R for mk in mech]) + P, np.matvec(P, np.matvec(A, x)))
+    return np.array([mk.raw_eval(th, xr) for mk, th, xr in zip(mech, theta, x)])
+
+
 def policy_eval(mech, theta, x, pset=None):
-    """Full policy output for one state (lift applied, no probe)."""
+    """Full policy output for one state (lift applied, no probe); for a batch
+    as in ``adaptive_input``."""
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise ValueError("state must be finite")
     if pset is not None and not pset.contains(theta):
         raise ValueError("theta lies outside the parameter set")
-    return mech.lift(x, mech.raw_eval(theta, x))
+    return (mech if x.ndim == 1 else mech[0]).lift(x, _raw_eval(mech, theta, x))
 
 
 def validate_lipschitz(mech, pset, n, m, rng, pairs=10_000, x_scale=5.0, tol=1e-9):
@@ -317,24 +342,36 @@ class ProbingSignal:
         }
 
 
-def probe_sample(sig, t, rng):
-    """Draw v_t; deterministic given the generator state."""
+def probe_sample(sig, t, rng, steps=None):
+    """Draw v_t; deterministic given the generator state.  With ``steps``,
+    draw v_t .. v_{t+steps-1} at once, one row per step: the same values and
+    the same use of the stream as ``steps`` single draws."""
+    shape = sig.dim if steps is None else (steps, sig.dim)
     if not sig.enabled:
-        return np.zeros(sig.dim)
+        return np.zeros(shape)
     h = sig.half_width if sig.distribution == "uniform_cube" else np.sqrt(3.0)
-    eps = rng.uniform(-h, h, size=sig.dim)
-    return (t + 1.0) ** (-sig.decay_b) * eps
+    eps = rng.uniform(-h, h, size=shape)
+    if steps is None:
+        return (t + 1.0) ** (-sig.decay_b) * eps
+    return np.array([[(s + 1.0) ** (-sig.decay_b)] for s in range(t, t + steps)]) * eps
 
 
-def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, pset=None):
-    """u_t = pi_{theta_hat}(x_t) + v_t; returns (u, v) with v in input space."""
+def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, pset=None, v_raw=None):
+    """u_t = pi_{theta_hat}(x_t) + v_t; returns (u, v) with v in input space.
+
+    ``v_raw``: the raw probe when it is already drawn by probe_sample (sig,
+    t and rng are then unused).  A batch passes one mechanism per run,
+    theta_hat_prev and x with a leading run axis, and v_raw with one row per
+    run; u and v then have one row per run.
+    """
     x = np.asarray(x, dtype=float)
     if pset is not None and not pset.contains(theta_hat_prev):
         raise ValueError("theta_hat lies outside the parameter set")
-    u_raw = mech.raw_eval(theta_hat_prev, x)
-    v_raw = probe_sample(sig, t, rng)
-    u = mech.lift(x, u_raw + v_raw)
-    return u, mech.lift_probe(v_raw)
+    u_raw = _raw_eval(mech, theta_hat_prev, x)
+    if v_raw is None:
+        v_raw = probe_sample(sig, t, rng)
+    lift = mech if x.ndim == 1 else mech[0]
+    return lift.lift(x, u_raw + v_raw), lift.lift_probe(v_raw)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .maps import all_finite
+
 __all__ = [
     "FrobeniusBall",
     "BlockOperatorBalls",
@@ -23,6 +25,7 @@ __all__ = [
     "new_estimator",
     "support_value",
     "frobenius_norm",
+    "run_norms",
     "step_weights",
     "estimator_step",
     "project_weighted",
@@ -57,13 +60,29 @@ def frobenius_norm(a):
     return math.sqrt(a @ a)
 
 
-def _spectral_within(a, bound):
-    """np.linalg.norm(a, 2) <= bound: the largest singular value of a matrix
-    against a bound.  ||a||_2 <= ||a||_F, so a Frobenius norm below the bound
-    by more than the SVD's rounding settles it without the SVD."""
-    if frobenius_norm(a) <= bound * (1.0 - 1e-9):
-        return True
-    return float(np.linalg.svd(a, compute_uv=False)[0]) <= bound
+def run_norms(a, rank):
+    """frobenius_norm(a) of an array of rank ``rank`` (1 for a vector, 2 for
+    a matrix).  With a leading run axis, the norm of each run's C-ordered
+    slice, as an array: np.vecdot is the same dot per slice."""
+    if a.ndim == rank:
+        return frobenius_norm(a)
+    a = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _spectral_within(block, bound):
+    """np.linalg.norm(block.T, 2) <= bound: the largest singular value of a
+    parameter block against a bound, per run for a batch (``bound`` may then
+    hold one value per run).  ||M||_2 <= ||M||_F, so a Frobenius norm below
+    the bound by more than the SVD's rounding settles it without the SVD."""
+    inside = run_norms(block, 2) <= bound * (1.0 - 1e-9)
+    if block.ndim == 2:
+        return inside or float(np.linalg.svd(block.T, compute_uv=False)[0]) <= bound
+    if not np.logical_and.reduce(inside):
+        bounds = np.broadcast_to(bound, inside.shape)
+        for r in np.flatnonzero(~inside):
+            inside[r] = float(np.linalg.svd(block[r].T, compute_uv=False)[0]) <= bounds[r]
+    return inside
 
 
 @dataclass(frozen=True)
@@ -82,10 +101,10 @@ class FrobeniusBall:
 
     def contains(self, theta, shrunk=False, tol=1e-12):
         r = self.radius * (self.rho_eps if shrunk else 1.0)
-        return frobenius_norm(theta) <= r * (1.0 + tol)
+        return run_norms(theta, 2) <= r * (1.0 + tol)
 
     def support_value(self, phi, n=None):
-        return self.radius * frobenius_norm(phi)
+        return self.radius * run_norms(phi, 1)
 
     def sample(self, n, m, rng):
         """Uniform-in-radius random member, for randomized checks."""
@@ -113,19 +132,21 @@ class BlockOperatorBalls:
             raise ValueError("rho_eps must lie in (0, 1]")
 
     def contains(self, theta, shrunk=False, tol=1e-12):
-        n = theta.shape[1]
+        n = theta.shape[-1]
         s = self.rho_eps if shrunk else 1.0
         # both blocks are tested, so a non-finite block raises as the SVD does
-        in_a = _spectral_within(theta[:n].T, s * self.radius_a * (1.0 + tol))
-        in_b = theta.shape[0] <= n or _spectral_within(
-            theta[n:].T, s * self.radius_b * (1.0 + tol)
-        )
-        return in_a and in_b
+        in_a = _spectral_within(theta[..., :n, :], s * self.radius_a * (1.0 + tol))
+        if theta.shape[-2] <= n:
+            return in_a
+        in_b = _spectral_within(theta[..., n:, :], s * self.radius_b * (1.0 + tol))
+        return in_a & in_b
 
     def support_value(self, phi, n=None):
         if n is None:
             raise ValueError("block set needs the state dimension to split phi")
-        return self.radius_a * frobenius_norm(phi[:n]) + self.radius_b * frobenius_norm(phi[n:])
+        return self.radius_a * run_norms(phi[..., :n], 1) + self.radius_b * run_norms(
+            phi[..., n:], 1
+        )
 
     def sample(self, n, m, rng):
         a = rng.standard_normal((n, n))
@@ -157,7 +178,7 @@ def parameter_set_from_config(cfg):
 def support_value(pset, phi, n=None):
     """sup over theta in Theta of ||theta^T phi|| (exact for both kinds)."""
     phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
+    if not all_finite(phi):
         raise ValueError("regressor must be finite")
     return pset.support_value(phi, n=n)
 
@@ -277,11 +298,11 @@ class EstimatorState:
 
     @property
     def n(self):
-        return self.theta_hat.shape[1]
+        return self.theta_hat.shape[-1]
 
     @property
     def m(self):
-        return self.theta_hat.shape[0] - self.theta_hat.shape[1]
+        return self.theta_hat.shape[-2] - self.theta_hat.shape[-1]
 
     def to_json(self):
         return json.dumps(
@@ -342,22 +363,73 @@ def new_estimator(theta0, pset, delta, f):
     )
 
 
+def _runs(obj, count):
+    """The per-run objects of a stacked link or set (maps.stacked); an object
+    that is not stacked serves every run."""
+    return getattr(obj, "runs", None) or (obj,) * count
+
+
+def _weights(f, delta, r, c, quad):
+    """d_t, g_bar, mu_t and a_t of one run from its envelopes at radius c;
+    Python float powers, which numpy's power does not match bit for bit."""
+    d = 0.5 * f.alpha_env(c)
+    g_bar = f.beta_env(c)
+    mu = (1.0 + np.log(r)) ** (1.0 + delta) + d * g_bar**2 * quad
+    return d, g_bar, mu, 1.0 / (mu + d * d * quad)
+
+
 def step_weights(state, phi, f, pset):
     """Adaptive weights for one step; absorbs ||phi||^2 into r first.
 
     Mutates state.r_accum (r_t includes the current regressor by definition).
+    With a leading run axis on the state and phi (a batch, with f and pset
+    stacked by maps.stacked), the weights are arrays with one entry per run,
+    the scalar envelope math runs run by run, and state.r_accum is replaced
+    rather than written in place.
     """
     phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
+    if not all_finite(phi):
         raise ValueError("regressor must be finite")
-    state.r_accum += float(phi @ phi)
-    c = frobenius_norm(state.theta_hat.T @ phi) + pset.support_value(phi, n=state.n)
-    d = 0.5 * f.alpha_env(c)
-    g_bar = f.beta_env(c)
-    quad = float(phi @ state.p_matrix @ phi)
-    mu = (1.0 + np.log(state.r_accum)) ** (1.0 + state.delta) + d * g_bar**2 * quad
-    a = 1.0 / (mu + d * d * quad)
+    c = run_norms(np.matvec(state.theta_hat.mT, phi), 1)
+    c = c + pset.support_value(phi, n=state.n)
+    quad = np.vecdot(np.vecmat(phi, state.p_matrix), phi)  # phi @ P @ phi, left to right
+    if phi.ndim == 1:
+        state.r_accum += float(np.vecdot(phi, phi))
+        quad = float(quad)
+        d, g_bar, mu, a = _weights(f, state.delta, state.r_accum, c, quad)
+    else:
+        state.r_accum = state.r_accum + np.vecdot(phi, phi)
+        runs = zip(
+            *map(
+                _weights, _runs(f, len(phi)), state.delta.tolist(), state.r_accum.tolist(),
+                c.tolist(), quad.tolist(),
+            )
+        )
+        d, g_bar, mu, a = (np.array(col) for col in runs)
     return StepDiagnostics(d_gain=d, g_bar=g_bar, a_weight=a, mu_weight=mu, quad=quad)
+
+
+def _extended_weights(phi, p_matrix, r_accum, delta, d, g_bar, step):
+    """(a_t, mu_t) of one run re-derived in extended precision, for a
+    contraction factor a d^2 quad >= 1, which is impossible in exact
+    arithmetic: a (mu + d^2 quad) = 1.  Raises NumericalAbort when the
+    factor stays >= 1."""
+    quad_l = np.longdouble(phi) @ np.longdouble(p_matrix) @ np.longdouble(phi)
+    mu_l = (1.0 + np.log(np.longdouble(r_accum))) ** (1.0 + delta) + (
+        np.longdouble(d) * np.longdouble(g_bar) ** 2 * quad_l
+    )
+    a_l = 1.0 / (mu_l + np.longdouble(d) ** 2 * quad_l)
+    contraction = float(a_l * np.longdouble(d) ** 2 * quad_l)
+    if contraction >= 1.0:
+        raise NumericalAbort(f"covariance contraction factor {contraction} >= 1 at step {step}")
+    return float(a_l), float(mu_l)
+
+
+def _project(candidate, p_next, pset, n):
+    """Weighted projection of one run's candidate, weight P_{t+1}^{-1}."""
+    weight = np.linalg.inv(p_next)
+    weight = 0.5 * (weight + weight.T)
+    return project_weighted(candidate, weight, pset, n=n)
 
 
 def estimator_step(state, phi, x_next, f, pset):
@@ -365,10 +437,15 @@ def estimator_step(state, phi, x_next, f, pset):
 
     Order matters: r absorbs phi before mu is formed, and the covariance is
     contracted before the parameter update (which multiplies by P_{t+1}).
+    A leading run axis on the state (theta_hat (R, n+m, n), p_matrix
+    (R, n+m, n+m), r_accum, delta and projection_count (R,)), phi and
+    x_next advances R runs at once, each to the same bits as alone; the
+    extended-precision fallback and the projection then run per run.
     """
     phi = np.asarray(phi, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-    if phi.shape != (state.n + state.m,) or x_next.shape != (state.n,):
+    runs = state.theta_hat.shape[:-2]
+    if phi.shape != runs + (state.n + state.m,) or x_next.shape != runs + (state.n,):
         raise ValueError(
             f"dimension mismatch: phi {phi.shape}, x_next {x_next.shape}, "
             f"expected ({state.n + state.m},) and ({state.n},)"
@@ -387,40 +464,44 @@ def estimator_step(state, phi, x_next, f, pset):
     d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
 
     contraction = a * d * d * quad
-    if contraction >= 1.0:
-        # impossible in exact arithmetic: a*(mu + d^2 quad) = 1; re-derive in
-        # extended precision before declaring the run numerically dead
-        quad_l = np.longdouble(phi) @ np.longdouble(st.p_matrix) @ np.longdouble(phi)
-        mu_l = (1.0 + np.log(np.longdouble(st.r_accum))) ** (1.0 + st.delta) + (
-            np.longdouble(d) * np.longdouble(diag.g_bar) ** 2 * quad_l
-        )
-        a_l = 1.0 / (mu_l + np.longdouble(d) ** 2 * quad_l)
-        contraction = float(a_l * np.longdouble(d) ** 2 * quad_l)
-        if contraction >= 1.0:
-            raise NumericalAbort(
-                f"covariance contraction factor {contraction} >= 1 at step {st.step}"
+    if runs:
+        late = np.flatnonzero(contraction >= 1.0) if np.maximum.reduce(contraction) >= 1.0 else ()
+        for r in late:
+            a[r], mu[r] = _extended_weights(
+                phi[r], st.p_matrix[r], st.r_accum[r], st.delta[r], d[r], diag.g_bar[r], st.step
             )
-        a = float(a_l)
-        mu = float(mu_l)
+    elif contraction >= 1.0:
+        a, mu = _extended_weights(phi, st.p_matrix, st.r_accum, st.delta, d, diag.g_bar, st.step)
         diag.a_weight, diag.mu_weight = a, mu
 
-    p_phi = st.p_matrix @ phi
-    p_next = st.p_matrix - (a * d * d) * np.outer(p_phi, p_phi)
-    p_next = 0.5 * (p_next + p_next.T)
+    p_phi = np.matvec(st.p_matrix, phi)
+    gain, step = a * d * d, d / mu
+    if runs:
+        gain, step = gain[:, None, None], step[:, None, None]
+    p_next = st.p_matrix - gain * (p_phi[..., :, None] * p_phi[..., None, :])
+    p_next = 0.5 * (p_next + p_next.mT)
 
-    diag.prediction = f.eval(st.theta_hat.T @ phi)
+    diag.prediction = f.eval(np.matvec(st.theta_hat.mT, phi))
     residual = x_next - diag.prediction
-    diag.residual_norm = frobenius_norm(residual)
-    candidate = st.theta_hat + (d / mu) * np.outer(p_next @ phi, residual)
-    if not np.isfinite(candidate).all():
+    diag.residual_norm = run_norms(residual, 1)
+    update = np.matvec(p_next, phi)[..., :, None] * residual[..., None, :]
+    candidate = st.theta_hat + step * update
+    if not all_finite(candidate):
         raise NumericalAbort(f"non-finite parameter update at step {st.step}")
 
-    if pset.contains(candidate):
+    inside = pset.contains(candidate)
+    if runs:
+        diag.projected = ~inside
+        if not np.logical_and.reduce(inside):
+            sets = _runs(pset, len(phi))
+            for r in np.flatnonzero(diag.projected):
+                candidate[r] = _project(candidate[r], p_next[r], sets[r], st.n)
+            st.projection_count = st.projection_count + diag.projected
+        st.theta_hat = candidate
+    elif inside:
         st.theta_hat = candidate
     else:
-        weight = np.linalg.inv(p_next)
-        weight = 0.5 * (weight + weight.T)
-        st.theta_hat = project_weighted(candidate, weight, pset, n=st.n)
+        st.theta_hat = _project(candidate, p_next, pset, st.n)
         st.projection_count += 1
         diag.projected = True
 

@@ -11,6 +11,8 @@ provides two radius-indexed envelopes:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +29,8 @@ __all__ = [
     "SmoothedClamp",
     "CustomComponentwise",
     "smoothed_clamp_value",
+    "all_finite",
+    "stacked",
     "link_from_config",
     "EnvelopeContractError",
 ]
@@ -50,11 +54,38 @@ def _check_radius(c):
         raise ValueError(f"envelope radius must be finite and >= 0, got {c}")
 
 
+def all_finite(a):
+    """np.isfinite(a).all() as a numpy bool, without the Python-level wrapper
+    of ndarray.all."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
 def _check_finite(z):
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
+    if not all_finite(z):
         raise ValueError("link input must be finite")
     return z
+
+
+def stacked(objs, trailing=0):
+    """One object standing for R runs along a leading run axis: a copy of the
+    first of ``objs`` (frozen dataclasses of one type) whose numeric fields
+    that differ between the runs become arrays of shape (R,) followed by
+    ``trailing`` unit axes, so that they broadcast against the runs' arrays.
+    Fields the runs share stay Python scalars.  ``runs`` keeps the per-run
+    objects, for what is evaluated per run."""
+    first = objs[0]
+    if any(type(obj) is not type(first) for obj in objs):
+        raise ValueError("the runs of a batch must share the kind of each object")
+    batch = copy.copy(first)
+    for f in dataclasses.fields(first):
+        vals = [getattr(obj, f.name) for obj in objs]
+        if any(v != vals[0] for v in vals):
+            if f.name == "dim" or not all(isinstance(v, (int, float)) for v in vals):
+                raise ValueError(f"the runs of a batch must share {type(first).__name__}.{f.name}")
+            object.__setattr__(batch, f.name, np.array(vals).reshape((-1,) + (1,) * trailing))
+    object.__setattr__(batch, "runs", tuple(objs))
+    return batch
 
 
 def _floor_alpha(a):
@@ -219,7 +250,12 @@ def smoothed_clamp_value(N, sigma, z):
     """
     if N <= 0 or sigma <= 0:
         raise ValueError("smoothed clamp requires N > 0 and sigma > 0")
-    z = _check_finite(z)
+    return _clamp_mean(N, sigma, sigma**2, _check_finite(z))
+
+
+def _clamp_mean(N, sigma, sigma_sq, z):
+    """smoothed_clamp_value on a finite float array; N, sigma and sigma_sq
+    (sigma**2 as a Python float power) may be (R, 1) columns of a batch."""
     n_mz = N - z
     # both standardized endpoints in one array, so that each of ndtr and exp
     # runs once; squaring -z/sigma gives exactly (z/sigma)^2
@@ -228,7 +264,7 @@ def smoothed_clamp_value(N, sigma, z):
     g = _INV_SQRT_2PI / sigma * np.exp(-0.5 * s**2)
     # the exact value lies in (0, N); the clip removes the cancellation error
     # of the closed form far outside the interval (about -3e-16 at z = -8 sigma)
-    value = N - z * G[0] - n_mz * G[1] + sigma**2 * (g[0] - g[1])
+    value = N - z * G[0] - n_mz * G[1] + sigma_sq * (g[0] - g[1])
     return np.minimum(np.maximum(value, 0.0), N)
 
 
@@ -242,6 +278,7 @@ class SmoothedClamp(LinkFunction):
 
     N: float = 1.0
     sigma: float = 1.0
+    sigma_sq: float = field(init=False, repr=False, compare=False)
 
     bounded = True
 
@@ -249,9 +286,10 @@ class SmoothedClamp(LinkFunction):
         super().__post_init__()
         if self.N <= 0 or self.sigma <= 0:
             raise ValueError("SmoothedClamp requires N > 0 and sigma > 0")
+        object.__setattr__(self, "sigma_sq", self.sigma**2)
 
     def eval(self, z):
-        return smoothed_clamp_value(self.N, self.sigma, np.asarray(z, dtype=float))
+        return _clamp_mean(self.N, self.sigma, self.sigma_sq, _check_finite(z))
 
     def _deriv(self, z):
         return ndtr((self.N - z) / self.sigma) - ndtr(-z / self.sigma)
@@ -311,8 +349,8 @@ class CustomComponentwise(LinkFunction):
 
     def eval(self, z):
         z = _check_finite(z)
-        flat = np.atleast_1d(z)
-        out = np.array([fi(zi) for fi, zi in zip(self.components, flat)])
+        rows = np.reshape(z, (-1, self.dim))  # one row per run of a batch
+        out = np.array([[fi(zi) for fi, zi in zip(self.components, row)] for row in rows])
         return out.reshape(np.shape(z))
 
     def alpha_env(self, c):

@@ -6,21 +6,26 @@ the plant with an exogenous input and has no reference.  Both advance the
 estimator once per step.  Step order at time t: input -> reference ->
 noise -> plant -> estimator update; the controller always sees the estimate
 that was current one update ago.  The run metrics absorb the steps a block
-at a time.
+at a time, and each run's random draws for a block are taken at its start.
+
+The loop advances a batch of R runs in lockstep (run_batch): their states
+carry a leading run axis, so each numpy call serves all R, and every run
+gives the same bits as alone.  A single run has no run axis.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import control, estimator, metrics
+from . import control, estimator, maps, metrics
 
 __all__ = [
-    "PlantSpec", "NoiseSpec", "RunRecord", "RunAbort", "plant_step", "noise_sample",
-    "spawn_streams", "run_closed_loop", "run_open_loop_id",
+    "PlantSpec", "NoiseSpec", "RunRecord", "RunAbort", "RunSpec", "plant_step", "noise_sample",
+    "spawn_streams", "run_closed_loop", "run_open_loop_id", "run_batch", "batch_key",
 ]
 
 DIVERGENCE_CEILING = 1e9
@@ -43,19 +48,20 @@ class PlantSpec:
     m: int
     x0: np.ndarray
 
-    @property
+    @cached_property
     def a_matrix(self):
-        return self.theta_star[: self.n].T
+        return self.theta_star[..., : self.n, :].mT
 
-    @property
+    @cached_property
     def b_matrix(self):
-        return self.theta_star[self.n :].T
+        return self.theta_star[..., self.n :, :].mT
 
 
 def plant_step(spec, x, u, w):
-    """x_{t+1} = f(A x + B u) + w."""
-    x_next = spec.link.eval(spec.a_matrix @ x + spec.b_matrix @ u) + w
-    if not np.isfinite(x_next).all():
+    """x_{t+1} = f(A x + B u) + w; x, u and w of a batch carry a leading run
+    axis, as do theta_star and the link parameters of its stacked spec."""
+    x_next = spec.link.eval(np.matvec(spec.a_matrix, x) + np.matvec(spec.b_matrix, u)) + w
+    if not maps.all_finite(x_next):
         raise ValueError("plant produced a non-finite state")
     return x_next
 
@@ -96,12 +102,15 @@ class NoiseSpec:
         return cfg
 
 
-def noise_sample(spec, rng):
+def noise_sample(spec, rng, steps=None):
+    """Draw w; with ``steps``, that many draws at once, one row per step,
+    with the same values and the same use of the stream as single draws."""
+    shape = spec.n if steps is None else (steps, spec.n)
     if spec.kind == "uniform_cube":
-        return rng.uniform(-spec.half_width, spec.half_width, size=spec.n)
-    w = rng.standard_normal(spec.n) * spec.sigma
+        return rng.uniform(-spec.half_width, spec.half_width, size=shape)
+    w = rng.standard_normal(shape) * spec.sigma
     if spec.kind == "truncated_gaussian":
-        return np.clip(w, -spec.trunc, spec.trunc)
+        return np.minimum(np.maximum(w, -spec.trunc), spec.trunc)
     return w
 
 
@@ -147,11 +156,24 @@ COLUMNS = (
 STATE_COLUMNS = ("x", "x_star")
 
 
+def _columns(n, m, horizon, runs=None):
+    """The arrays of COLUMNS set to their fills: for one record, or for
+    ``runs`` records at once with the run axis second, so that a step writes
+    one row of all runs and a record's columns are views [:, r]."""
+    dims = {"n": n, "m": m}
+    out = {}
+    for attr, _, width, fill in COLUMNS:
+        shape = (horizon + (attr in STATE_COLUMNS),) + ((runs,) if runs else ())
+        out[attr] = np.full(shape + ((dims[width],) if width else ()), fill)
+    return out
+
+
 @dataclass
 class RunRecord:
     """Full per-step log of one simulation plus manifest metadata: one array
     per entry of COLUMNS for ``horizon`` steps, set to the column's fill until
-    written (x_star, u_star and j_t stay NaN in a run without a reference)."""
+    written (x_star, u_star and j_t stay NaN in a run without a reference).
+    ``columns`` may hand in the arrays (views into a batch's)."""
 
     n: int
     m: int
@@ -160,12 +182,13 @@ class RunRecord:
     acc: metrics.MetricAccumulator | None = None
     final_state: estimator.EstimatorState | None = None
     steps_completed: int = 0
+    columns: InitVar[dict | None] = None
 
-    def __post_init__(self):
-        for attr, _, width, fill in COLUMNS:
-            rows = self.horizon + (attr in STATE_COLUMNS)
-            shape = (rows,) if width is None else (rows, getattr(self, width))
-            setattr(self, attr, np.full(shape, fill))
+    def __post_init__(self, columns):
+        if columns is None:
+            columns = _columns(self.n, self.m, self.horizon)
+        for attr, *_ in COLUMNS:
+            setattr(self, attr, columns[attr])
 
     def csv_header(self):
         cols = ["t"]
@@ -208,27 +231,51 @@ class RunRecord:
         return out
 
 
+
+
+@dataclass
+class RunSpec:
+    """One run of ``run_batch``: the arguments of run_closed_loop (``mech``
+    and ``probe`` set) or of run_open_loop_id (``input_policy`` set)."""
+
+    plant: PlantSpec
+    pset: object
+    noise: NoiseSpec
+    seed: int
+    mech: object = None
+    probe: object = None
+    input_policy: object = None
+    theta0: object = None
+    delta: float = 0.5
+    gamma: float = 4.0
+    stage_cost: object = None
+    divergence_ceiling: float = DIVERGENCE_CEILING
+
+
+def batch_key(spec):
+    """What the runs of one batch share: the mode, n, m and the kind of the
+    link, the parameter set, the policy and its lift, the probe distribution,
+    the noise and the input policy.  Their numeric values may differ."""
+    ip = spec.input_policy
+    return (
+        spec.mech is not None, spec.plant.n, spec.plant.m, type(spec.plant.link),
+        type(spec.pset), type(spec.mech), getattr(spec.mech, "lift_kind", None),
+        getattr(spec.probe, "distribution", None), spec.noise.kind,
+        ip[0] if isinstance(ip, tuple) else ip,
+    )
+
+
 def run_closed_loop(
     plant, pset, mech, probe, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
     eig_stride=100, stage_cost=None, divergence_ceiling=DIVERGENCE_CEILING,
     collect_metrics=True,
 ):
     """Adaptive closed loop plus oracle reference on a shared noise stream."""
-    if not pset.contains(plant.theta_star, shrunk=True):
-        raise ValueError("theta_star must lie strictly inside the shrunken set")
-
-    def next_input(theta_ctrl, x, t, rng):
-        return control.adaptive_input(mech, theta_ctrl, x, probe, t, rng)
-
-    # reference mechanism gets its own Riccati cache so warm starts do not
-    # leak between the theta* solve and the moving theta_hat solves
-    ref_mech = mech
-    if isinstance(mech, control.RiccatiFeedback):
-        ref_mech = replace(mech, _cache_theta=None, _cache_p=None)
-    return _run(
-        plant, pset, next_input, ref_mech, noise, horizon, seed, theta0, delta,
-        gamma, eig_stride, stage_cost, divergence_ceiling, collect_metrics,
+    spec = RunSpec(
+        plant, pset, noise, seed, mech=mech, probe=probe, theta0=theta0, delta=delta,
+        gamma=gamma, stage_cost=stage_cost, divergence_ceiling=divergence_ceiling,
     )
+    return _alone(spec, horizon, eig_stride, collect_metrics)
 
 
 def run_open_loop_id(
@@ -241,22 +288,31 @@ def run_open_loop_id(
     ("state_feedback", K) with u = K x.  The estimator observes the loop but
     never closes it.
     """
-    zero = np.zeros(plant.m)
-    if input_policy == "zero":
-        def next_input(theta_ctrl, x, t, rng):
-            return zero, zero
-    elif isinstance(input_policy, tuple) and input_policy[0] == "iid_uniform":
-        def next_input(theta_ctrl, x, t, rng):
-            return rng.uniform(-input_policy[1], input_policy[1], size=plant.m), zero
-    elif isinstance(input_policy, tuple) and input_policy[0] == "state_feedback":
-        def next_input(theta_ctrl, x, t, rng):
-            return np.asarray(input_policy[1]) @ x, zero
-    else:
-        raise ValueError(f"unknown input policy {input_policy!r}")
-    return _run(
-        plant, pset, next_input, None, noise, horizon, seed, theta0, delta,
-        gamma, eig_stride, None, divergence_ceiling, True,
+    spec = RunSpec(
+        plant, pset, noise, seed, input_policy=input_policy, theta0=theta0, delta=delta,
+        gamma=gamma, divergence_ceiling=divergence_ceiling,
     )
+    return _alone(spec, horizon, eig_stride, True)
+
+
+def run_batch(specs, horizon, eig_stride=100, collect_metrics=True):
+    """Advance the runs ``specs`` (RunSpec, one batch_key) in lockstep.
+
+    Returns one entry per run, in order: its RunRecord, or the exception it
+    raises alone (a RunAbort for a failure inside a step, whose record is
+    truncated as alone).  A failed run leaves the batch; the others go on
+    and give the same bits as alone.
+    """
+    if len({batch_key(spec) for spec in specs}) > 1:
+        raise ValueError("the runs of a batch must share batch_key")
+    return _run(specs, horizon, eig_stride, collect_metrics)
+
+
+def _alone(spec, horizon, eig_stride, collect_metrics):
+    (result,) = _run([spec], horizon, eig_stride, collect_metrics)
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 # failures inside a step; each ends the run with a RunAbort carrying the
@@ -270,51 +326,222 @@ _STEP_FAILURES = (
 METRIC_BLOCK = 256
 
 
-def _run(
-    plant, pset, next_input, ref_mech, noise, horizon, seed, theta0, delta,
-    gamma, eig_stride, stage_cost, divergence_ceiling, collect_metrics,
-):
-    """The loop of both entry points.  ``next_input(theta_ctrl, x, t, rng)``
-    returns (u, v), drawing from the probe stream; ``ref_mech`` is None in a
-    run without a reference trajectory.
+class _Member:
+    """One run of a batch: its spec, random streams, record and metrics.
+    ``pos`` is its index along the batch's run axis, None without one."""
+
+    def __init__(self, index, spec, collect):
+        plant, ip = spec.plant, spec.input_policy
+        if spec.mech is not None:
+            if not spec.pset.contains(plant.theta_star, shrunk=True):
+                raise ValueError("theta_star must lie strictly inside the shrunken set")
+        elif ip != "zero" and not (
+            isinstance(ip, tuple) and ip[0] in ("iid_uniform", "state_feedback")
+        ):
+            raise ValueError(f"unknown input policy {ip!r}")
+        if not spec.noise.bounded and plant.link.bounded:
+            raise ValueError("bounded links require almost-surely bounded noise")
+        n, m = plant.n, plant.m
+        theta0 = np.zeros((n + m, n)) if spec.theta0 is None else np.asarray(spec.theta0, float)
+        self.state = estimator.new_estimator(theta0, spec.pset, spec.delta, plant.link)
+        streams = spawn_streams(spec.seed)
+        self.rng_noise, self.rng_probe = streams["noise"], streams["probe"]
+        # the reference gets its own Riccati cache so warm starts do not leak
+        # between the theta* solve and the moving theta_hat solves
+        self.ref_mech = spec.mech
+        if isinstance(spec.mech, control.RiccatiFeedback):
+            self.ref_mech = replace(spec.mech, _cache_theta=None, _cache_p=None)
+        self.acc = metrics.MetricAccumulator(
+            n=n, m=m, theta_star=plant.theta_star, stage_cost=spec.stage_cost
+        )
+        self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
+        self.rec = None
+        self.loop = _Loop([self], collect)
+
+    def draws(self, start, k):
+        """The probe (or open-loop input) and noise draws of steps start ..
+        start+k-1, one row per step."""
+        spec, ip = self.spec, self.spec.input_policy
+        v = None
+        if spec.mech is not None:
+            v = control.probe_sample(spec.probe, start, self.rng_probe, steps=k)
+        elif isinstance(ip, tuple) and ip[0] == "iid_uniform":
+            v = self.rng_probe.uniform(-ip[1], ip[1], size=(k, spec.plant.m))
+        return v, noise_sample(spec.noise, self.rng_noise, steps=k)
+
+
+class _Loop:
+    """One step of a run, or of a batch with its objects stacked along a
+    leading run axis: link and set parameters that differ between the runs
+    as arrays (maps.stacked), one mechanism per run."""
+
+    def __init__(self, members, collect):
+        specs = [mb.spec for mb in members]
+        first = specs[0]
+        self.batched = len(specs) > 1
+        self.collect = collect
+        if self.batched:
+            self.plant = PlantSpec(
+                theta_star=np.array([s.plant.theta_star for s in specs]),
+                link=maps.stacked([s.plant.link for s in specs], 1),
+                n=first.plant.n, m=first.plant.m, x0=None,
+            )
+            self.pset = maps.stacked([s.pset for s in specs])
+            self.mech = self.ref_mech = None  # open loop
+            if first.mech is not None:
+                self.mech = tuple(s.mech for s in specs)
+                self.ref_mech = tuple(mb.ref_mech for mb in members)
+            self.ceiling = np.array([s.divergence_ceiling for s in specs])
+        else:
+            self.plant, self.pset, self.mech = first.plant, first.pset, first.mech
+            self.ref_mech, self.ceiling = members[0].ref_mech, first.divergence_ceiling
+        self.theta_star_t = self.plant.theta_star.mT
+        self.zero = np.zeros((len(specs), first.plant.m) if self.batched else first.plant.m)
+        ip = first.input_policy
+        self.input_kind = ip[0] if isinstance(ip, tuple) else ip
+        if self.input_kind == "state_feedback":
+            gains = [np.asarray(s.input_policy[1]) for s in specs]
+            self.gain = np.array(gains) if self.batched else gains[0]
+
+    def step(self, t, x, x_star, theta_ctrl, state, v_draw, w):
+        """Step t from the state before it and the step's draws; returns
+        (u, v, u_star, x_next, x_star_next, state_next, diag, prediction_star)."""
+        if self.mech is not None:
+            u, v = control.adaptive_input(
+                self.mech, theta_ctrl, x, None, t, None, v_raw=v_draw
+            )
+        elif self.input_kind == "iid_uniform":
+            u, v = v_draw, self.zero
+        elif self.input_kind == "state_feedback":
+            u, v = np.matvec(self.gain, x), self.zero
+        else:
+            u, v = self.zero, self.zero
+        plant = self.plant
+        u_star = x_star_next = prediction_star = None
+        if self.ref_mech is not None:
+            u_star = control.policy_eval(self.ref_mech, plant.theta_star, x_star)
+        x_next = plant_step(plant, x, u, w)
+        if self.ref_mech is not None:
+            x_star_next = plant_step(plant, x_star, u_star, w)
+        norm = estimator.run_norms(x_next, 1)
+        if self.batched:
+            if np.logical_or.reduce(norm > self.ceiling):
+                raise ValueError("a run's state norm exceeded the divergence ceiling")
+        elif norm > self.ceiling:
+            raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
+        phi = np.concatenate([x, u], axis=-1)
+        state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, self.pset)
+        if self.collect:
+            prediction_star = plant.link.eval(np.matvec(self.theta_star_t, phi))
+        return u, v, u_star, x_next, x_star_next, state_next, diag, prediction_star
+
+
+def _run_state(state, pos):
+    """The estimator state of the run at ``pos`` of a batch's state."""
+    return estimator.EstimatorState(
+        theta_hat=state.theta_hat[pos], p_matrix=state.p_matrix[pos],
+        r_accum=float(state.r_accum[pos]), step=state.step, delta=float(state.delta[pos]),
+        projection_count=int(state.projection_count[pos]),
+    )
+
+
+def _stack_states(states):
+    """The batch state of runs' states, along a leading run axis."""
+    return estimator.EstimatorState(
+        theta_hat=np.array([s.theta_hat for s in states]),
+        p_matrix=np.array([s.p_matrix for s in states]),
+        r_accum=np.array([s.r_accum for s in states]), step=states[0].step,
+        delta=np.array([s.delta for s in states]),
+        projection_count=np.array([s.projection_count for s in states]),
+    )
+
+
+def _merge(outs):
+    """The step outputs of runs taken one at a time, as a batch's."""
+    u, v, u_star, x_next, x_star_next, states, diags, pred_star = zip(*outs)
+
+    def stack(vals):
+        return None if vals[0] is None else np.array(vals)
+
+    diag = estimator.StepDiagnostics(
+        *(stack([getattr(d, f) for d in diags]) for f in (
+            "d_gain", "g_bar", "a_weight", "mu_weight", "residual_norm", "projected",
+            "quad", "prediction",
+        ))
+    )
+    return (
+        stack(u), stack(v), stack(u_star), stack(x_next), stack(x_star_next),
+        _stack_states(states), diag, stack(pred_star),
+    )
+
+
+def _take(a, keep, axis):
+    """The runs ``keep`` of an array whose run axis is ``axis``, as a copy;
+    a single run loses the axis."""
+    return a.take(keep if len(keep) > 1 else keep[0], axis=axis)
+
+
+def _run(specs, horizon, eig_stride, collect_metrics):
+    """The loop of both entry points and of run_batch; returns one record or
+    exception per spec.
 
     The metrics read nothing back into the loop, so they absorb blocks of
     steps: the loop buffers what the record does not hold (the estimator's
     prediction, f(theta*^T phi) and theta_hat after each update) and hands a
-    block to the accumulator when it ends, or before a failing step aborts."""
-    n, m = plant.n, plant.m
-    if not noise.bounded and plant.link.bounded:
-        raise ValueError("bounded links require almost-surely bounded noise")
-    theta0 = np.zeros((n + m, n)) if theta0 is None else np.asarray(theta0, dtype=float)
-    state = estimator.new_estimator(theta0, pset, delta, plant.link)
-    streams = spawn_streams(seed)
-    rng_noise, rng_probe = streams["noise"], streams["probe"]
-    has_ref = ref_mech is not None
+    block to each run's accumulator when it ends, or before a failing step
+    aborts the run.  A step of a batch that raises is taken again run by run
+    from the same state and draws; the runs that fail then leave the batch."""
+    results = [None] * len(specs)
+    members = []
+    for i, spec in enumerate(specs):
+        try:
+            members.append(_Member(i, spec, collect_metrics))
+        except Exception as exc:  # noqa: BLE001 - raised as alone
+            results[i] = exc
+    if not members:
+        return results
+    n, m = members[0].spec.plant.n, members[0].spec.plant.m
+    has_ref = members[0].spec.mech is not None
+    batch = {}  # the loop, record columns and metric buffers of the members
 
-    rec = RunRecord(n=n, m=m, horizon=horizon)
-    acc = rec.acc = metrics.MetricAccumulator(
-        n=n, m=m, theta_star=plant.theta_star, stage_cost=stage_cost
-    )
-    theta_star_t = plant.theta_star.T
-    prediction = np.empty((METRIC_BLOCK, n))
-    prediction_star = np.empty((METRIC_BLOCK, n))
-    thetas = np.empty((METRIC_BLOCK + 1, n + m, n))  # row 0: the estimate before the block
-    thetas[0] = state.theta_hat
-    start = 0  # first step of the current block
-    lam = 0.0
+    def bind(keep):
+        """Lay the batch out for the members at positions ``keep`` (all of
+        them on the first call), copying the records and buffers so far."""
+        nonlocal members
+        members = [members[p] for p in keep]
+        runs = len(members) if len(members) > 1 else None
+        cols = _columns(n, m, horizon, runs)
+        for pos, mb in enumerate(members):
+            mb.pos = pos if runs else None
+            views = {attr: c if runs is None else c[:, pos] for attr, c in cols.items()}
+            if mb.rec is None:
+                mb.rec = RunRecord(n=n, m=m, horizon=horizon, acc=mb.acc, columns=views)
+                continue
+            for attr, col in views.items():
+                col[...] = getattr(mb.rec, attr)
+                setattr(mb.rec, attr, col)
+        batch["cols"] = cols
+        batch["loop"] = _Loop(members, collect_metrics) if runs else members[0].loop
+        if "bufs" in batch:
+            batch["bufs"] = tuple(_take(b, keep, 1) for b in batch["bufs"])
+        else:
+            block = (METRIC_BLOCK,) + ((runs,) if runs else ())
+            batch["bufs"] = (
+                np.empty(block + (n,)), np.empty(block + (n,)),
+                np.empty((METRIC_BLOCK + 1,) + block[1:] + (n + m, n)),
+            )
 
-    def block_end(first):
-        # one past the block's last step: the next eig_stride step, the cap
-        # or the horizon, whichever comes first
-        next_eig = -(-first // eig_stride) * eig_stride
-        return min(next_eig + 1, first + METRIC_BLOCK, horizon)
+    def view(a, mb):
+        return a if mb.pos is None else a[:, mb.pos]
 
-    def absorb(stop):
-        """Hand steps start .. stop-1 to the metrics and log their rows."""
-        nonlocal start, lam
+    def absorb(mb, start, stop):
+        """Hand steps start .. stop-1 of member ``mb`` to its metrics and log
+        their rows."""
+        rec, acc = mb.rec, mb.acc
         rows, k = slice(start, stop), stop - start
-        rec.lambda_t[rows] = lam
+        rec.lambda_t[rows] = mb.lam
         if collect_metrics and k:
+            prediction, prediction_star, thetas = (view(b, mb) for b in batch["bufs"])
             diag = estimator.StepDiagnostics(
                 d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
                 mu_weight=rec.mu_t[rows], prediction=prediction[:k],
@@ -322,69 +549,130 @@ def _run(
             x_star, u_star = (rec.x_star[rows], rec.u_star[rows]) if has_ref else (None, None)
             rec.v_lyap[rows], track = acc.update(
                 np.concatenate([rec.x[rows], rec.u[rows]], axis=1), rec.x[rows],
-                rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, plant.link,
+                rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, mb.spec.plant.link,
                 theta_hat=thetas[:k], theta_hat_next=thetas[1 : k + 1], x_star=x_star,
-                u=rec.u[rows], u_star=u_star, gamma=gamma, prediction_star=prediction_star[:k],
+                u=rec.u[rows], u_star=u_star, gamma=mb.spec.gamma,
+                prediction_star=prediction_star[:k],
             )
             if has_ref:
                 rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
             if (stop - 1) % eig_stride == 0 or stop == horizon:
-                lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
-            thetas[0] = thetas[k]
-        start = stop
+                mb.lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
 
-    x = rec.x[0] = np.array(plant.x0, dtype=float)
-    x_star = u_star = x_star_next = None
+    def fail(mb, exc, t, start):
+        if isinstance(exc, _STEP_FAILURES):
+            absorb(mb, start, t)
+            mb.rec.steps_completed = t
+            if mb.pos is not None:  # let go of the batch's arrays
+                for attr, *_ in COLUMNS:
+                    setattr(mb.rec, attr, getattr(mb.rec, attr).copy())
+            exc, cause = RunAbort(str(exc), t, mb.rec), exc
+            exc.__cause__ = cause
+        results[mb.index] = exc
+
+    def block_end(first):
+        # one past the block's last step: the next eig_stride step, the cap
+        # or the horizon, whichever comes first
+        next_eig = -(-first // eig_stride) * eig_stride
+        return min(next_eig + 1, first + METRIC_BLOCK, horizon)
+
+    def draw(start, stop):
+        per_run = [mb.draws(start, stop - start) for mb in members]
+        if len(members) == 1:
+            return per_run[0]
+        return tuple(None if d[0] is None else np.stack(d, axis=1) for d in zip(*per_run))
+
+    bind(range(len(members)))
+    if len(members) == 1:
+        x, state = np.array(members[0].spec.plant.x0, dtype=float), members[0].state
+    else:
+        x = np.array([mb.spec.plant.x0 for mb in members], dtype=float)
+        state = _stack_states([mb.state for mb in members])
+    cols = batch["cols"]
+    cols["x"][0] = x
+    x_star = None
     if has_ref:
-        x_star = rec.x_star[0] = x.copy()
+        x_star = cols["x_star"][0] = x.copy()
+    batch["bufs"][2][0] = state.theta_hat
     theta_ctrl = state.theta_hat.copy()  # theta_hat_{t-1} as seen by the controller
-    stop = block_end(0)
+    start, stop = 0, block_end(0)
+    v_block, w_block = draw(start, stop)
     tic = time.perf_counter()
 
-    try:
-        for t in range(horizon):
-            u, v = next_input(theta_ctrl, x, t, rng_probe)
-            if has_ref:
-                u_star = control.policy_eval(ref_mech, plant.theta_star, x_star)
-            w = noise_sample(noise, rng_noise)
-            x_next = plant_step(plant, x, u, w)
-            if has_ref:
-                x_star_next = plant_step(plant, x_star, u_star, w)
-            norm = estimator.frobenius_norm(x_next)
-            if norm > divergence_ceiling:
-                raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
-            phi = np.concatenate([x, u])
-            theta_prev = state.theta_hat
-            state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, pset)
+    for t in range(horizon):
+        j = t - start
+        loop = batch["loop"]
+        try:
+            out = loop.step(
+                t, x, x_star, theta_ctrl, state, None if v_block is None else v_block[j], w_block[j]
+            )
+        except Exception as exc:  # noqa: BLE001 - taken again run by run
+            if not loop.batched:
+                fail(members[0], exc, t, start)
+                return results
+            outs, keep = [], []
+            for pos, mb in enumerate(members):
+                try:
+                    outs.append(mb.loop.step(
+                        t, x[pos], x_star[pos] if has_ref else None, theta_ctrl[pos],
+                        _run_state(state, pos), None if v_block is None else v_block[j, pos],
+                        w_block[j, pos],
+                    ))
+                    keep.append(pos)
+                except Exception as exc_run:  # noqa: BLE001 - the run's own failure
+                    fail(mb, exc_run, t, start)
+            if not keep:
+                return results
+            if len(keep) < len(members):
+                bind(keep)
+                cols = batch["cols"]
+                if len(keep) > 1:
+                    state = _stack_states([_run_state(state, p) for p in keep])
+                else:
+                    state = _run_state(state, keep[0])
+                x, theta_ctrl = _take(x, keep, 0), _take(theta_ctrl, keep, 0)
+                x_star = _take(x_star, keep, 0) if has_ref else None
+                w_block = _take(w_block, keep, 1)
+                v_block = None if v_block is None else _take(v_block, keep, 1)
+            out = _merge(outs) if len(outs) > 1 else outs[0]
+        u, v, u_star, x_next, x_star_next, state_next, diag, prediction_star = out
+
+        cols["u"][t] = u
+        cols["v"][t] = v
+        cols["w"][t] = w_block[j]
+        cols["x"][t + 1] = x_next
+        if has_ref:
+            cols["u_star"][t] = u_star
+            cols["x_star"][t + 1] = x_star_next
+        cols["param_err"][t] = estimator.run_norms(
+            batch["loop"].plant.theta_star - state_next.theta_hat, 2
+        )
+        cols["d_t"][t] = diag.d_gain
+        cols["mu_t"][t] = diag.mu_weight
+        cols["a_t"][t] = diag.a_weight
+        cols["projected"][t] = diag.projected
+        if collect_metrics:
+            prediction, prediction_star_buf, thetas = batch["bufs"]
+            prediction[j] = diag.prediction
+            prediction_star_buf[j] = prediction_star
+            thetas[j + 1] = state_next.theta_hat
+        theta_ctrl = state.theta_hat  # controller at t+1 uses theta_hat_t
+        state, x, x_star = state_next, x_next, x_star_next
+        if t + 1 == stop:
+            for mb in members:
+                absorb(mb, start, stop)
             if collect_metrics:
-                k = t - start
-                prediction_star[k] = plant.link.eval(theta_star_t @ phi)
-                prediction[k] = diag.prediction
-                thetas[k + 1] = state_next.theta_hat
+                thetas = batch["bufs"][2]
+                thetas[0] = thetas[stop - start]
+            start, stop = stop, block_end(stop)
+            if start < horizon:
+                v_block, w_block = draw(start, stop)
 
-            rec.u[t] = u
-            rec.v[t] = v
-            rec.w[t] = w
-            rec.x[t + 1] = x_next
-            if has_ref:
-                rec.u_star[t] = u_star
-                rec.x_star[t + 1] = x_star_next
-            rec.param_err[t] = estimator.frobenius_norm(plant.theta_star - state_next.theta_hat)
-            rec.d_t[t] = diag.d_gain
-            rec.mu_t[t] = diag.mu_weight
-            rec.a_t[t] = diag.a_weight
-            rec.projected[t] = diag.projected
-            theta_ctrl = theta_prev  # controller at t+1 uses theta_hat_t
-            state, x, x_star = state_next, x_next, x_star_next
-            if t + 1 == stop:
-                absorb(stop)
-                stop = block_end(stop)
-    except _STEP_FAILURES as exc:
-        absorb(t)
-        rec.steps_completed = t
-        raise RunAbort(str(exc), t, rec) from exc
-
-    rec.steps_completed = horizon
-    rec.final_state = state
-    rec.manifest.update(wall_time_s=time.perf_counter() - tic, seed=seed)
-    return rec
+    wall = time.perf_counter() - tic
+    for mb in members:
+        rec = mb.rec
+        rec.steps_completed = horizon
+        rec.final_state = state if mb.pos is None else _run_state(state, mb.pos)
+        rec.manifest.update(wall_time_s=wall, seed=mb.spec.seed)
+        results[mb.index] = rec
+    return results

@@ -454,3 +454,108 @@ def test_golden_csv_and_summary_stable(tmp_path, name):
     want = json.loads((DATA / "golden_summaries.json").read_text())[name]
     # compared as text: exact for every float, and NaN equals NaN
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# batched sweeps: each worker advances a batch of tasks in lockstep
+
+
+def _preset_sweep_cfg(horizon=150):
+    with open(cli.preset_path("epidemic_sigma5")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = horizon
+    return cfg
+
+
+def _solo_summary(cfg, param, value, seed):
+    c = json.loads(json.dumps(cfg))
+    cli._apply_axis(c, param, value)
+    c["seed"] = seed
+    try:
+        return cfgmod.build_run(c).summary(), None
+    except Exception as exc:  # noqa: BLE001 - the failure text a sweep reports
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_equal_solo_runs_in_order(tmp_path, workers):
+    cfg = _preset_sweep_cfg()
+    values, seeds = [1.0, 5.0, 10.0], [31, 32]
+    rows, failures = cli.run_sweep(cfg, "sigma", values, seeds, workers=workers, out=tmp_path)
+    assert not failures
+    assert [(r["value"], r["seed"]) for r in rows] == [(v, s) for v in values for s in seeds]
+    for r in rows:
+        summary, _ = _solo_summary(cfg, "sigma", r["value"], r["seed"])
+        assert (r["final_param_err"], r["final_J"]) == (
+            summary["final_param_err"], summary["final_tracking_error"]
+        )
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [
+        f"{r['value']},{r['seed']},{r['final_param_err']!r},{r['final_J']!r}" for r in rows
+    ]
+
+
+def _unstable_open_loop_cfg():
+    # x_{t+1} = 1.5 x_t + w_t from x_0 = 0: any noise crosses the divergence
+    # ceiling within about 60 steps, no noise stays at 0
+    return {
+        "mode": "open_loop",
+        "plant": {"n": 1, "m": 1, "link": {"kind": "identity"},
+                  "theta_star": [[1.5], [1.0]], "x0": [0.0]},
+        "parameter_set": {"kind": "frobenius_ball", "radius": 5.0},
+        "input_policy": {"kind": "zero"},
+        "noise": {"kind": "uniform_cube", "half_width": 0.1},
+        "horizon": 200,
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_failing_tasks_keep_text_and_position(tmp_path, capsys, workers):
+    cfg = _unstable_open_loop_cfg()
+    values, seeds = [0.1, 0.0, 0.2], [4, 5]
+    rows, failures = cli.run_sweep(
+        cfg, "noise.half_width", values, seeds, workers=workers, out=tmp_path
+    )
+    want_rows, want_failures = [], []
+    for v in values:
+        for s in seeds:
+            summary, err = _solo_summary(cfg, "noise.half_width", v, s)
+            if err is None:
+                want_rows.append(
+                    (v, s, summary["final_param_err"], summary["final_tracking_error"])
+                )
+            else:
+                want_failures.append(((v, s), err))
+    # compared as text: an open-loop run's J is NaN
+    got_rows = [(r["value"], r["seed"], r["final_param_err"], r["final_J"]) for r in rows]
+    assert repr(got_rows) == repr(want_rows)
+    assert failures == want_failures
+    assert len(want_rows) == 2 and len(want_failures) == 4
+    assert all(err.startswith("RunAbort: state norm") for _, err in failures)
+
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    argv = ["sweep", str(p), "--param", "noise.half_width", "--values", "0.1", "0.0", "0.2",
+            "--seeds", "4", "5", "--workers", str(workers), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_PARTIAL
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == [f"failed: value={t[0]} seed={t[1]}: {e}" for t, e in want_failures]
+
+
+def test_sweep_batches_split_tasks_near_evenly():
+    assert cli._batches(["k"] * 6, 2) == [[0, 1, 2], [3, 4, 5]]
+    assert cli._batches(["k"] * 6, 1) == [[0, 1, 2, 3, 4, 5]]
+    assert cli._batches(["k"] * 7, 2) == [[0, 1, 2, 3], [4, 5, 6]]
+    # tasks that cannot share a batch are batched apart, in task order
+    assert cli._batches(["a", "b", "a", "b", "a"], 2) == [[0, 2], [4], [1], [3]]
+    # the cap bounds a batch whatever the number of workers
+    sizes = [len(b) for b in cli._batches(["k"] * (3 * cli.BATCH_MAX + 1), 1)]
+    assert max(sizes) <= cli.BATCH_MAX and sum(sizes) == 3 * cli.BATCH_MAX + 1
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_build_batch_rejects_configs_of_different_horizons():
+    short, long = _opinion_cfg(horizon=50), _opinion_cfg(horizon=60)
+    with pytest.raises(ValueError, match="batch_key"):
+        cfgmod.build_batch([short, long])

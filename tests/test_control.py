@@ -266,3 +266,53 @@ def test_policy_config_round_trip():
         assert clone.to_config() == cfg
     with pytest.raises(ValueError):
         control.policy_from_config({"kind": "mpc"}, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# stacked products: a batch of runs gives the bits of its runs alone only
+# while these numpy calls equal the per-run products slice by slice
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 5), (3, 4)])
+def test_stacked_products_equal_per_run_products_bit_for_bit(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    runs, d = 6, n + m
+    for _ in range(60):
+        theta = rng.standard_normal((runs, d, n)) * rng.uniform(0.1, 10.0)
+        p = rng.standard_normal((runs, d, d))
+        p = p @ p.mT
+        phi = rng.standard_normal((runs, d)) * rng.uniform(0.1, 10.0)
+        x = rng.standard_normal((runs, n))
+        stacked = {
+            "A x": np.matvec(theta[:, :n].mT, x),
+            "theta^T phi": np.matvec(theta.mT, phi),
+            "P phi": np.matvec(p, phi),
+            "phi . phi": np.vecdot(phi, phi),
+            # the left-to-right order of phi @ P @ phi
+            "phi^T P phi": np.vecdot(np.vecmat(phi, p), phi),
+        }
+        for r in range(runs):
+            th, pr, ph, xr = theta[r], p[r], phi[r], x[r]
+            alone = {
+                "A x": th[:n].T @ xr,
+                "theta^T phi": th.T @ ph,
+                "P phi": pr @ ph,
+                "phi . phi": ph @ ph,
+                "phi^T P phi": ph @ pr @ ph,
+            }
+            for key, want in alone.items():
+                assert np.array_equal(stacked[key][r], want), key
+            # the same calls without a run axis, as a single run makes them
+            assert np.array_equal(np.matvec(th[:n].T, xr), alone["A x"])
+            assert np.array_equal(np.matvec(th.T, ph), alone["theta^T phi"])
+            assert np.vecdot(ph, ph) == alone["phi . phi"]
+            assert np.vecdot(np.vecmat(ph, pr), ph) == alone["phi^T P phi"]
+
+
+def test_stacked_solve_equals_per_run_solve_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((500, 3, 3)) + 4.0 * np.eye(3)
+    b = rng.standard_normal((500, 3))
+    stacked = control._solve(a, b)
+    for r in range(500):
+        assert np.array_equal(stacked[r], np.linalg.solve(a[r], b[r]))

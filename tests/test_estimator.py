@@ -427,3 +427,13 @@ def test_lyapunov_diagnostic_stays_bounded():
         f"diagnostic grew from {reference:.3g} at T/10 to "
         f"{max(series[T // 10:]):.3g}"
     )
+
+
+def test_run_norms_equal_each_runs_frobenius_norm():
+    rng = np.random.default_rng(8)
+    theta = rng.standard_normal((5, 7, 2)) * 3.0
+    phi = rng.standard_normal((5, 7))
+    norms, vec_norms = est.run_norms(theta, 2), est.run_norms(phi[:, :2], 1)
+    for r in range(5):
+        assert norms[r] == est.frobenius_norm(theta[r]) == est.run_norms(theta[r], 2)
+        assert vec_norms[r] == est.frobenius_norm(phi[r, :2])

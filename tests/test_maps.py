@@ -189,3 +189,28 @@ def test_smoothed_clamp_between_hard_clamp_bounds(z, sigma, n_cap):
     v = maps.smoothed_clamp_value(n_cap, sigma, z)
     assert 0.0 <= v <= n_cap  # strict in exact arithmetic, closed in floats
     assert maps.smoothed_clamp_value(n_cap, sigma, z + 0.5) >= v - 1e-12
+
+
+@pytest.mark.parametrize("links", [
+    [maps.SmoothedClamp(dim=2, N=10.0, sigma=s) for s in (1.0, 5.0, 10.0)],
+    [maps.ScaledTanh(dim=2, a=a) for a in (0.5, 2.0)],
+    [maps.LeakyRelu(dim=2, slope=s) for s in (0.1, 0.3, 0.3)],
+    [maps.Sigmoid(dim=2)] * 3,
+], ids=["smoothed_clamp", "scaled_tanh", "leaky_relu", "shared"])
+def test_stacked_link_evaluates_each_run_as_alone(links):
+    batch = maps.stacked(links, 1)
+    assert batch.runs == tuple(links)
+    z = np.random.default_rng(2).uniform(-30.0, 30.0, (len(links), 2))
+    out = batch.eval(z)
+    for r, link in enumerate(links):
+        assert np.array_equal(out[r], link.eval(z[r]))
+    # parameters every run shares stay Python floats
+    if isinstance(links[0], maps.SmoothedClamp):
+        assert batch.N == 10.0 and batch.sigma.shape == (3, 1)
+
+
+def test_stacked_rejects_runs_of_different_kinds():
+    with pytest.raises(ValueError):
+        maps.stacked([maps.Sigmoid(dim=2), maps.Identity(dim=2)])
+    with pytest.raises(ValueError):
+        maps.stacked([maps.Sigmoid(dim=2), maps.Sigmoid(dim=3)])

@@ -1,8 +1,12 @@
 """Plant stepping, noise streams, and the closed-loop engine."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
+from nadac import cli, config as cfgmod
 from nadac import control, estimator as est, maps, simulate
 
 
@@ -489,3 +493,175 @@ def test_summary_fields():
     assert s["steps"] == 50
     assert s["final_param_err"] == pytest.approx(rec.param_err[-1])
     assert "prediction_regret" in s
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches: every run of a batch gives the bytes it gives alone
+
+
+def _record_bytes(rec, tmp_path):
+    out = tmp_path / "run.csv"
+    rec.write_csv(out)
+    return out.read_bytes()
+
+
+def _assert_same_run(solo, batched, tmp_path):
+    assert _record_bytes(batched, tmp_path) == _record_bytes(solo, tmp_path)
+    # compared as text: exact for every float, and NaN equals NaN
+    assert json.dumps(batched.summary(), sort_keys=True) == json.dumps(
+        solo.summary(), sort_keys=True
+    )
+
+
+def _preset(name, horizon):
+    with open(cli.preset_path(name)) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = horizon
+    return cfg
+
+
+def _live_riccati_cfg(horizon):
+    return {
+        "mode": "closed_loop",
+        "plant": {
+            "n": 2, "m": 2, "link": {"kind": "leaky_relu", "slope": 0.3},
+            "theta_star": [[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]],
+        },
+        "parameter_set": {"kind": "frobenius_ball", "radius": 5.0, "rho_eps": 0.5},
+        "policy": {"kind": "riccati_feedback", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                   "R": [[1.0, 0.0], [0.0, 1.0]]},
+        "probe": {"b": 0.125, "half_width": 1.0},
+        "noise": {"kind": "uniform_cube", "half_width": 0.1},
+        "horizon": horizon,
+    }
+
+
+def _tight_block_cfg(horizon):
+    # a block set whose A-ball the estimate presses against: it projects
+    cfg = _live_riccati_cfg(horizon)
+    cfg["parameter_set"] = {"kind": "block_operator_balls", "radius_a": 0.82,
+                            "radius_b": 1.02, "rho_eps": 1.0}
+    cfg["estimator"] = {"theta0": [[0.82, 0.0], [0.0, 0.0], [-1.02, 0.0], [0.0, 0.0]]}
+    return cfg
+
+
+def _open_loop_iid_cfg(horizon):
+    cfg = _preset("opinion", horizon)
+    cfg["mode"] = "open_loop"
+    cfg["input_policy"] = {"kind": "iid_uniform", "half_width": 1.0}
+    del cfg["policy"], cfg["probe"]
+    return cfg
+
+
+def _variants(cfg, **fields):
+    """One config per value of each listed field (dotted path -> values)."""
+    out = []
+    for path, values in fields.items():
+        for value in values:
+            c = copy.deepcopy(cfg)
+            if path == "sigma":
+                cli._apply_axis(c, "sigma", value[0])
+                c["seed"] = value[1]
+            elif path == "seed":
+                c["seed"] = value
+            else:
+                cfgmod.set_field(c, path, value)
+            out.append(c)
+    return out
+
+
+BATCHES = {
+    # blocks of 300 steps cross the eig stride of 100
+    "epidemic-sigma": lambda: _variants(
+        _preset("epidemic_sigma5", 300), sigma=[(1.0, 22), (5.0, 23), (10.0, 24)]
+    ),
+    "tight-block-projects": lambda: _variants(_tight_block_cfg(300), seed=[9, 10, 11]),
+    "live-riccati": lambda: _variants(_live_riccati_cfg(300), seed=[6, 7, 8]),
+    "open-loop-iid": lambda: _variants(
+        _open_loop_iid_cfg(300), **{"input_policy.half_width": [0.5, 1.0]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCHES))
+def test_batch_runs_match_their_solo_runs(tmp_path, name):
+    cfgs = BATCHES[name]()
+    if name == "open-loop-iid":
+        for seed, c in enumerate(cfgs):
+            c["seed"] = seed
+    batched = cfgmod.build_batch(cfgs)
+    for cfg, rec in zip(cfgs, batched):
+        _assert_same_run(cfgmod.build_run(cfg), rec, tmp_path)
+    if name == "tight-block-projects":
+        assert all(rec.summary()["projections"] > 0 for rec in batched)
+
+
+def test_batch_steps_advance_all_runs_at_once(monkeypatch):
+    # a batch step takes the per-run path only when a run fails in it
+    merges = []
+    real = simulate._merge
+    monkeypatch.setattr(simulate, "_merge", lambda outs: merges.append(None) or real(outs))
+    calls = []
+    real_step = est.estimator_step
+    monkeypatch.setattr(
+        est, "estimator_step", lambda *args: calls.append(None) or real_step(*args)
+    )
+    for name in BATCHES:
+        calls.clear()
+        cfgs = BATCHES[name]()
+        cfgmod.build_batch(cfgs)
+        assert len(calls) == cfgs[0]["horizon"], name
+    assert not merges
+
+
+def _divergent_specs(ceilings):
+    plant = simulate.PlantSpec(
+        theta_star=_identity_plant(a_gain=1.05).theta_star, link=maps.Identity(dim=2),
+        n=2, m=2, x0=np.array([1.0, 1.0]),
+    )
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    return [
+        simulate.RunSpec(
+            plant, est.FrobeniusBall(5.0, rho_eps=0.9), noise, seed, mech=_null_policy(2, 2),
+            probe=control.ProbingSignal(decay_b=0.125, dim=2), divergence_ceiling=ceiling,
+        )
+        for seed, ceiling in enumerate(ceilings)
+    ]
+
+
+@pytest.mark.parametrize("ceilings", [
+    [1e9, 400.0, 1e9],  # two runs go on in the batch
+    [400.0, 1e9],  # one run goes on, without a run axis
+    [400.0, 300.0],  # all abort, at different steps
+], ids=["middle", "first-of-two", "all"])
+def test_batch_run_that_aborts_leaves_as_alone(tmp_path, ceilings):
+    # a ceiling of 300 or 400 is crossed inside the metrics block of steps
+    # 101..200, 1e9 never
+    batched = simulate.run_batch(_divergent_specs(ceilings), 300)
+    for spec, result in zip(_divergent_specs(ceilings), batched):
+        try:
+            solo = simulate.run_closed_loop(
+                spec.plant, spec.pset, spec.mech, spec.probe, spec.noise, 300, spec.seed,
+                divergence_ceiling=spec.divergence_ceiling,
+            )
+        except simulate.RunAbort as exc:
+            solo = exc
+        if isinstance(solo, simulate.RunAbort):
+            assert isinstance(result, simulate.RunAbort)
+            assert 101 < solo.step < 200
+            assert (str(result), result.step) == (str(solo), solo.step)
+            assert result.record.acc.steps == solo.record.acc.steps == solo.step
+            for attr in ("lambda_t", "v_lyap", "j_t", "x", "u", "d_t"):
+                assert np.array_equal(
+                    getattr(result.record, attr), getattr(solo.record, attr), equal_nan=True
+                ), attr
+            _assert_same_run(solo.record, result.record, tmp_path)
+        else:
+            _assert_same_run(solo, result, tmp_path)
+
+
+def test_batch_rejects_runs_of_different_kinds():
+    specs = _divergent_specs([1e9, 1e9])
+    specs[1].noise = simulate.NoiseSpec(kind="gaussian", n=2)
+    with pytest.raises(ValueError, match="batch_key"):
+        simulate.run_batch(specs, 10)
