@@ -11,7 +11,6 @@ import copy
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +53,28 @@ def _write_artifacts(cfg, rec, out, tag="run"):
     return manifest
 
 
+def _load_config(path):
+    """cfgmod.load_config, with a file that cannot be read or parsed as a
+    ConfigError on "config"."""
+    try:
+        return cfgmod.load_config(path)
+    except cfgmod.ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise cfgmod.ConfigError("config", str(exc)) from None
+
+
 def cmd_run(args):
     try:
-        cfg = cfgmod.load_config(args.config)
+        cfg = _load_config(args.config)
         out = _out_dir(cfg, args.out)
         rec = cfgmod.build_run(cfg)
     except cfgmod.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"validation error: config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except simulate.RunAbort as exc:
         if exc.record is not None:
-            exc.record.write_csv(_out_dir({}, args.out) / "run_truncated.csv")
+            exc.record.write_csv(out / "run_truncated.csv")
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -149,6 +156,9 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
     if workers == 1:
         done = map(_sweep_one, batches)
     else:
+        # imported here, so that a serial sweep loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_one, batches))
     results = [None] * len(tasks)
@@ -177,12 +187,26 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
     return rows, failures
 
 
+def _entries(option, items, kind, noun):
+    """The entries of a list option converted by ``kind``; a ConfigError
+    names the option and the first entry that is not ``noun``."""
+    out = []
+    for item in items:
+        try:
+            out.append(kind(item))
+        except ValueError:
+            raise cfgmod.ConfigError(option, f"not {noun}: {item!r}") from None
+    return out
+
+
 def cmd_sweep(args):
     try:
-        cfg = cfgmod.load_config(args.config)
+        values = _entries("--values", args.values, float, "a number")
+        seeds = _entries("--seeds", args.seeds, int, "an integer")
+        if args.workers is not None and args.workers < 1:
+            raise cfgmod.ConfigError("--workers", f"must be >= 1, got {args.workers}")
+        cfg = _load_config(args.config)
         out = _out_dir(cfg, args.out)
-        values = [float(v) for v in args.values]
-        seeds = [int(s) for s in args.seeds]
         rows, failures = run_sweep(
             cfg, args.param, values, seeds, workers=args.workers, out=out
         )
@@ -200,17 +224,42 @@ def cmd_sweep(args):
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
+def _dare_matrices(path):
+    """A, Q and R of a dare input file: finite, A square, Q and R of A's
+    size and R nonsingular.  A ConfigError names the first that is not."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise cfgmod.ConfigError("matrices", str(exc)) from None
+    if not isinstance(spec, dict):
+        raise cfgmod.ConfigError("matrices", "expected a JSON object with A, Q and R")
+    mats = []
+    for name in ("A", "Q", "R"):
+        if name not in spec:
+            raise cfgmod.ConfigError(name, "missing required field")
+        try:
+            M = np.asarray(spec[name], dtype=float)
+        except (TypeError, ValueError):
+            raise cfgmod.ConfigError(name, "not a numeric matrix") from None
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+            raise cfgmod.ConfigError(name, f"expected a square matrix, got shape {M.shape}")
+        if mats and M.shape != mats[0].shape:
+            raise cfgmod.ConfigError(
+                name, f"expected the shape of A {mats[0].shape}, got {M.shape}"
+            )
+        if not np.isfinite(M).all():
+            raise cfgmod.ConfigError(name, "entries must be finite")
+        mats.append(M)
+    if np.linalg.matrix_rank(mats[2]) < len(mats[2]):
+        raise cfgmod.ConfigError("R", "must be nonsingular")
+    return mats
+
+
 def cmd_dare(args):
     try:
-        with open(args.matrices) as fh:
-            spec = json.load(fh)
-        A = np.asarray(spec["A"], dtype=float)
-        Q = np.asarray(spec["Q"], dtype=float)
-        R = np.asarray(spec["R"], dtype=float)
-        if np.linalg.matrix_rank(R) < R.shape[0]:
-            print("validation error: R must be nonsingular", file=sys.stderr)
-            return EXIT_VALIDATION
-    except (KeyError, ValueError, json.JSONDecodeError, FileNotFoundError) as exc:
+        A, Q, R = _dare_matrices(args.matrices)
+    except cfgmod.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
@@ -227,9 +276,8 @@ def cmd_dare(args):
 
 def cmd_validate(args):
     try:
-        cfg = cfgmod.load_config(args.config)
-        cfgmod.validate_config(cfg)
-    except (cfgmod.ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+        cfgmod.validate_config(_load_config(args.config))
+    except cfgmod.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print("ok")

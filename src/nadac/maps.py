@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "LinkFunction",
@@ -47,6 +46,17 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class EnvelopeContractError(ValueError):
     """An envelope evaluated to a value incompatible with its contract."""
+
+
+def ndtr(x):
+    """The standard normal cdf, scipy.special.ndtr.  scipy is imported on
+    the first call, which rebinds this module's ``ndtr`` to the scipy ufunc:
+    later calls, the hot path's among them, go to the ufunc directly.  Only
+    the links that take a Gaussian cdf call it, so the other links never
+    load scipy."""
+    global ndtr
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 def _check_radius(c):
@@ -226,6 +236,10 @@ class GaussianSurvival(LinkFunction):
 
     bounded = True
 
+    def __post_init__(self):
+        super().__post_init__()
+        ndtr(0.0)  # binds scipy's ndtr while the config is validated
+
     def eval(self, z):
         # 1 - F(-z) = F(z): the increasing branch used by threshold models.
         return ndtr(_check_finite(z))
@@ -287,6 +301,7 @@ class SmoothedClamp(LinkFunction):
         if self.N <= 0 or self.sigma <= 0:
             raise ValueError("SmoothedClamp requires N > 0 and sigma > 0")
         object.__setattr__(self, "sigma_sq", self.sigma**2)
+        ndtr(0.0)  # binds scipy's ndtr while the config is validated
 
     def eval(self, z):
         return _clamp_mean(self.N, self.sigma, self.sigma_sq, _check_finite(z))

@@ -2,8 +2,14 @@
 
 import functools
 import json
+import multiprocessing
 import operator
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +71,7 @@ def test_gaussian_noise_with_bounded_link_rejected(tmp_path, capsys):
     assert "noise.kind" in capsys.readouterr().err
 
 
-def test_divergent_run_is_runtime_abort(tmp_path, capsys):
+def _divergent_cfg():
     cfg = _opinion_cfg(horizon=2_000)
     # identity link with expanding dynamics and no stabilizing policy
     cfg["plant"]["link"] = {"kind": "identity"}
@@ -76,10 +82,25 @@ def test_divergent_run_is_runtime_abort(tmp_path, capsys):
     cfg["parameter_set"]["radius"] = 40.0
     cfg["policy"] = {"kind": "pinning_leader", "x_leader": 0.0,
                      "pattern": [0.0], "kappa0": 0.0}
-    code = cli.main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    return cfg
+
+
+def test_divergent_run_is_runtime_abort(tmp_path, capsys):
+    code = cli.main(["run", str(_write_cfg(tmp_path, _divergent_cfg())),
+                     "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_RUNTIME
     assert "runtime abort" in capsys.readouterr().err
     assert (tmp_path / "o" / "run_truncated.csv").exists()
+
+
+def test_truncated_csv_goes_to_the_config_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NADAC_OUT", raising=False)
+    cfg = _divergent_cfg()
+    cfg["output_dir"] = str(tmp_path / "cfg_out")
+    assert cli.main(["run", str(_write_cfg(tmp_path, cfg))]) == cli.EXIT_RUNTIME
+    assert (tmp_path / "cfg_out" / "run_truncated.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def _leaky_relu_cfg(mode, horizon=50):
@@ -331,6 +352,25 @@ def test_dare_singular_r_rejected(tmp_path, capsys):
     assert cli.main(["dare", str(p)]) == cli.EXIT_VALIDATION
 
 
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"A": [[0.5, 0.1]], "Q": [[1.0]], "R": [[1.0]]}, "A"),
+    ({"A": [0.5, 0.1], "Q": _EYE2, "R": _EYE2}, "A"),
+    ({"A": _EYE2, "Q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "R": _EYE2}, "Q"),
+    ({"A": _EYE2, "Q": _EYE2, "R": [[1.0]]}, "R"),
+    ({"A": [[0.5, 0.0], [0.0, float("nan")]], "Q": _EYE2, "R": _EYE2}, "A"),
+    ({"A": _EYE2, "Q": [[1.0, 0.0], [0.0, float("inf")]], "R": _EYE2}, "Q"),
+    ({"A": _EYE2, "Q": _EYE2, "R": [[float("-inf"), 0.0], [0.0, 1.0]]}, "R"),
+], ids=["A-not-square", "A-vector", "Q-3x3", "R-1x1", "A-nan", "Q-inf", "R-inf"])
+def test_dare_bad_matrix_is_validation_error(tmp_path, capsys, spec, name):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(spec))
+    assert cli.main(["dare", str(p)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {name}:")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -364,6 +404,26 @@ def test_sweep_unknown_axis_fails_fast(tmp_path):
     cfg = _opinion_cfg(horizon=50)
     with pytest.raises(cfgmod.ConfigError):
         cli.run_sweep(cfg, "plant.does_not_exist", [1.0], [0], workers=1)
+
+
+@pytest.mark.parametrize("config, values, seeds, workers, field", [
+    ("missing", "0.1", "0", "1", "config"),
+    ("not-json", "0.1", "0", "1", "config"),
+    ("opinion", "x", "0", "1", "--values"),
+    ("opinion", "0.1", "1.5", "1", "--seeds"),
+    ("opinion", "0.1", "0", "0", "--workers"),
+])
+def test_sweep_bad_input_is_validation_error(tmp_path, capsys, config, values, seeds,
+                                             workers, field):
+    p = tmp_path / "cfg.json"
+    if config == "not-json":
+        p.write_text("{not json")
+    elif config == "opinion":
+        p.write_text(json.dumps(_opinion_cfg(horizon=20)))
+    argv = ["sweep", str(p), "--param", "noise.half_width", "--values", values,
+            "--seeds", seeds, "--workers", workers, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {field}:")
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +555,20 @@ def test_sweep_rows_equal_solo_runs_in_order(tmp_path, workers):
     ]
 
 
+def test_sweep_task_runs_in_a_spawned_worker():
+    # a spawned worker imports nadac afresh; validating the task's config
+    # binds the smoothed clamp's Gaussian cdf there
+    cfg = _preset_sweep_cfg(horizon=50)
+    cfg["seed"] = 7
+    batch = [(cfg, (5.0, 7))]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=ctx) as pool:
+        (tag, summary, err), = pool.submit(cli._sweep_one, batch).result()
+    assert (tag, err) == ((5.0, 7), None)
+    want = cfgmod.build_run(cfg).summary()
+    assert json.dumps(summary, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def _unstable_open_loop_cfg():
     # x_{t+1} = 1.5 x_t + w_t from x_0 = 0: any noise crosses the divergence
     # ceiling within about 60 steps, no noise stays at 0
@@ -559,3 +633,41 @@ def test_build_batch_rejects_configs_of_different_horizons():
     short, long = _opinion_cfg(horizon=50), _opinion_cfg(horizon=60)
     with pytest.raises(ValueError, match="batch_key"):
         cfgmod.build_batch([short, long])
+
+
+# ---------------------------------------------------------------------------
+# start-up: a process loads only what its config and command use
+
+_LAZY_IMPORTS = """
+    import json, sys
+    from nadac import cli, config, maps
+
+    cfg = config.load_config(cli.preset_path("opinion"))
+    cfg["horizon"] = 20
+    with open(sys.argv[1] + "/opinion.json", "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(["validate", sys.argv[1] + "/opinion.json"]) == 0
+    assert cli.main(["run", sys.argv[1] + "/opinion.json", "--out", sys.argv[1]]) == 0
+    assert cli.main(["sweep", sys.argv[1] + "/opinion.json", "--param", "noise.half_width",
+                     "--values", "0.1", "--seeds", "0", "1", "--workers", "1",
+                     "--out", sys.argv[1]]) == 0
+    modules = ("scipy", "multiprocessing", "concurrent.futures.process")
+    opinion = [m for m in modules if m in sys.modules]
+    config.validate_config(config.load_config(cli.preset_path("epidemic_sigma5")))
+    import scipy.special
+    print(json.dumps({"opinion": opinion, "epidemic": "scipy.special" in sys.modules,
+                      "bound": maps.ndtr is scipy.special.ndtr}))
+"""
+
+
+def test_start_up_imports_only_what_the_config_uses(tmp_path):
+    # a fresh interpreter: the other tests have imported scipy in this one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_LAZY_IMPORTS), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got == {"opinion": [], "epidemic": True, "bound": True}

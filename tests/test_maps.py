@@ -1,5 +1,8 @@
 """Link functions: evaluation, envelope soundness, and the smoothed clamp."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,3 +217,17 @@ def test_stacked_rejects_runs_of_different_kinds():
         maps.stacked([maps.Sigmoid(dim=2), maps.Identity(dim=2)])
     with pytest.raises(ValueError):
         maps.stacked([maps.Sigmoid(dim=2), maps.Sigmoid(dim=3)])
+
+
+def test_gaussian_cdf_links_evaluate_in_a_spawned_process():
+    # a spawned process imports nadac afresh, and unpickling a link skips its
+    # __post_init__: the first Gaussian cdf it takes imports scipy itself
+    z = np.linspace(-8.0, 18.0, 7)
+    links = [maps.SmoothedClamp(dim=7, N=10.0, sigma=2.0), maps.GaussianSurvival(dim=7)]
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        got = [pool.submit(type(f).eval, f, z) for f in links]
+        got.append(pool.submit(maps.smoothed_clamp_value, 10.0, 2.0, z))
+        got = [g.result() for g in got]
+    want = [f.eval(z) for f in links] + [maps.smoothed_clamp_value(10.0, 2.0, z)]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
