@@ -34,13 +34,12 @@ def preset_path(name):
 
 
 def _out_dir(cfg, override=None):
-    out = override or os.environ.get("NADAC_OUT") or cfg.get("output_dir", "out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """Where a command writes; made only when it writes there."""
+    return Path(override or os.environ.get("NADAC_OUT") or cfg.get("output_dir", "out"))
 
 
 def _write_artifacts(cfg, rec, out, tag="run"):
+    out.mkdir(parents=True, exist_ok=True)
     rec.write_csv(out / f"{tag}.csv", stride=int(cfg.get("log_stride", 1)))
     manifest = {
         "config": cfg,
@@ -53,27 +52,14 @@ def _write_artifacts(cfg, rec, out, tag="run"):
     return manifest
 
 
-def _load_config(path):
-    """cfgmod.load_config, with a file that cannot be read or parsed as a
-    ConfigError on "config"."""
-    try:
-        return cfgmod.load_config(path)
-    except cfgmod.ConfigError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise cfgmod.ConfigError("config", str(exc)) from None
-
-
 def cmd_run(args):
+    cfg = cfgmod.load_config(args.config)
+    out = _out_dir(cfg, args.out)
     try:
-        cfg = _load_config(args.config)
-        out = _out_dir(cfg, args.out)
         rec = cfgmod.build_run(cfg)
-    except cfgmod.ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except simulate.RunAbort as exc:
         if exc.record is not None:
+            out.mkdir(parents=True, exist_ok=True)
             exc.record.write_csv(out / "run_truncated.csv")
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -178,6 +164,7 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
                 }
             )
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.csv", "w") as fh:
             fh.write("value,seed,final_param_err,final_J\n")
             for r in rows:
@@ -200,20 +187,14 @@ def _entries(option, items, kind, noun):
 
 
 def cmd_sweep(args):
-    try:
-        values = _entries("--values", args.values, float, "a number")
-        seeds = _entries("--seeds", args.seeds, int, "an integer")
-        if args.workers is not None and args.workers < 1:
-            raise cfgmod.ConfigError("--workers", f"must be >= 1, got {args.workers}")
-        cfg = _load_config(args.config)
-        out = _out_dir(cfg, args.out)
-        rows, failures = run_sweep(
-            cfg, args.param, values, seeds, workers=args.workers, out=out
-        )
-    except cfgmod.ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    values = _entries("--values", args.values, float, "a number")
+    seeds = _entries("--seeds", args.seeds, int, "an integer")
+    if args.workers is not None and args.workers < 1:
+        raise cfgmod.ConfigError("--workers", f"must be >= 1, got {args.workers}")
+    cfg = cfgmod.load_config(args.config)
+    rows, failures = run_sweep(
+        cfg, args.param, values, seeds, workers=args.workers, out=_out_dir(cfg, args.out)
+    )
     for r in rows:
         print(
             f"value={r['value']} seed={r['seed']} "
@@ -257,11 +238,7 @@ def _dare_matrices(path):
 
 
 def cmd_dare(args):
-    try:
-        A, Q, R = _dare_matrices(args.matrices)
-    except cfgmod.ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    A, Q, R = _dare_matrices(args.matrices)
     try:
         P = control.solve_dare(A, Q, R)
     except control.DareError as exc:
@@ -275,11 +252,7 @@ def cmd_dare(args):
 
 
 def cmd_validate(args):
-    try:
-        cfgmod.validate_config(_load_config(args.config))
-    except cfgmod.ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfgmod.validate_config(cfgmod.load_config(args.config))
     print("ok")
     return EXIT_OK
 
@@ -311,7 +284,11 @@ def main(argv=None):
     p_val.set_defaults(fn=cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except cfgmod.ConfigError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

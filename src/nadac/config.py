@@ -26,8 +26,13 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
-    with open(path) as fh:
-        cfg = json.load(fh)
+    """The config in the JSON file ``path``; a ConfigError on "config" when
+    the file cannot be read, is not JSON or holds no object."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("config", str(exc)) from None
     # a manifest echoes its config under "config"; accept either form
     if isinstance(cfg, dict) and "config" in cfg and "plant" not in cfg:
         cfg = cfg["config"]
@@ -47,7 +52,10 @@ def _require(cfg, key, path, typ=None):
 
 def _number(val, path, kind=float):
     """``kind(val)``, or a ConfigError naming ``path`` when val is not a
-    finite number (for kind=_floats, not an array of finite numbers)."""
+    finite number (for kind=int, a boolean or a number that is not integral;
+    for kind=_floats, not an array of finite numbers)."""
+    if kind is int and (isinstance(val, bool) or isinstance(val, float) and not val.is_integer()):
+        raise ConfigError(path, f"not an integer: {val!r}")
     try:
         out = kind(val)
     except (TypeError, ValueError, OverflowError):
@@ -78,20 +86,13 @@ def _section(cfg, key, default, prefix=""):
     return val
 
 
-@dataclass
-class RunObjects:
+@dataclass(kw_only=True)
+class RunObjects(simulate.RunSpec):
+    """A validated config: the run the engine runs, plus what the command
+    needs around it."""
+
     mode: str
-    plant: simulate.PlantSpec
-    pset: object
-    mech: object | None
-    probe: control.ProbingSignal | None
-    input_policy: object | None
-    noise: simulate.NoiseSpec
     horizon: int
-    seed: int
-    delta: float
-    theta0: np.ndarray
-    gamma: float
     eig_stride: int
     log_stride: int
 
@@ -242,19 +243,9 @@ def validate_config(cfg):
         raise ConfigError("seed", "must be >= 0")
 
     return RunObjects(
-        mode=mode,
-        plant=simulate.PlantSpec(theta_star=theta_star, link=link, n=n, m=m, x0=x0),
-        pset=pset,
-        mech=mech,
-        probe=probe,
-        input_policy=input_policy,
-        noise=noise,
-        horizon=horizon,
-        seed=seed,
-        delta=delta,
-        theta0=theta0,
-        gamma=gamma,
-        eig_stride=eig_stride,
+        simulate.PlantSpec(theta_star=theta_star, link=link, n=n, m=m, x0=x0),
+        pset, noise, seed, mech=mech, probe=probe, input_policy=input_policy, theta0=theta0,
+        delta=delta, gamma=gamma, mode=mode, horizon=horizon, eig_stride=eig_stride,
         log_stride=log_stride,
     )
 
@@ -290,19 +281,10 @@ def build_run(cfg):
     )
 
 
-def _run_spec(ro):
-    closed = ro.mode == "closed_loop"
-    return simulate.RunSpec(
-        ro.plant, ro.pset, ro.noise, ro.seed, mech=ro.mech if closed else None,
-        probe=ro.probe if closed else None, input_policy=None if closed else ro.input_policy,
-        theta0=ro.theta0, delta=ro.delta, gamma=ro.gamma,
-    )
-
-
 def batch_key(ro):
     """Runs whose validated objects have equal keys can share a batch: the
     horizon, the eig stride and simulate.batch_key."""
-    return (ro.horizon, ro.eig_stride) + simulate.batch_key(_run_spec(ro))
+    return (ro.horizon, ro.eig_stride) + simulate.batch_key(ro)
 
 
 def build_batch(cfgs):
@@ -320,7 +302,7 @@ def build_batch(cfgs):
         raise ValueError("the configs of a batch must share batch_key")
     if runs:
         ro = runs[0][1]
-        done = simulate.run_batch([_run_spec(r) for _, r in runs], ro.horizon, ro.eig_stride)
+        done = simulate.run_batch([r for _, r in runs], ro.horizon, ro.eig_stride)
         for (i, _), result in zip(runs, done):
             results[i] = result
     return results

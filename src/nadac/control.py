@@ -160,8 +160,6 @@ class RiccatiFeedback:
     lift_kind: str = "direct"
     lipschitz_L: float = 1.0
     param_lipschitz_L1: float = 1.0
-    dare_tol: float = 1e-12
-    dare_max_iter: int = 100_000
     _cache_theta: np.ndarray | None = field(default=None, repr=False)
     _cache_p: np.ndarray | None = field(default=None, repr=False)
 
@@ -186,7 +184,7 @@ class RiccatiFeedback:
         if cached is not None and np.logical_and.reduce(A == cached, axis=None):
             return self._cache_p
         p0 = self._cache_p
-        P = solve_dare(A, self.Q, self.R, tol=self.dare_tol, max_iter=self.dare_max_iter, p0=p0)
+        P = solve_dare(A, self.Q, self.R, p0=p0)
         self._cache_theta = A.copy()
         self._cache_p = P
         return P

@@ -338,7 +338,6 @@ class CustomComponentwise(LinkFunction):
     deriv_lower: tuple = ()
     deriv_upper: tuple = ()
     bounded_flag: bool = False
-    _fd_check_points: int = field(default=64, repr=False)
 
     @property
     def bounded(self):  # type: ignore[override]
@@ -351,7 +350,7 @@ class CustomComponentwise(LinkFunction):
         self._verify_bounds()
 
     def _verify_bounds(self, radius=5.0, h=1e-6, tol=1e-4):
-        zs = np.linspace(-radius, radius, self._fd_check_points)
+        zs = np.linspace(-radius, radius, 64)
         for fi, lo, hi in zip(self.components, self.deriv_lower, self.deriv_upper):
             lo_c, hi_c = lo(radius), hi(radius)
             for z in zs:

@@ -55,6 +55,27 @@ def test_missing_config_file_is_validation_error(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not-json", "json-list"])
+def test_load_config_raises_config_error(tmp_path, content):
+    p = tmp_path / "cfg.json"
+    if content is not None:
+        p.write_text(content)
+    with pytest.raises(cfgmod.ConfigError) as info:
+        cfgmod.load_config(p)
+    assert info.value.path == "config"
+
+
+def test_config_that_exits_2_makes_no_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NADAC_OUT", raising=False)
+    p = str(_write_cfg(tmp_path, _opinion_cfg(horizon=0)))
+    assert cli.main(["run", p]) == cli.EXIT_VALIDATION
+    assert cli.main(["sweep", p, "--param", "noise.half_width", "--values", "0.1",
+                     "--seeds", "0", "--workers", "1"]) == cli.EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_field_reports_dotted_path(tmp_path, capsys):
     cfg = _opinion_cfg()
     cfg["plant"]["theta_star"] = [[0.0]]
@@ -185,8 +206,18 @@ def _link_without_scale(cfg):
     ("plant.theta_star", _set_field("plant.theta_star", [["a"] * 4] * 5)),
     ("config", lambda cfg: [cfg]),  # a JSON list at the root
     ("plant.link.a", _link_without_scale),
+    # an integer field takes no boolean and no number that is not integral
+    ("horizon", _set_field("horizon", 2.5)),
+    ("horizon", _set_field("horizon", True)),
+    ("seed", _set_field("seed", 1.5)),
+    ("log_stride", _set_field("log_stride", True)),
+    ("metrics.eig_stride", _set_field("metrics.eig_stride", 10.5)),
+    ("plant.n", _set_field("plant.n", True)),
+    ("plant.m", _set_field("plant.m", 4.5)),
 ], ids=["horizon", "seed", "plant.n", "estimator.delta", "metrics.eig_stride",
-        "log_stride", "plant.x0", "plant.theta_star", "root-list", "link-missing-a"])
+        "log_stride", "plant.x0", "plant.theta_star", "root-list", "link-missing-a",
+        "horizon-2.5", "horizon-true", "seed-1.5", "log_stride-true", "eig_stride-10.5",
+        "plant.n-true", "plant.m-4.5"])
 def test_malformed_field_is_validation_error(tmp_path, capsys, field, mutate):
     cfg = mutate(_opinion_cfg(horizon=50))
     p = _write_cfg(tmp_path, cfg)
@@ -195,6 +226,19 @@ def test_malformed_field_is_validation_error(tmp_path, capsys, field, mutate):
         err = capsys.readouterr().err
         assert code == cli.EXIT_VALIDATION, err
         assert f"validation error: {field}:" in err
+
+
+def test_integral_float_is_an_integer(tmp_path, capsys):
+    # sweep parses every --values entry as a float, so 3.0 must stay a horizon
+    p = str(_write_cfg(tmp_path, _opinion_cfg(horizon=3.0)))
+    assert cli.main(["run", p, "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: steps=3 ")
+    sweep = ["sweep", p, "--param", "horizon", "--seeds", "0", "--workers", "1",
+             "--out", str(tmp_path / "o"), "--values"]
+    assert cli.main(sweep + ["3"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("value=3.0 seed=0 ")
+    assert cli.main(sweep + ["2.5"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: horizon: not an integer")
 
 
 def _preset_cfg(name, horizon=100):
