@@ -38,16 +38,16 @@ def _out_dir(cfg, override=None):
     return Path(override or os.environ.get("NADAC_OUT") or cfg.get("output_dir", "out"))
 
 
-def _write_artifacts(cfg, rec, out, tag="run"):
+def _write_artifacts(cfg, rec, out):
     out.mkdir(parents=True, exist_ok=True)
-    rec.write_csv(out / f"{tag}.csv", stride=int(cfg.get("log_stride", 1)))
+    rec.write_csv(out / "run.csv", stride=int(cfg.get("log_stride", 1)))
     manifest = {
         "config": cfg,
         "seed": cfg.get("seed", 0),
         "summary": rec.summary(),
         "wall_time_s": rec.manifest.get("wall_time_s"),
     }
-    with open(out / f"{tag}_manifest.json", "w") as fh:
+    with open(out / "run_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest
 

@@ -52,9 +52,11 @@ def _require(cfg, key, path, typ=None):
 
 def _number(val, path, kind=float):
     """``kind(val)``, or a ConfigError naming ``path`` when val is not a
-    finite number (for kind=int, a boolean or a number that is not integral;
-    for kind=_floats, not an array of finite numbers)."""
-    if kind is int and (isinstance(val, bool) or isinstance(val, float) and not val.is_integer()):
+    finite number or holds a boolean (for kind=int, also a number that is
+    not integral; for kind=_floats, not an array of finite numbers)."""
+    if _has_bool(val):
+        raise ConfigError(path, f"not a number: {val!r}")
+    if kind is int and isinstance(val, float) and not val.is_integer():
         raise ConfigError(path, f"not an integer: {val!r}")
     try:
         out = kind(val)
@@ -63,6 +65,11 @@ def _number(val, path, kind=float):
     if kind is not int and not np.isfinite(out).all():
         raise ConfigError(path, f"not finite: {val!r}")
     return out
+
+
+def _has_bool(val):
+    """A JSON boolean, which Python would take for 0 or 1, anywhere in val."""
+    return isinstance(val, bool) or isinstance(val, list) and any(map(_has_bool, val))
 
 
 def _floats(val):

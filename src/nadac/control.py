@@ -8,6 +8,7 @@ v_t = (t+1)^{-b} * eps_t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,9 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     """Fixed point of P = A^T P A - A^T P (R + P)^{-1} P A + Q.
 
     Plain iteration from P0 = Q (or a warm start); returns symmetric PSD P
-    with sup-norm residual <= tol.
+    with sup-norm residual <= tol.  A non-finite iterate (one that overflows,
+    or a singular R + P) ends the iteration at once, with a DareError naming
+    it and carrying the last finite iterate.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -66,14 +69,20 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
         raise ValueError("tol must be positive")
     P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     a_t = A.T
-    for _ in range(max_iter):
-        at_p = a_t @ P  # A.T @ P @ A evaluates left to right
-        nxt = at_p @ A - at_p @ _solve(R + P, P @ A) + Q
-        nxt = 0.5 * (nxt + nxt.T)
-        res = float(np.maximum.reduce(np.abs(nxt - P), axis=None))
-        P = nxt
-        if res <= tol:
-            return P
+    # one error state for the whole iteration, in place of one per _solve:
+    # what would warn or raise LinAlgError makes the residual non-finite
+    with np.errstate(all="ignore"):
+        for k in range(1, max_iter + 1):
+            at_p = a_t @ P  # A.T @ P @ A evaluates left to right
+            nxt = at_p @ A - at_p @ _umath_linalg.solve(R + P, P @ A, signature="dd->d") + Q
+            nxt = 0.5 * (nxt + nxt.T)
+            res = float(np.maximum.reduce(np.abs(nxt - P), axis=None))
+            if res <= tol:
+                return nxt
+            if not math.isfinite(res):
+                msg = f"DARE iterate non-finite at iteration {k} (residual {res:.3e})"
+                raise DareError(msg, last_p=P, residual=res)
+            P = nxt
     raise DareError(
         f"DARE iteration exceeded {max_iter} iterations (residual {res:.3e})",
         last_p=P,

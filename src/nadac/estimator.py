@@ -342,6 +342,7 @@ class StepDiagnostics:
     projected: bool = False
     quad: float = float("nan")  # phi^T P phi with the pre-update P
     prediction: np.ndarray | None = None  # f(theta_hat^T phi), pre-update theta_hat
+    z: np.ndarray | None = None  # theta_hat^T phi, the link input of the prediction
 
 
 def new_estimator(theta0, pset, delta, f):
@@ -390,8 +391,8 @@ def step_weights(state, phi, f, pset):
     phi = np.asarray(phi, dtype=float)
     if not all_finite(phi):
         raise ValueError("regressor must be finite")
-    c = run_norms(np.matvec(state.theta_hat.mT, phi), 1)
-    c = c + pset.support_value(phi, n=state.n)
+    z = np.matvec(state.theta_hat.mT, phi)
+    c = run_norms(z, 1) + pset.support_value(phi, n=state.n)
     quad = np.vecdot(np.vecmat(phi, state.p_matrix), phi)  # phi @ P @ phi, left to right
     if phi.ndim == 1:
         state.r_accum += float(np.vecdot(phi, phi))
@@ -406,7 +407,7 @@ def step_weights(state, phi, f, pset):
             )
         )
         d, g_bar, mu, a = (np.array(col) for col in runs)
-    return StepDiagnostics(d_gain=d, g_bar=g_bar, a_weight=a, mu_weight=mu, quad=quad)
+    return StepDiagnostics(d_gain=d, g_bar=g_bar, a_weight=a, mu_weight=mu, quad=quad, z=z)
 
 
 def _extended_weights(phi, p_matrix, r_accum, delta, d, g_bar, step):
@@ -481,7 +482,7 @@ def estimator_step(state, phi, x_next, f, pset):
     p_next = st.p_matrix - gain * (p_phi[..., :, None] * p_phi[..., None, :])
     p_next = 0.5 * (p_next + p_next.mT)
 
-    diag.prediction = f.eval(np.matvec(st.theta_hat.mT, phi))
+    diag.prediction = f.eval(diag.z)
     residual = x_next - diag.prediction
     diag.residual_norm = run_norms(residual, 1)
     update = np.matvec(p_next, phi)[..., :, None] * residual[..., None, :]

@@ -116,7 +116,7 @@ class MetricAccumulator:
         u=None,
         u_star=None,
         gamma=4.0,
-        prediction_star=None,  # f(theta*^T phi), when the caller has it
+        prediction_star=None,  # f(theta*^T phi); else formed here for the block
     ):
         """Absorb K consecutive steps.  Each per-step argument carries a
         leading step axis of length K, and the fields d_gain, mu_weight,
@@ -165,9 +165,9 @@ class MetricAccumulator:
         if self.theta_star is not None and theta_hat is not None:
             prediction = _steps(diag.prediction, 1)
             if prediction is None:
-                prediction = np.array([link.eval(th.T @ p) for th, p in zip(theta_hat, phi)])
+                prediction = link.eval(np.matvec(theta_hat.mT, phi))
             if prediction_star is None:
-                prediction_star = [link.eval(self.theta_star.T @ p) for p in phi]
+                prediction_star = link.eval(np.matvec(self.theta_star.T, phi))
             psi = _steps(prediction_star, 1) - prediction
             psi_sq = _dots(psi, psi)
             self.sum_pred_regret = _total(self.sum_pred_regret, psi_sq / mu)

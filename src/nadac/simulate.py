@@ -4,9 +4,10 @@ A closed-loop run co-simulates the adaptive loop and the oracle reference
 trajectory on a shared noise stream; an open-loop identification run drives
 the plant with an exogenous input and has no reference.  Both advance the
 estimator once per step.  Step order at time t: input -> reference ->
-noise -> plant -> estimator update; the controller always sees the estimate
-that was current one update ago.  The run metrics absorb the steps a block
-at a time, and each run's random draws for a block are taken at its start.
+noise -> plant (one call for both trajectories) -> estimator update; the
+controller always sees the estimate that was current one update ago.  What
+no step reads back (the run metrics, w and param_err) is formed a block of
+steps at a time, and each run's random draws for a block are taken at its start.
 
 The loop advances a batch of R runs in lockstep (run_batch): their states
 carry a leading run axis, so each numpy call serves all R, and every run
@@ -59,7 +60,9 @@ class PlantSpec:
 
 def plant_step(spec, x, u, w):
     """x_{t+1} = f(A x + B u) + w; x, u and w of a batch carry a leading run
-    axis, as do theta_star and the link parameters of its stacked spec."""
+    axis, as do theta_star and the link parameters of its stacked spec.  x
+    and u may carry a further leading axis, the states and inputs of
+    trajectories that share the plant and w."""
     x_next = spec.link.eval(np.matvec(spec.a_matrix, x) + np.matvec(spec.b_matrix, u)) + w
     if not maps.all_finite(x_next):
         raise ValueError("plant produced a non-finite state")
@@ -330,7 +333,7 @@ class _Member:
     """One run of a batch: its spec, random streams, record and metrics.
     ``pos`` is its index along the batch's run axis, None without one."""
 
-    def __init__(self, index, spec, collect):
+    def __init__(self, index, spec):
         plant, ip = spec.plant, spec.input_policy
         if spec.mech is not None:
             if not spec.pset.contains(plant.theta_star, shrunk=True):
@@ -356,7 +359,7 @@ class _Member:
         )
         self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
         self.rec = None
-        self.loop = _Loop([self], collect)
+        self.loop = _Loop([self])
 
     def draws(self, start, k):
         """The probe (or open-loop input) and noise draws of steps start ..
@@ -375,11 +378,10 @@ class _Loop:
     leading run axis: link and set parameters that differ between the runs
     as arrays (maps.stacked), one mechanism per run."""
 
-    def __init__(self, members, collect):
+    def __init__(self, members):
         specs = [mb.spec for mb in members]
         first = specs[0]
         self.batched = len(specs) > 1
-        self.collect = collect
         if self.batched:
             self.plant = PlantSpec(
                 theta_star=np.array([s.plant.theta_star for s in specs]),
@@ -395,7 +397,6 @@ class _Loop:
         else:
             self.plant, self.pset, self.mech = first.plant, first.pset, first.mech
             self.ref_mech, self.ceiling = members[0].ref_mech, first.divergence_ceiling
-        self.theta_star_t = self.plant.theta_star.mT
         self.zero = np.zeros((len(specs), first.plant.m) if self.batched else first.plant.m)
         ip = first.input_policy
         self.input_kind = ip[0] if isinstance(ip, tuple) else ip
@@ -405,7 +406,7 @@ class _Loop:
 
     def step(self, t, x, x_star, theta_ctrl, state, v_draw, w):
         """Step t from the state before it and the step's draws; returns
-        (u, v, u_star, x_next, x_star_next, state_next, diag, prediction_star)."""
+        (u, v, u_star, x_next, x_star_next, state_next, diag)."""
         if self.mech is not None:
             u, v = control.adaptive_input(
                 self.mech, theta_ctrl, x, None, t, None, v_raw=v_draw
@@ -417,12 +418,15 @@ class _Loop:
         else:
             u, v = self.zero, self.zero
         plant = self.plant
-        u_star = x_star_next = prediction_star = None
-        if self.ref_mech is not None:
+        u_star = x_star_next = None
+        if self.ref_mech is None:
+            x_next = plant_step(plant, x, u, w)
+        else:
+            # the reference rides the plant's call, stacked before any run axis
             u_star = control.policy_eval(self.ref_mech, plant.theta_star, x_star)
-        x_next = plant_step(plant, x, u, w)
-        if self.ref_mech is not None:
-            x_star_next = plant_step(plant, x_star, u_star, w)
+            x_next, x_star_next = plant_step(
+                plant, np.array((x, x_star)), np.array((u, u_star)), w
+            )
         norm = estimator.run_norms(x_next, 1)
         if self.batched:
             if np.logical_or.reduce(norm > self.ceiling):
@@ -431,9 +435,7 @@ class _Loop:
             raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
         phi = np.concatenate([x, u], axis=-1)
         state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, self.pset)
-        if self.collect:
-            prediction_star = plant.link.eval(np.matvec(self.theta_star_t, phi))
-        return u, v, u_star, x_next, x_star_next, state_next, diag, prediction_star
+        return u, v, u_star, x_next, x_star_next, state_next, diag
 
 
 def _run_state(state, pos):
@@ -458,7 +460,7 @@ def _stack_states(states):
 
 def _merge(outs):
     """The step outputs of runs taken one at a time, as a batch's."""
-    u, v, u_star, x_next, x_star_next, states, diags, pred_star = zip(*outs)
+    u, v, u_star, x_next, x_star_next, states, diags = zip(*outs)
 
     def stack(vals):
         return None if vals[0] is None else np.array(vals)
@@ -471,7 +473,7 @@ def _merge(outs):
     )
     return (
         stack(u), stack(v), stack(u_star), stack(x_next), stack(x_star_next),
-        _stack_states(states), diag, stack(pred_star),
+        _stack_states(states), diag,
     )
 
 
@@ -487,22 +489,23 @@ def _run(specs, horizon, eig_stride, collect_metrics):
 
     The metrics read nothing back into the loop, so they absorb blocks of
     steps: the loop buffers what the record does not hold (the estimator's
-    prediction, f(theta*^T phi) and theta_hat after each update) and hands a
-    block to each run's accumulator when it ends, or before a failing step
-    aborts the run.  A step of a batch that raises is taken again run by run
-    from the same state and draws; the runs that fail then leave the batch."""
+    prediction and theta_hat after each update) and hands a block to each
+    run's accumulator when it ends, or before a failing step aborts the run;
+    the w and param_err columns are written then, with or without metrics.
+    A step of a batch that raises is taken again run by run from the same
+    state and draws; the runs that fail then leave the batch."""
     results = [None] * len(specs)
     members = []
     for i, spec in enumerate(specs):
         try:
-            members.append(_Member(i, spec, collect_metrics))
+            members.append(_Member(i, spec))
         except Exception as exc:  # noqa: BLE001 - raised as alone
             results[i] = exc
     if not members:
         return results
     n, m = members[0].spec.plant.n, members[0].spec.plant.m
     has_ref = members[0].spec.mech is not None
-    batch = {}  # the loop, record columns and metric buffers of the members
+    batch = {}  # the loop, record columns and block buffers of the members
 
     def bind(keep):
         """Lay the batch out for the members at positions ``keep`` (all of
@@ -521,14 +524,13 @@ def _run(specs, horizon, eig_stride, collect_metrics):
                 col[...] = getattr(mb.rec, attr)
                 setattr(mb.rec, attr, col)
         batch["cols"] = cols
-        batch["loop"] = _Loop(members, collect_metrics) if runs else members[0].loop
+        batch["loop"] = _Loop(members) if runs else members[0].loop
         if "bufs" in batch:
             batch["bufs"] = tuple(_take(b, keep, 1) for b in batch["bufs"])
         else:
             block = (METRIC_BLOCK,) + ((runs,) if runs else ())
             batch["bufs"] = (
-                np.empty(block + (n,)), np.empty(block + (n,)),
-                np.empty((METRIC_BLOCK + 1,) + block[1:] + (n + m, n)),
+                np.empty(block + (n,)), np.empty((METRIC_BLOCK + 1,) + block[1:] + (n + m, n))
             )
 
     def view(a, mb):
@@ -540,8 +542,12 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         rec, acc = mb.rec, mb.acc
         rows, k = slice(start, stop), stop - start
         rec.lambda_t[rows] = mb.lam
-        if collect_metrics and k:
-            prediction, prediction_star, thetas = (view(b, mb) for b in batch["bufs"])
+        if not k:
+            return
+        prediction, thetas = (view(b, mb) for b in batch["bufs"])
+        rec.w[rows] = view(w_block, mb)[:k]
+        rec.param_err[rows] = estimator.run_norms(mb.spec.plant.theta_star - thetas[1 : k + 1], 2)
+        if collect_metrics:
             diag = estimator.StepDiagnostics(
                 d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
                 mu_weight=rec.mu_t[rows], prediction=prediction[:k],
@@ -552,7 +558,6 @@ def _run(specs, horizon, eig_stride, collect_metrics):
                 rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, mb.spec.plant.link,
                 theta_hat=thetas[:k], theta_hat_next=thetas[1 : k + 1], x_star=x_star,
                 u=rec.u[rows], u_star=u_star, gamma=mb.spec.gamma,
-                prediction_star=prediction_star[:k],
             )
             if has_ref:
                 rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
@@ -593,7 +598,7 @@ def _run(specs, horizon, eig_stride, collect_metrics):
     x_star = None
     if has_ref:
         x_star = cols["x_star"][0] = x.copy()
-    batch["bufs"][2][0] = state.theta_hat
+    batch["bufs"][1][0] = state.theta_hat
     theta_ctrl = state.theta_hat.copy()  # theta_hat_{t-1} as seen by the controller
     start, stop = 0, block_end(0)
     v_block, w_block = draw(start, stop)
@@ -635,35 +640,28 @@ def _run(specs, horizon, eig_stride, collect_metrics):
                 w_block = _take(w_block, keep, 1)
                 v_block = None if v_block is None else _take(v_block, keep, 1)
             out = _merge(outs) if len(outs) > 1 else outs[0]
-        u, v, u_star, x_next, x_star_next, state_next, diag, prediction_star = out
+        u, v, u_star, x_next, x_star_next, state_next, diag = out
 
         cols["u"][t] = u
         cols["v"][t] = v
-        cols["w"][t] = w_block[j]
         cols["x"][t + 1] = x_next
         if has_ref:
             cols["u_star"][t] = u_star
             cols["x_star"][t + 1] = x_star_next
-        cols["param_err"][t] = estimator.run_norms(
-            batch["loop"].plant.theta_star - state_next.theta_hat, 2
-        )
         cols["d_t"][t] = diag.d_gain
         cols["mu_t"][t] = diag.mu_weight
         cols["a_t"][t] = diag.a_weight
         cols["projected"][t] = diag.projected
+        prediction, thetas = batch["bufs"]
         if collect_metrics:
-            prediction, prediction_star_buf, thetas = batch["bufs"]
             prediction[j] = diag.prediction
-            prediction_star_buf[j] = prediction_star
-            thetas[j + 1] = state_next.theta_hat
+        thetas[j + 1] = state_next.theta_hat
         theta_ctrl = state.theta_hat  # controller at t+1 uses theta_hat_t
         state, x, x_star = state_next, x_next, x_star_next
         if t + 1 == stop:
             for mb in members:
                 absorb(mb, start, stop)
-            if collect_metrics:
-                thetas = batch["bufs"][2]
-                thetas[0] = thetas[stop - start]
+            thetas[0] = thetas[stop - start]
             start, stop = stop, block_end(stop)
             if start < horizon:
                 v_block, w_block = draw(start, stop)

@@ -214,10 +214,14 @@ def _link_without_scale(cfg):
     ("metrics.eig_stride", _set_field("metrics.eig_stride", 10.5)),
     ("plant.n", _set_field("plant.n", True)),
     ("plant.m", _set_field("plant.m", 4.5)),
+    # nor does a float field, or an entry of a float array
+    ("estimator.delta", _set_field("estimator.delta", True)),
+    ("noise.half_width", _set_field("noise.half_width", True)),
+    ("plant.x0", _set_field("plant.x0", [1.0, True, -1.0, -1.0])),
 ], ids=["horizon", "seed", "plant.n", "estimator.delta", "metrics.eig_stride",
         "log_stride", "plant.x0", "plant.theta_star", "root-list", "link-missing-a",
         "horizon-2.5", "horizon-true", "seed-1.5", "log_stride-true", "eig_stride-10.5",
-        "plant.n-true", "plant.m-4.5"])
+        "plant.n-true", "plant.m-4.5", "delta-true", "half_width-true", "x0-entry-true"])
 def test_malformed_field_is_validation_error(tmp_path, capsys, field, mutate):
     cfg = mutate(_opinion_cfg(horizon=50))
     p = _write_cfg(tmp_path, cfg)
@@ -396,6 +400,19 @@ def test_dare_singular_r_rejected(tmp_path, capsys):
     assert cli.main(["dare", str(p)]) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("spec", [
+    {"A": [[1e200]], "Q": [[1.0]], "R": [[1.0]]},  # the first iterate overflows
+    {"A": [[1.0]], "Q": [[1.0]], "R": [[-1.0]]},  # R + P0 is singular
+], ids=["overflow", "singular"])
+def test_dare_non_finite_iterate_is_runtime_abort(tmp_path, capsys, spec):
+    # the iteration stops at the first non-finite iterate, not after
+    # max_iter iterations of NaN, and without a traceback
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(spec))
+    assert cli.main(["dare", str(p)]) == cli.EXIT_RUNTIME
+    assert re.search(r"^runtime abort: .*non-finite.* iteration 1\b", capsys.readouterr().err)
+
+
 _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
@@ -540,6 +557,14 @@ def _block_crossing_cfg():
     return cfg
 
 
+def _block_cap_cfg():
+    # 600 opinion steps with an eig stride of 400: metric blocks end at the
+    # size cap (step 256), at the stride (step 400) and at the horizon
+    cfg = _opinion_cfg(horizon=600)
+    cfg["metrics"]["eig_stride"] = 400
+    return cfg
+
+
 # golden CSV name -> the config that wrote it; golden_summaries.json holds
 # the manifest summary of each, which the CSV does not pin (gain ratio,
 # sign and prediction regret)
@@ -548,6 +573,7 @@ GOLDENS = {
     "epidemic_sigma5_h100.csv": lambda: _preset_cfg("epidemic_sigma5"),
     "opinion_openloop_iid_h100.csv": _open_loop_iid_cfg,
     "live_riccati_h700_stride300.csv": _block_crossing_cfg,
+    "opinion_h600_stride400.csv": _block_cap_cfg,
 }
 
 

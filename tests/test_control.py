@@ -61,6 +61,14 @@ def test_dare_non_convergence_reports_last_iterate():
     assert exc.value.residual > 0
 
 
+def test_dare_stops_at_first_non_finite_iterate():
+    # A^T P A overflows at the first iterate, so the residual is NaN and can
+    # never meet the tolerance
+    with pytest.raises(control.DareError, match=r"non-finite .* iteration 1\b") as exc:
+        control.solve_dare(np.array([[1e200]]), np.array([[1.0]]), np.array([[1.0]]))
+    np.testing.assert_array_equal(exc.value.last_p, [[1.0]])  # the last finite iterate
+
+
 def test_dare_rejects_bad_tol():
     with pytest.raises(ValueError):
         control.solve_dare(np.eye(2), np.eye(2), np.eye(2), tol=0.0)

@@ -345,12 +345,12 @@ def test_open_loop_record_has_no_reference(input_policy):
     assert np.isfinite(rec.x).all() and np.isfinite(rec.u).all()
 
 
-@pytest.mark.parametrize("input_policy, calls_per_step", [
-    (("state_feedback", np.array([[-0.4]])), 1),
-    (("iid_uniform", 1.0), 1),
-    (None, 2),  # closed loop: adaptive and reference trajectories
+@pytest.mark.parametrize("input_policy", [
+    ("state_feedback", np.array([[-0.4]])),
+    ("iid_uniform", 1.0),
+    None,  # closed loop: the reference trajectory rides the same call
 ], ids=["state_feedback", "iid_uniform", "closed_loop"])
-def test_plant_step_calls_per_step(monkeypatch, input_policy, calls_per_step):
+def test_plant_step_calls_per_step(monkeypatch, input_policy):
     real, calls = simulate.plant_step, []
 
     def counting(*args):
@@ -366,17 +366,19 @@ def test_plant_step_calls_per_step(monkeypatch, input_policy, calls_per_step):
              noise, 40, 5)
     else:
         simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
-    assert len(calls) == calls_per_step * 40
+    assert len(calls) == 40
 
 
-@pytest.mark.parametrize("input_policy, calls_per_step", [
-    (("state_feedback", np.array([[-0.4]])), 3),
-    (("iid_uniform", 1.0), 3),
-    (None, 4),  # closed loop: the reference trajectory adds a plant step
+@pytest.mark.parametrize("input_policy", [
+    ("state_feedback", np.array([[-0.4]])),
+    ("iid_uniform", 1.0),
+    None,
 ], ids=["state_feedback", "iid_uniform", "closed_loop"])
-def test_link_eval_calls_per_step(monkeypatch, input_policy, calls_per_step):
-    # plant step(s), the estimator's prediction f(theta_hat^T phi), which the
-    # metrics reuse, and the metrics' own f(theta*^T phi)
+def test_link_eval_calls_per_step(monkeypatch, input_policy):
+    # per step the plant step (with the reference, if any) and the
+    # estimator's prediction f(theta_hat^T phi), which the metrics reuse; per
+    # metric block the metrics' f(theta*^T phi).  40 steps at the eig stride
+    # of 100 make two blocks: step 0, then steps 1 .. 39
     real, calls = maps.Identity.eval, []
 
     def counting(self, z):
@@ -392,7 +394,7 @@ def test_link_eval_calls_per_step(monkeypatch, input_policy, calls_per_step):
              noise, 40, 5)
     else:
         simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
-    assert len(calls) == calls_per_step * 40
+    assert len(calls) == 2 * 40 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +596,21 @@ def test_batch_runs_match_their_solo_runs(tmp_path, name):
         _assert_same_run(cfgmod.build_run(cfg), rec, tmp_path)
     if name == "tight-block-projects":
         assert all(rec.summary()["projections"] > 0 for rec in batched)
+
+
+@pytest.mark.parametrize("seeds", [[6], [6, 7]], ids=["solo", "batch"])
+def test_record_columns_do_not_depend_on_the_metrics(seeds):
+    # param_err and w are record columns, not metrics: a run without the
+    # metrics logs them as a run with them, bit for bit
+    def runs(collect_metrics):
+        specs = [cfgmod.validate_config(c) for c in _variants(_live_riccati_cfg(300), seed=seeds)]
+        return simulate.run_batch(specs, 300, 100, collect_metrics=collect_metrics)
+
+    for on, off in zip(runs(True), runs(False)):
+        for attr in ("param_err", "w", "x", "u", "x_star", "d_t"):
+            assert np.array_equal(getattr(on, attr), getattr(off, attr)), attr
+        assert not np.isnan(off.param_err).any()
+        assert np.isnan(off.v_lyap).all()
 
 
 def test_batch_steps_advance_all_runs_at_once(monkeypatch):
