@@ -70,11 +70,14 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     a_t = A.T
     # one error state for the whole iteration, in place of one per _solve:
-    # what would warn or raise LinAlgError makes the residual non-finite
+    # what would warn or raise LinAlgError makes the residual non-finite.
+    # ndarray.dot makes the BLAS call of @ without the gufunc dispatch; a 1x1
+    # dot may give -0.0 where @ gives +0.0, and adding Q clears it
     with np.errstate(all="ignore"):
         for k in range(1, max_iter + 1):
-            at_p = a_t @ P  # A.T @ P @ A evaluates left to right
-            nxt = at_p @ A - at_p @ _umath_linalg.solve(R + P, P @ A, signature="dd->d") + Q
+            at_p = a_t.dot(P)  # A.T @ P @ A evaluates left to right
+            gain = _umath_linalg.solve(R + P, P.dot(A), signature="dd->d")
+            nxt = at_p.dot(A) - at_p.dot(gain) + Q
             nxt = 0.5 * (nxt + nxt.T)
             res = float(np.maximum.reduce(np.abs(nxt - P), axis=None))
             if res <= tol:
@@ -202,6 +205,9 @@ class RiccatiFeedback:
         n = self.Q.shape[0]
         A = _a_block(theta, n)
         P = self.riccati_solution(theta)
+        # @, not ndarray.dot: for n = 1, dot multiplies the 1x1 operands
+        # directly and keeps the sign of a zero (A < 0, x = 0 gives -0.0),
+        # where @ and the batch's np.matvec add the product to +0.0
         return _solve(self.R + P, P @ (A @ x))
 
     def lift(self, x, u_raw):

@@ -57,7 +57,7 @@ def frobenius_norm(a):
     dispatch: the square root of the array's dot product with itself,
     raveled in memory order as np.linalg.norm ravels it."""
     a = np.asarray(a, dtype=float).ravel("K")
-    return math.sqrt(a @ a)
+    return math.sqrt(a.dot(a))
 
 
 def run_norms(a, rank):
@@ -338,7 +338,6 @@ class StepDiagnostics:
     g_bar: float
     a_weight: float
     mu_weight: float
-    residual_norm: float = float("nan")
     projected: bool = False
     quad: float = float("nan")  # phi^T P phi with the pre-update P
     prediction: np.ndarray | None = None  # f(theta_hat^T phi), pre-update theta_hat
@@ -391,14 +390,16 @@ def step_weights(state, phi, f, pset):
     phi = np.asarray(phi, dtype=float)
     if not all_finite(phi):
         raise ValueError("regressor must be finite")
-    z = np.matvec(state.theta_hat.mT, phi)
-    c = run_norms(z, 1) + pset.support_value(phi, n=state.n)
-    quad = np.vecdot(np.vecmat(phi, state.p_matrix), phi)  # phi @ P @ phi, left to right
     if phi.ndim == 1:
-        state.r_accum += float(np.vecdot(phi, phi))
-        quad = float(quad)
+        z = phi.dot(state.theta_hat)
+        c = frobenius_norm(z) + pset.support_value(phi, n=state.n)
+        quad = float(phi.dot(state.p_matrix).dot(phi))  # phi @ P @ phi, left to right
+        state.r_accum += float(phi.dot(phi))
         d, g_bar, mu, a = _weights(f, state.delta, state.r_accum, c, quad)
     else:
+        z = np.matvec(state.theta_hat.mT, phi)
+        c = run_norms(z, 1) + pset.support_value(phi, n=state.n)
+        quad = np.vecdot(np.vecmat(phi, state.p_matrix), phi)
         state.r_accum = state.r_accum + np.vecdot(phi, phi)
         runs = zip(
             *map(
@@ -475,17 +476,19 @@ def estimator_step(state, phi, x_next, f, pset):
         a, mu = _extended_weights(phi, st.p_matrix, st.r_accum, st.delta, d, diag.g_bar, st.step)
         diag.a_weight, diag.mu_weight = a, mu
 
-    p_phi = np.matvec(st.p_matrix, phi)
     gain, step = a * d * d, d / mu
     if runs:
         gain, step = gain[:, None, None], step[:, None, None]
+        p_phi = np.matvec(st.p_matrix, phi)
+    else:
+        p_phi = st.p_matrix.dot(phi)
     p_next = st.p_matrix - gain * (p_phi[..., :, None] * p_phi[..., None, :])
     p_next = 0.5 * (p_next + p_next.mT)
 
     diag.prediction = f.eval(diag.z)
     residual = x_next - diag.prediction
-    diag.residual_norm = run_norms(residual, 1)
-    update = np.matvec(p_next, phi)[..., :, None] * residual[..., None, :]
+    p_next_phi = np.matvec(p_next, phi) if runs else p_next.dot(phi)
+    update = p_next_phi[..., :, None] * residual[..., None, :]
     candidate = st.theta_hat + step * update
     if not all_finite(candidate):
         raise NumericalAbort(f"non-finite parameter update at step {st.step}")

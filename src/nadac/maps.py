@@ -100,7 +100,7 @@ def stacked(objs, trailing=0):
 
 def _floor_alpha(a):
     # exact zero is underflow of a saturating tail, not a contract breach
-    if not np.isfinite(a) or a < 0.0:
+    if not math.isfinite(a) or a < 0.0:
         raise EnvelopeContractError(
             f"alpha envelope must be nonnegative and finite, got {a!r}"
         )

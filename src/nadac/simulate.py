@@ -467,7 +467,7 @@ def _merge(outs):
 
     diag = estimator.StepDiagnostics(
         *(stack([getattr(d, f) for d in diags]) for f in (
-            "d_gain", "g_bar", "a_weight", "mu_weight", "residual_norm", "projected",
+            "d_gain", "g_bar", "a_weight", "mu_weight", "projected",
             "quad", "prediction",
         ))
     )

@@ -82,14 +82,21 @@ def openloop_run():
     }
 
 
+def _build_batch(cfgs):
+    """cfgmod.build_batch, raising the first run's exception as build_run
+    would; every run gives the same record as alone."""
+    recs = cfgmod.build_batch(cfgs)
+    for rec in recs:
+        if isinstance(rec, Exception):
+            raise rec
+    return recs
+
+
 @pytest.fixture(scope="module")
 def opinion_runs():
-    """Full-horizon consensus closed-loop runs, five seeds."""
-    out = {}
-    for seed in SEEDS:
-        cfg = _preset("opinion", seed=seed)
-        out[seed] = cfgmod.build_run(cfg)
-    return out
+    """Full-horizon consensus closed-loop runs, five seeds, in one batch."""
+    recs = _build_batch([_preset("opinion", seed=seed) for seed in SEEDS])
+    return dict(zip(SEEDS, recs))
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +106,12 @@ def epidemic_run():
 
 @pytest.fixture(scope="module")
 def sigma_sweep():
-    """Final parameter error for sigma in {1, 5, 10}, five seeds each."""
+    """Final parameter error for sigma in {1, 5, 10}, five seeds each, one
+    batch per sigma."""
     out = {}
     for sig in (1, 5, 10):
-        errs = []
-        for seed in SEEDS:
-            cfg = _preset(f"epidemic_sigma{sig}", seed=seed)
-            rec = cfgmod.build_run(cfg)
-            errs.append(float(rec.param_err[-1]))
-        out[sig] = errs
+        recs = _build_batch([_preset(f"epidemic_sigma{sig}", seed=seed) for seed in SEEDS])
+        out[sig] = [float(rec.param_err[-1]) for rec in recs]
     return out
 
 

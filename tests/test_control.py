@@ -126,6 +126,24 @@ def test_solve_dare_is_reference_loop_bit_for_bit(n):
         assert (warm == _reference_dare(A2, Q, R, p0=cold)).all()
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_warm_started_dare_chain_is_reference_loop_bit_for_bit(n):
+    # a learning run: theta_hat drifts by shrinking steps, and the Riccati
+    # cache warm-starts every solve from the one before; A is the theta[:n].T
+    # view the engine passes
+    rng = np.random.default_rng(40 + n)
+    g = rng.standard_normal((n, n))
+    Q, R = g @ g.T + np.eye(n), np.diag(rng.uniform(0.5, 2.0, n))
+    mech = control.RiccatiFeedback(Q=Q, R=R)
+    theta = 0.3 * rng.standard_normal((2 * n, n))
+    prev = None
+    for k in range(200):
+        theta = theta + rng.standard_normal(theta.shape) / (k + 2)
+        got = mech.riccati_solution(theta)
+        assert np.array_equal(got, _reference_dare(theta[:n].T, Q, R, p0=prev)), k
+        prev = got
+
+
 # ---------------------------------------------------------------------------
 # policy mechanisms
 
@@ -324,3 +342,56 @@ def test_stacked_solve_equals_per_run_solve_bit_for_bit():
     stacked = control._solve(a, b)
     for r in range(500):
         assert np.array_equal(stacked[r], np.linalg.solve(a[r], b[r]))
+
+
+# ---------------------------------------------------------------------------
+# single-run products: ndarray.dot makes the BLAS call of @ (and of the
+# per-run np.matvec, np.vecmat and np.vecdot) without the gufunc dispatch,
+# so each .dot form of the engine must give the bits of the form it replaced
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_riccati_dot_products_equal_matmul_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(60):
+        theta = rng.standard_normal((n + 2, n)) * rng.uniform(0.1, 10.0)
+        A = theta[:n].T  # the engine's layout: a transposed view
+        a_t = A.T
+        g = rng.standard_normal((n, n))
+        P = g @ g.T  # C-contiguous, as every iterate
+        at_p = a_t.dot(P)
+        assert np.array_equal(at_p, a_t @ P)
+        assert np.array_equal(at_p.dot(A), at_p @ A)
+        assert np.array_equal(P.dot(A), P @ A)
+        s = control._solve(np.eye(n) + P, P.dot(A))
+        assert np.array_equal(at_p.dot(s), at_p @ s)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_estimator_dot_products_equal_per_run_forms_bit_for_bit(n, m):
+    # (4, 1), (2, 5) and (2, 2) are the shipped and benchmark shapes
+    rng = np.random.default_rng(10 * n + m)
+    d = n + m
+    for _ in range(60):
+        theta = rng.standard_normal((d, n)) * rng.uniform(0.1, 10.0)
+        g = rng.standard_normal((d, d))
+        p = g @ g.T
+        phi = rng.standard_normal(d) * rng.uniform(0.1, 10.0)
+        assert np.array_equal(phi.dot(theta), np.matvec(theta.mT, phi))
+        assert phi.dot(p).dot(phi) == np.vecdot(np.vecmat(phi, p), phi)
+        assert phi.dot(phi) == np.vecdot(phi, phi)
+        assert np.array_equal(p.dot(phi), np.matvec(p, phi))
+        flat = theta.ravel("K")
+        assert flat.dot(flat) == flat @ flat  # estimator.frobenius_norm
+
+
+def test_riccati_feedback_keeps_positive_zero_for_scalar_state():
+    # with n = 1, ndarray.dot multiplies 1x1 operands directly and would give
+    # -0.0 for A < 0 and x = 0; @ and the batch's np.matvec give +0.0, so a
+    # run's u_star column does not depend on how it was batched
+    mech = control.RiccatiFeedback(Q=np.eye(1), R=np.eye(1))
+    theta = np.array([[-0.5], [-1.0]])
+    solo = mech.raw_eval(theta, np.zeros(1))
+    batch = control._raw_eval((mech, mech), np.array([theta, theta]), np.zeros((2, 1)))
+    assert not np.signbit(solo).any() and not np.signbit(batch).any()

@@ -184,7 +184,7 @@ def test_zero_residual_keeps_estimate_but_contracts_p():
     nxt, diag = est.estimator_step(state, phi, x_next, IDENT, pset)
     np.testing.assert_allclose(nxt.theta_hat, theta0, atol=1e-15)
     assert phi @ nxt.p_matrix @ phi < phi @ phi  # contraction along phi
-    assert diag.residual_norm == 0.0
+    assert np.array_equal(diag.prediction, x_next)
 
 
 def test_zero_regressor_is_a_no_op():
@@ -247,6 +247,40 @@ def test_estimator_step_matches_straight_line_recursion():
         np.testing.assert_allclose(state.theta_hat, th, atol=1e-12)
         np.testing.assert_allclose(state.p_matrix, P, atol=1e-12)
         assert state.r_accum == pytest.approx(r, rel=1e-14)
+        x = x_next
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (2, 5), (2, 2)])
+def test_estimator_step_is_expression_form_bit_for_bit(n, m):
+    # a learning run (leaky ReLU, d_t = 0.15) against the recursion written
+    # with @: the single-run step forms its products with ndarray.dot, to
+    # the same bits
+    link = maps.LeakyRelu(dim=n, slope=0.3)
+    pset = est.FrobeniusBall(50.0)
+    rng = np.random.default_rng(7 * n + m)
+    theta_star = 0.3 * rng.standard_normal((n + m, n))
+    state = est.new_estimator(np.zeros((n + m, n)), pset, 0.5, link)
+    th, P, r = np.zeros((n + m, n)), np.eye(n + m), 1.0
+    x = np.zeros(n)
+    for _ in range(300):
+        phi = np.concatenate([x, rng.uniform(-1.0, 1.0, m)])
+        x_next = link.eval(theta_star.T @ phi) + rng.uniform(-0.1, 0.1, n)
+        state, diag = est.estimator_step(state, phi, x_next, link, pset)
+
+        z = th.T @ phi
+        c = float(np.linalg.norm(z)) + 50.0 * float(np.linalg.norm(phi))
+        quad = float(phi @ P @ phi)
+        r += float(phi @ phi)
+        d, _, mu, a = est._weights(link, 0.5, r, c, quad)
+        p_phi = P @ phi
+        P = P - (a * d * d) * (p_phi[:, None] * p_phi[None, :])
+        P = 0.5 * (P + P.T)
+        th = th + (d / mu) * ((P @ phi)[:, None] * (x_next - link.eval(z))[None, :])
+
+        assert not diag.projected
+        assert np.array_equal(state.theta_hat, th)
+        assert np.array_equal(state.p_matrix, P)
+        assert state.r_accum == r
         x = x_next
 
 
