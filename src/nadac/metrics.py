@@ -21,7 +21,6 @@ __all__ = [
     "sign_regret",
     "prediction_regret",
     "empirical_gain_ratio",
-    "stage_cost_regret",
     "eta_default",
     "GroundTruthRequired",
 ]
@@ -80,7 +79,6 @@ class MetricAccumulator:
     n: int
     m: int
     theta_star: np.ndarray | None = None
-    stage_cost: object | None = None  # optional Lipschitz c(x, u) -> real
 
     steps: int = 0
     gram_normalized: np.ndarray = field(init=False)
@@ -92,7 +90,6 @@ class MetricAccumulator:
     sum_v_pow_gamma: float = 0.0
     sum_w_pow_gamma: float = 0.0
     sum_xnext_pow_gamma: float = 0.0
-    sum_stage_cost_sq: float = 0.0
     lyapunov_v: float = float("nan")
 
     def __post_init__(self):
@@ -154,12 +151,6 @@ class MetricAccumulator:
             self.sum_track_sq = float(track[-1])
             mismatch = np.abs(_sgn(x) - _sgn(x_star)).sum(axis=1)
             self.sum_sign_mismatch = _total(self.sum_sign_mismatch, mismatch)
-            if self.stage_cost is not None and u is not None and u_star is not None:
-                gaps = [
-                    (float(self.stage_cost(*row)) - float(self.stage_cost(*ref))) ** 2
-                    for row, ref in zip(zip(x, u), zip(x_star, u_star))
-                ]
-                self.sum_stage_cost_sq = _total(self.sum_stage_cost_sq, gaps)
 
         lyapunov = np.full(K, self.lyapunov_v)
         if self.theta_star is not None and theta_hat is not None:
@@ -220,15 +211,6 @@ def lyapunov_value(acc):
 def empirical_gain_ratio(acc):
     """sum ||x_{t+1}||^gamma / (sum ||v||^gamma + sum ||w||^gamma + 1)."""
     return acc.sum_xnext_pow_gamma / (acc.sum_v_pow_gamma + acc.sum_w_pow_gamma + 1.0)
-
-
-def stage_cost_regret(acc, t=None):
-    if acc.stage_cost is None:
-        raise ValueError("no stage cost configured")
-    t = acc.steps if t is None else t
-    if t < 1:
-        raise ValueError("stage-cost regret needs t >= 1")
-    return acc.sum_stage_cost_sq / t
 
 
 def eta_default(b, gamma):

@@ -251,7 +251,6 @@ class RunSpec:
     theta0: object = None
     delta: float = 0.5
     gamma: float = 4.0
-    stage_cost: object = None
     divergence_ceiling: float = DIVERGENCE_CEILING
 
 
@@ -270,13 +269,12 @@ def batch_key(spec):
 
 def run_closed_loop(
     plant, pset, mech, probe, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
-    eig_stride=100, stage_cost=None, divergence_ceiling=DIVERGENCE_CEILING,
-    collect_metrics=True,
+    eig_stride=100, divergence_ceiling=DIVERGENCE_CEILING, collect_metrics=True,
 ):
     """Adaptive closed loop plus oracle reference on a shared noise stream."""
     spec = RunSpec(
         plant, pset, noise, seed, mech=mech, probe=probe, theta0=theta0, delta=delta,
-        gamma=gamma, stage_cost=stage_cost, divergence_ceiling=divergence_ceiling,
+        gamma=gamma, divergence_ceiling=divergence_ceiling,
     )
     return _alone(spec, horizon, eig_stride, collect_metrics)
 
@@ -303,8 +301,10 @@ def run_batch(specs, horizon, eig_stride=100, collect_metrics=True):
 
     Returns one entry per run, in order: its RunRecord, or the exception it
     raises alone (a RunAbort for a failure inside a step, whose record is
-    truncated as alone).  A failed run leaves the batch; the others go on
-    and give the same bits as alone.
+    truncated as alone).  Every run starts with a cold Riccati cache, and the
+    specs' mechanisms are left as they are.  If a step of the batch raises,
+    the batch is given up and each run is run alone from step 0, so every
+    entry is the one the run gives alone.
     """
     if len({batch_key(spec) for spec in specs}) > 1:
         raise ValueError("the runs of a batch must share batch_key")
@@ -349,17 +349,18 @@ class _Member:
         self.state = estimator.new_estimator(theta0, spec.pset, spec.delta, plant.link)
         streams = spawn_streams(spec.seed)
         self.rng_noise, self.rng_probe = streams["noise"], streams["probe"]
-        # the reference gets its own Riccati cache so warm starts do not leak
-        # between the theta* solve and the moving theta_hat solves
-        self.ref_mech = spec.mech
+        # the loop and the reference each get their own cold Riccati cache:
+        # every run starts cold, warm starts do not leak between the theta*
+        # solve and the moving theta_hat solves, and the caller's mechanism
+        # is never mutated
+        self.mech = self.ref_mech = spec.mech
         if isinstance(spec.mech, control.RiccatiFeedback):
-            self.ref_mech = replace(spec.mech, _cache_theta=None, _cache_p=None)
-        self.acc = metrics.MetricAccumulator(
-            n=n, m=m, theta_star=plant.theta_star, stage_cost=spec.stage_cost
-        )
+            self.mech, self.ref_mech = (
+                replace(spec.mech, _cache_theta=None, _cache_p=None) for _ in range(2)
+            )
+        self.acc = metrics.MetricAccumulator(n=n, m=m, theta_star=plant.theta_star)
         self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
         self.rec = None
-        self.loop = _Loop([self])
 
     def draws(self, start, k):
         """The probe (or open-loop input) and noise draws of steps start ..
@@ -391,12 +392,13 @@ class _Loop:
             self.pset = maps.stacked([s.pset for s in specs])
             self.mech = self.ref_mech = None  # open loop
             if first.mech is not None:
-                self.mech = tuple(s.mech for s in specs)
+                self.mech = tuple(mb.mech for mb in members)
                 self.ref_mech = tuple(mb.ref_mech for mb in members)
             self.ceiling = np.array([s.divergence_ceiling for s in specs])
         else:
-            self.plant, self.pset, self.mech = first.plant, first.pset, first.mech
-            self.ref_mech, self.ceiling = members[0].ref_mech, first.divergence_ceiling
+            (mb,) = members
+            self.plant, self.pset, self.ceiling = first.plant, first.pset, first.divergence_ceiling
+            self.mech, self.ref_mech = mb.mech, mb.ref_mech
         self.zero = np.zeros((len(specs), first.plant.m) if self.batched else first.plant.m)
         ip = first.input_policy
         self.input_kind = ip[0] if isinstance(ip, tuple) else ip
@@ -458,31 +460,6 @@ def _stack_states(states):
     )
 
 
-def _merge(outs):
-    """The step outputs of runs taken one at a time, as a batch's."""
-    u, v, u_star, x_next, x_star_next, states, diags = zip(*outs)
-
-    def stack(vals):
-        return None if vals[0] is None else np.array(vals)
-
-    diag = estimator.StepDiagnostics(
-        *(stack([getattr(d, f) for d in diags]) for f in (
-            "d_gain", "g_bar", "a_weight", "mu_weight", "projected",
-            "quad", "prediction",
-        ))
-    )
-    return (
-        stack(u), stack(v), stack(u_star), stack(x_next), stack(x_star_next),
-        _stack_states(states), diag,
-    )
-
-
-def _take(a, keep, axis):
-    """The runs ``keep`` of an array whose run axis is ``axis``, as a copy;
-    a single run loses the axis."""
-    return a.take(keep if len(keep) > 1 else keep[0], axis=axis)
-
-
 def _run(specs, horizon, eig_stride, collect_metrics):
     """The loop of both entry points and of run_batch; returns one record or
     exception per spec.
@@ -492,8 +469,9 @@ def _run(specs, horizon, eig_stride, collect_metrics):
     prediction and theta_hat after each update) and hands a block to each
     run's accumulator when it ends, or before a failing step aborts the run;
     the w and param_err columns are written then, with or without metrics.
-    A step of a batch that raises is taken again run by run from the same
-    state and draws; the runs that fail then leave the batch."""
+    A step of a batch that raises gives the batch up: each of its runs is
+    run alone from step 0, which is the reference, so every run's record or
+    exception is the one it gives alone."""
     results = [None] * len(specs)
     members = []
     for i, spec in enumerate(specs):
@@ -505,33 +483,16 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         return results
     n, m = members[0].spec.plant.n, members[0].spec.plant.m
     has_ref = members[0].spec.mech is not None
-    batch = {}  # the loop, record columns and block buffers of the members
-
-    def bind(keep):
-        """Lay the batch out for the members at positions ``keep`` (all of
-        them on the first call), copying the records and buffers so far."""
-        nonlocal members
-        members = [members[p] for p in keep]
-        runs = len(members) if len(members) > 1 else None
-        cols = _columns(n, m, horizon, runs)
-        for pos, mb in enumerate(members):
-            mb.pos = pos if runs else None
-            views = {attr: c if runs is None else c[:, pos] for attr, c in cols.items()}
-            if mb.rec is None:
-                mb.rec = RunRecord(n=n, m=m, horizon=horizon, acc=mb.acc, columns=views)
-                continue
-            for attr, col in views.items():
-                col[...] = getattr(mb.rec, attr)
-                setattr(mb.rec, attr, col)
-        batch["cols"] = cols
-        batch["loop"] = _Loop(members) if runs else members[0].loop
-        if "bufs" in batch:
-            batch["bufs"] = tuple(_take(b, keep, 1) for b in batch["bufs"])
-        else:
-            block = (METRIC_BLOCK,) + ((runs,) if runs else ())
-            batch["bufs"] = (
-                np.empty(block + (n,)), np.empty((METRIC_BLOCK + 1,) + block[1:] + (n + m, n))
-            )
+    runs = len(members) if len(members) > 1 else None
+    cols = _columns(n, m, horizon, runs)
+    for pos, mb in enumerate(members):
+        mb.pos = pos if runs else None
+        views = {attr: c if runs is None else c[:, pos] for attr, c in cols.items()}
+        mb.rec = RunRecord(n=n, m=m, horizon=horizon, acc=mb.acc, columns=views)
+    loop = _Loop(members)
+    block = (METRIC_BLOCK,) + ((runs,) if runs else ())
+    prediction = np.empty(block + (n,))
+    thetas = np.empty((METRIC_BLOCK + 1,) + block[1:] + (n + m, n))
 
     def view(a, mb):
         return a if mb.pos is None else a[:, mb.pos]
@@ -544,36 +505,27 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         rec.lambda_t[rows] = mb.lam
         if not k:
             return
-        prediction, thetas = (view(b, mb) for b in batch["bufs"])
         rec.w[rows] = view(w_block, mb)[:k]
-        rec.param_err[rows] = estimator.run_norms(mb.spec.plant.theta_star - thetas[1 : k + 1], 2)
+        run_thetas = view(thetas, mb)
+        rec.param_err[rows] = estimator.run_norms(
+            mb.spec.plant.theta_star - run_thetas[1 : k + 1], 2
+        )
         if collect_metrics:
             diag = estimator.StepDiagnostics(
                 d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
-                mu_weight=rec.mu_t[rows], prediction=prediction[:k],
+                mu_weight=rec.mu_t[rows], prediction=view(prediction, mb)[:k],
             )
             x_star, u_star = (rec.x_star[rows], rec.u_star[rows]) if has_ref else (None, None)
             rec.v_lyap[rows], track = acc.update(
                 np.concatenate([rec.x[rows], rec.u[rows]], axis=1), rec.x[rows],
                 rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, mb.spec.plant.link,
-                theta_hat=thetas[:k], theta_hat_next=thetas[1 : k + 1], x_star=x_star,
+                theta_hat=run_thetas[:k], theta_hat_next=run_thetas[1 : k + 1], x_star=x_star,
                 u=rec.u[rows], u_star=u_star, gamma=mb.spec.gamma,
             )
             if has_ref:
                 rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
             if (stop - 1) % eig_stride == 0 or stop == horizon:
                 mb.lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
-
-    def fail(mb, exc, t, start):
-        if isinstance(exc, _STEP_FAILURES):
-            absorb(mb, start, t)
-            mb.rec.steps_completed = t
-            if mb.pos is not None:  # let go of the batch's arrays
-                for attr, *_ in COLUMNS:
-                    setattr(mb.rec, attr, getattr(mb.rec, attr).copy())
-            exc, cause = RunAbort(str(exc), t, mb.rec), exc
-            exc.__cause__ = cause
-        results[mb.index] = exc
 
     def block_end(first):
         # one past the block's last step: the next eig_stride step, the cap
@@ -583,22 +535,20 @@ def _run(specs, horizon, eig_stride, collect_metrics):
 
     def draw(start, stop):
         per_run = [mb.draws(start, stop - start) for mb in members]
-        if len(members) == 1:
+        if runs is None:
             return per_run[0]
         return tuple(None if d[0] is None else np.stack(d, axis=1) for d in zip(*per_run))
 
-    bind(range(len(members)))
-    if len(members) == 1:
+    if runs is None:
         x, state = np.array(members[0].spec.plant.x0, dtype=float), members[0].state
     else:
         x = np.array([mb.spec.plant.x0 for mb in members], dtype=float)
         state = _stack_states([mb.state for mb in members])
-    cols = batch["cols"]
     cols["x"][0] = x
     x_star = None
     if has_ref:
         x_star = cols["x_star"][0] = x.copy()
-    batch["bufs"][1][0] = state.theta_hat
+    thetas[0] = state.theta_hat
     theta_ctrl = state.theta_hat.copy()  # theta_hat_{t-1} as seen by the controller
     start, stop = 0, block_end(0)
     v_block, w_block = draw(start, stop)
@@ -606,41 +556,23 @@ def _run(specs, horizon, eig_stride, collect_metrics):
 
     for t in range(horizon):
         j = t - start
-        loop = batch["loop"]
         try:
-            out = loop.step(
+            u, v, u_star, x_next, x_star_next, state_next, diag = loop.step(
                 t, x, x_star, theta_ctrl, state, None if v_block is None else v_block[j], w_block[j]
             )
-        except Exception as exc:  # noqa: BLE001 - taken again run by run
-            if not loop.batched:
-                fail(members[0], exc, t, start)
+        except Exception as exc:  # noqa: BLE001 - the run's own failure
+            if runs is not None:
+                for mb in members:
+                    (results[mb.index],) = _run([mb.spec], horizon, eig_stride, collect_metrics)
                 return results
-            outs, keep = [], []
-            for pos, mb in enumerate(members):
-                try:
-                    outs.append(mb.loop.step(
-                        t, x[pos], x_star[pos] if has_ref else None, theta_ctrl[pos],
-                        _run_state(state, pos), None if v_block is None else v_block[j, pos],
-                        w_block[j, pos],
-                    ))
-                    keep.append(pos)
-                except Exception as exc_run:  # noqa: BLE001 - the run's own failure
-                    fail(mb, exc_run, t, start)
-            if not keep:
-                return results
-            if len(keep) < len(members):
-                bind(keep)
-                cols = batch["cols"]
-                if len(keep) > 1:
-                    state = _stack_states([_run_state(state, p) for p in keep])
-                else:
-                    state = _run_state(state, keep[0])
-                x, theta_ctrl = _take(x, keep, 0), _take(theta_ctrl, keep, 0)
-                x_star = _take(x_star, keep, 0) if has_ref else None
-                w_block = _take(w_block, keep, 1)
-                v_block = None if v_block is None else _take(v_block, keep, 1)
-            out = _merge(outs) if len(outs) > 1 else outs[0]
-        u, v, u_star, x_next, x_star_next, state_next, diag = out
+            (mb,) = members
+            if isinstance(exc, _STEP_FAILURES):
+                absorb(mb, start, t)
+                mb.rec.steps_completed = t
+                exc, cause = RunAbort(str(exc), t, mb.rec), exc
+                exc.__cause__ = cause
+            results[mb.index] = exc
+            return results
 
         cols["u"][t] = u
         cols["v"][t] = v
@@ -652,7 +584,6 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         cols["mu_t"][t] = diag.mu_weight
         cols["a_t"][t] = diag.a_weight
         cols["projected"][t] = diag.projected
-        prediction, thetas = batch["bufs"]
         if collect_metrics:
             prediction[j] = diag.prediction
         thetas[j + 1] = state_next.theta_hat

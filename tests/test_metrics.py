@@ -148,9 +148,6 @@ def _reference_step(acc, phi, x, x_next, v, w, d, mu, a, prediction, prediction_
     acc.sum_track_sq += float(dx @ dx)
     acc.sum_track_sq += float(du @ du)
     acc.sum_sign_mismatch += float(np.abs(np.sign(x) - np.sign(x_star)).sum())
-    acc.sum_stage_cost_sq += (
-        float(acc.stage_cost(x, u)) - float(acc.stage_cost(x_star, u_star))
-    ) ** 2
     psi = prediction_star - prediction
     psi_sq = float(psi @ psi)
     acc.sum_pred_regret += psi_sq / mu
@@ -183,8 +180,7 @@ def test_blocks_absorb_exactly_as_single_steps():
     prediction = np.tanh(rng.standard_normal((T, n)))
 
     def fresh():
-        return _acc(n=n, m=m, theta_star=theta_star,
-                    stage_cost=lambda x, u: float(x @ x) + float(u @ u))
+        return _acc(n=n, m=m, theta_star=theta_star)
 
     def feed(acc, rows):
         diag = est.StepDiagnostics(d_gain=d[rows], g_bar=1.0, a_weight=a[rows],
@@ -207,13 +203,13 @@ def test_blocks_absorb_exactly_as_single_steps():
         for key, val in vars(ref).items():
             if isinstance(val, np.ndarray):
                 assert np.array_equal(vars(acc)[key], val), key
-            elif key != "stage_cost":
+            else:
                 assert vars(acc)[key] == val, key
         assert np.array_equal(series, ref_series)
 
 
 # ---------------------------------------------------------------------------
-# gain ratio / stage cost
+# gain ratio
 
 
 def test_empirical_gain_ratio_hand_case():
@@ -222,15 +218,6 @@ def test_empirical_gain_ratio_hand_case():
           v=np.array([1.0]), w=np.array([1.0]), gamma=4.0)
     # 2^4 / (1 + 1 + 1) = 16/3
     assert metrics.empirical_gain_ratio(acc) == pytest.approx(16.0 / 3.0)
-
-
-def test_stage_cost_regret():
-    acc = _acc(n=1, m=1, stage_cost=lambda x, u: float(x[0] ** 2 + u[0] ** 2))
-    _feed(acc, np.array([1.0, 0.0]), x=np.array([2.0]), x_star=np.array([1.0]),
-          u=np.array([0.0]), u_star=np.array([0.0]))
-    assert metrics.stage_cost_regret(acc) == pytest.approx((4.0 - 1.0) ** 2)
-    with pytest.raises(ValueError):
-        metrics.stage_cost_regret(_acc())
 
 
 # ---------------------------------------------------------------------------

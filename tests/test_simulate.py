@@ -614,10 +614,11 @@ def test_record_columns_do_not_depend_on_the_metrics(seeds):
 
 
 def test_batch_steps_advance_all_runs_at_once(monkeypatch):
-    # a batch step takes the per-run path only when a run fails in it
-    merges = []
-    real = simulate._merge
-    monkeypatch.setattr(simulate, "_merge", lambda outs: merges.append(None) or real(outs))
+    # a batch runs its runs alone only when one of its steps raises: then
+    # _run is called again for each run
+    loops = []
+    real = simulate._run
+    monkeypatch.setattr(simulate, "_run", lambda *args: loops.append(None) or real(*args))
     calls = []
     real_step = est.estimator_step
     monkeypatch.setattr(
@@ -625,10 +626,24 @@ def test_batch_steps_advance_all_runs_at_once(monkeypatch):
     )
     for name in BATCHES:
         calls.clear()
+        loops.clear()
         cfgs = BATCHES[name]()
         cfgmod.build_batch(cfgs)
         assert len(calls) == cfgs[0]["horizon"], name
-    assert not merges
+        assert len(loops) == 1, name
+
+
+def test_rerun_of_one_spec_gives_the_same_bytes(tmp_path):
+    # a run leaves its spec's Riccati cache as it found it, so running the
+    # same validated spec again gives the same bits
+    ro = cfgmod.validate_config(_tight_block_cfg(300) | {"seed": 5})
+    (first,) = simulate.run_batch([ro], 300)
+    first_bytes, first_summary = _record_bytes(first, tmp_path), first.summary()
+    (second,) = simulate.run_batch([ro], 300)
+    assert _record_bytes(second, tmp_path) == first_bytes
+    assert json.dumps(second.summary(), sort_keys=True) == json.dumps(
+        first_summary, sort_keys=True
+    )
 
 
 def _divergent_specs(ceilings):
@@ -672,6 +687,42 @@ def test_batch_run_that_aborts_leaves_as_alone(tmp_path, ceilings):
                 assert np.array_equal(
                     getattr(result.record, attr), getattr(solo.record, attr), equal_nan=True
                 ), attr
+            _assert_same_run(solo.record, result.record, tmp_path)
+        else:
+            _assert_same_run(solo, result, tmp_path)
+
+
+def _late_crossing_ceiling(rec, after):
+    """A ceiling that the run of ``rec`` first crosses at a step past
+    ``after``: the midpoint between the running maximum of the state norms
+    and the first new maximum past that step."""
+    norms = est.run_norms(rec.x[1:], 1)
+    peak = np.maximum.accumulate(norms)
+    t = after + 1 + int(np.argmax(norms[after + 1 :] > peak[after:-1]))
+    assert norms[t] > peak[t - 1]
+    return 0.5 * (peak[t - 1] + norms[t]), t
+
+
+def test_riccati_batch_run_that_aborts_late_leaves_as_alone(tmp_path):
+    # the batch's steps warm each run's Riccati cache before the middle run
+    # crosses its ceiling; every run still gives its solo bytes, so what the
+    # batch ran first leaks into no run
+    horizon, seeds = 400, [100, 4, 101]
+
+    def specs(ceiling=None):
+        out = [cfgmod.validate_config(c) for c in _variants(_tight_block_cfg(horizon), seed=seeds)]
+        if ceiling is not None:
+            out[1].divergence_ceiling = ceiling
+        return out
+
+    ceiling, cross = _late_crossing_ceiling(simulate.run_batch(specs()[1:2], horizon)[0], 60)
+    batched = simulate.run_batch(specs(ceiling), horizon)
+    solos = [simulate.run_batch([spec], horizon)[0] for spec in specs(ceiling)]
+    assert isinstance(solos[1], simulate.RunAbort) and solos[1].step == cross
+    for solo, result in zip(solos, batched):
+        if isinstance(solo, simulate.RunAbort):
+            assert isinstance(result, simulate.RunAbort)
+            assert (str(result), result.step) == (str(solo), solo.step)
             _assert_same_run(solo.record, result.record, tmp_path)
         else:
             _assert_same_run(solo, result, tmp_path)
