@@ -1,7 +1,9 @@
 """Run-configuration schema: validation and object construction.
 
-Configs are plain JSON.  Validation reports the dotted field path of the
-first violated constraint; construction happens only after validation.
+Configs are plain JSON, and this module is the only one that reads them:
+each field is read once, and a violated constraint is reported by the
+dotted path of its field.  The objects of a run are built from the parsed
+values; a ValueError of a constructor's own checks names the section.
 """
 
 from __future__ import annotations
@@ -41,19 +43,30 @@ def load_config(path):
     return cfg
 
 
-def _require(cfg, key, path, typ=None):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    val = cfg[key]
-    if typ is not None and not isinstance(val, typ):
-        raise ConfigError(f"{path}.{key}", f"expected {typ}, got {type(val).__name__}")
-    return val
+# the default of a field that has none: it must be present
+_REQUIRED = object()
 
 
-def _number(val, path, kind=float):
-    """``kind(val)``, or a ConfigError naming ``path`` when val is not a
+def _require(cfg, path, default):
+    """The field at the dotted ``path``, whose last part is its key in the
+    object ``cfg``; ``default`` when it is absent, or a ConfigError naming
+    it when the default is _REQUIRED."""
+    key = path.rpartition(".")[2]
+    if key in cfg:
+        return cfg[key]
+    if default is _REQUIRED:
+        raise ConfigError(path, "missing required field")
+    return default
+
+
+def _number(cfg, path, default, kind=float):
+    """``kind`` of the field at ``path`` (as _require), or ``default`` as it
+    is when absent.  A ConfigError names the field when its value is not a
     finite number or holds a boolean (for kind=int, also a number that is
     not integral; for kind=_floats, not an array of finite numbers)."""
+    if path.rpartition(".")[2] not in cfg and default is not _REQUIRED:
+        return default
+    val = _require(cfg, path, _REQUIRED)
     if _has_bool(val):
         raise ConfigError(path, f"not a number: {val!r}")
     if kind is int and isinstance(val, float) and not val.is_integer():
@@ -76,21 +89,112 @@ def _floats(val):
     return np.asarray(val, dtype=float)
 
 
-def _numeric_leaves(cfg, prefix, keys):
-    """Each of ``keys`` present in ``cfg`` must be a finite number; the
-    error names ``prefix.key``."""
-    for key in keys:
-        if key in cfg:
-            _number(cfg[key], f"{prefix}.{key}")
+def _array(cfg, path, shape, default):
+    """The float array at ``path`` (as _number), of the given shape."""
+    arr = _number(cfg, path, default, _floats)
+    if arr.shape != shape:
+        raise ConfigError(path, f"expected shape {shape}, got {arr.shape}")
+    return arr
 
 
-def _section(cfg, key, default, prefix=""):
-    """An optional sub-object of the config; ``default`` when absent.
-    ``prefix`` is the dotted path of ``cfg`` plus a dot, for the message."""
-    val = cfg.get(key, default)
+def _section(cfg, path, default):
+    """The sub-object at ``path`` (as _require)."""
+    val = _require(cfg, path, default)
     if not isinstance(val, dict):
-        raise ConfigError(prefix + key, f"expected an object, got {type(val).__name__}")
+        raise ConfigError(path, f"expected an object, got {type(val).__name__}")
     return val
+
+
+def _kind(cfg, path, kinds, default):
+    """The name at ``path`` (as _require), one of ``kinds``."""
+    kind = _require(cfg, path, default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(path, f"unknown kind {kind!r}; known: {', '.join(kinds)}")
+    return kind
+
+
+def _construct(path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)`` from parsed values; a ValueError of the
+    constructor's own checks becomes a ConfigError on the section ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+# link kind -> the class and the numeric fields it takes
+_LINKS = {
+    "identity": (maps.Identity, ()),
+    "scaled_tanh": (maps.ScaledTanh, ("a",)),
+    "sigmoid": (maps.Sigmoid, ()),
+    "leaky_relu": (maps.LeakyRelu, ("slope",)),
+    "gaussian_survival": (maps.GaussianSurvival, ()),
+    "smoothed_clamp": (maps.SmoothedClamp, ("N", "sigma")),
+}
+
+# parameter-set kind -> the class and its radii
+_PARAMETER_SETS = {
+    "frobenius_ball": (estimator.FrobeniusBall, ("radius",)),
+    "block_operator_balls": (estimator.BlockOperatorBalls, ("radius_a", "radius_b")),
+}
+
+
+def _link(cfg, n):
+    cls, params = _LINKS[_kind(cfg, "plant.link.kind", _LINKS, _REQUIRED)]
+    kwargs = {key: _number(cfg, f"plant.link.{key}", _REQUIRED) for key in params}
+    return _construct("plant.link", cls, dim=n, **kwargs)
+
+
+def _parameter_set(cfg):
+    cls, radii = _PARAMETER_SETS[_kind(cfg, "parameter_set.kind", _PARAMETER_SETS, _REQUIRED)]
+    args = [_number(cfg, f"parameter_set.{key}", _REQUIRED) for key in radii]
+    return _construct("parameter_set", cls, *args, _number(cfg, "parameter_set.rho_eps", 0.5))
+
+
+def _noise(cfg, n):
+    kind = _kind(cfg, "noise.kind", ("uniform_cube", "truncated_gaussian", "gaussian"), _REQUIRED)
+    return _construct(
+        "noise", simulate.NoiseSpec, kind=kind, n=n,
+        half_width=_number(cfg, "noise.half_width", 0.1), sigma=_number(cfg, "noise.sigma", 1.0),
+        trunc=_number(cfg, "noise.trunc", np.inf),
+    )
+
+
+def _policy(cfg, n, m):
+    kind = _kind(cfg, "policy.kind", ("pinning_leader", "riccati_feedback"), _REQUIRED)
+    if kind == "pinning_leader":
+        x_leader = _number(cfg, "policy.x_leader", _REQUIRED)
+        pattern = _array(cfg, "policy.pattern", (m,), np.ones(m))
+        gain = _section(cfg, "policy.gain", {})
+        if _kind(gain, "policy.gain.kind", ("constant", "affine_norm"), "constant") == "constant":
+            return control.PinningLeader(
+                x_leader, pattern, kappa0=_number(gain, "policy.gain.kappa0", 1.0)
+            )
+        return control.PinningLeader(
+            x_leader, pattern, affine_c1=_number(gain, "policy.gain.c1", _REQUIRED),
+            affine_c2=_number(gain, "policy.gain.c2", _REQUIRED),
+        )
+    lift = _kind(cfg, "policy.lift", ("direct", "quadratic_si"), "direct")
+    # the DARE has B = I, so the feedback before the lift has n entries
+    raw_dim = m - 3 if lift == "quadratic_si" else m
+    if raw_dim != n:
+        raise ConfigError(
+            "plant.m",
+            f"Riccati feedback with lift {lift!r} needs a raw input of n = {n} entries, "
+            f"got {raw_dim} from m = {m}",
+        )
+    Q = _array(cfg, "policy.Q", (n, n), np.eye(n))
+    R = _array(cfg, "policy.R", (n, n), np.eye(n))
+    return _construct("policy", control.RiccatiFeedback, Q, R, lift_kind=lift)
+
+
+def _probe(cfg, raw_dim):
+    return _construct(
+        "probe", control.ProbingSignal, decay_b=_number(cfg, "probe.b", 0.0), dim=raw_dim,
+        distribution=_require(cfg, "probe.distribution", "uniform_cube"),
+        half_width=_number(cfg, "probe.half_width", 1.0),
+        bound_eps=_number(cfg, "probe.bound_eps", None),
+    )
 
 
 @dataclass(kw_only=True)
@@ -106,65 +210,32 @@ class RunObjects(simulate.RunSpec):
 
 def validate_config(cfg):
     """Validate and construct; returns RunObjects or raises ConfigError."""
-    mode = cfg.get("mode", "closed_loop")
-    if mode not in ("closed_loop", "open_loop"):
-        raise ConfigError("mode", f"must be closed_loop or open_loop, got {mode!r}")
+    mode = _kind(cfg, "mode", ("closed_loop", "open_loop"), "closed_loop")
 
-    plant_cfg = _require(cfg, "plant", "", dict)
-    n = _number(_require(plant_cfg, "n", "plant"), "plant.n", int)
-    m = _number(_require(plant_cfg, "m", "plant"), "plant.m", int)
+    plant_cfg = _section(cfg, "plant", _REQUIRED)
+    n = _number(plant_cfg, "plant.n", _REQUIRED, int)
+    m = _number(plant_cfg, "plant.m", _REQUIRED, int)
     if n < 1 or m < 1:
         raise ConfigError("plant.n", "dimensions must be positive")
-    link_cfg = _require(plant_cfg, "link", "plant", dict)
-    _numeric_leaves(link_cfg, "plant.link", ("a", "slope", "N", "sigma"))
-    try:
-        link = maps.link_from_config(link_cfg, n)
-    except KeyError as exc:
-        raise ConfigError(f"plant.link.{exc.args[0]}", "missing required field") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("plant.link", str(exc)) from exc
-    theta_star = _number(
-        _require(plant_cfg, "theta_star", "plant", list), "plant.theta_star", _floats
-    )
-    if theta_star.shape != (n + m, n):
-        raise ConfigError(
-            "plant.theta_star", f"expected shape ({n + m}, {n}), got {theta_star.shape}"
-        )
-    x0 = _number(plant_cfg.get("x0", np.zeros(n).tolist()), "plant.x0", _floats)
-    if x0.shape != (n,):
-        raise ConfigError("plant.x0", f"expected length {n}")
+    link = _link(_section(plant_cfg, "plant.link", _REQUIRED), n)
+    theta_star = _array(plant_cfg, "plant.theta_star", (n + m, n), _REQUIRED)
+    x0 = _array(plant_cfg, "plant.x0", (n,), np.zeros(n))
 
-    pset_cfg = _require(cfg, "parameter_set", "", dict)
-    _numeric_leaves(pset_cfg, "parameter_set", ("radius", "radius_a", "radius_b", "rho_eps"))
-    try:
-        pset = estimator.parameter_set_from_config(pset_cfg)
-    except KeyError as exc:
-        raise ConfigError(f"parameter_set.{exc.args[0]}", "missing required field") from exc
-    except ValueError as exc:
-        raise ConfigError("parameter_set", str(exc)) from exc
+    pset = _parameter_set(_section(cfg, "parameter_set", _REQUIRED))
     if not pset.contains(theta_star, shrunk=True):
         raise ConfigError(
             "plant.theta_star", "must lie strictly inside the shrunken parameter set"
         )
 
     est_cfg = _section(cfg, "estimator", {})
-    delta = _number(est_cfg.get("delta", 0.5), "estimator.delta")
+    delta = _number(est_cfg, "estimator.delta", 0.5)
     if delta <= 0:
         raise ConfigError("estimator.delta", "must be positive")
-    theta0 = _number(
-        est_cfg.get("theta0", np.zeros((n + m, n)).tolist()), "estimator.theta0", _floats
-    )
-    if theta0.shape != (n + m, n):
-        raise ConfigError("estimator.theta0", f"expected shape ({n + m}, {n})")
+    theta0 = _array(est_cfg, "estimator.theta0", (n + m, n), np.zeros((n + m, n)))
     if not pset.contains(theta0):
         raise ConfigError("estimator.theta0", "must lie in the parameter set")
 
-    noise_cfg = _require(cfg, "noise", "", dict)
-    _numeric_leaves(noise_cfg, "noise", ("half_width", "sigma", "trunc"))
-    try:
-        noise = simulate.noise_from_config(noise_cfg, n)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("noise", str(exc)) from exc
+    noise = _noise(_section(cfg, "noise", _REQUIRED), n)
     if link.bounded and not noise.bounded:
         raise ConfigError("noise.kind", "Gaussian noise is not allowed with bounded links")
 
@@ -172,80 +243,38 @@ def validate_config(cfg):
     probe = None
     input_policy = None
     if mode == "closed_loop":
-        policy_cfg = _require(cfg, "policy", "", dict)
-        _numeric_leaves(policy_cfg, "policy", ("x_leader",))
-        gain_cfg = _section(policy_cfg, "gain", {}, "policy.")
-        _numeric_leaves(gain_cfg, "policy.gain", ("kappa0", "c1", "c2"))
-        try:
-            mech = control.policy_from_config(policy_cfg, n, m)
-        except KeyError as exc:
-            raise ConfigError("policy", f"missing required field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("policy", str(exc)) from exc
-        # the arrays the policy parsed: Riccati weights on the state and on
-        # the raw input (before the lift), or the pinning pattern
-        if isinstance(mech, control.RiccatiFeedback):
-            raw_dim = m - 3 if mech.lift_kind == "quadratic_si" else m
-            arrays = {"Q": (mech.Q, (n, n)), "R": (mech.R, (raw_dim, raw_dim))}
-        else:
-            arrays = {"pattern": (mech.pattern, (m,))}
-        for key, (arr, shape) in arrays.items():
-            if arr.shape != shape or not np.isfinite(arr).all():
-                raise ConfigError(
-                    f"policy.{key}", f"expected finite entries of shape {shape}, got {arr.shape}"
-                )
-        # the DARE has B = I, so the feedback before the lift has n entries
-        if isinstance(mech, control.RiccatiFeedback) and raw_dim != n:
-            raise ConfigError(
-                "plant.m",
-                f"Riccati feedback with lift {mech.lift_kind!r} needs a raw input of "
-                f"n = {n} entries, got {raw_dim} from m = {m}",
-            )
-        probe_cfg = _section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0})
-        _numeric_leaves(probe_cfg, "probe", ("b", "half_width", "bound_eps"))
-        try:
-            probe = control.probe_from_config(probe_cfg, mech.raw_dim)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("probe", str(exc)) from exc
+        mech = _policy(_section(cfg, "policy", _REQUIRED), n, m)
+        probe = _probe(_section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0}), mech.raw_dim)
     else:
-        ip_cfg = _section(cfg, "input_policy", {"kind": "zero"})
-        kind = ip_cfg.get("kind", "zero")
-        if kind == "zero":
-            input_policy = "zero"
-        elif kind == "iid_uniform":
-            input_policy = (
-                "iid_uniform",
-                _number(ip_cfg.get("half_width", 1.0), "input_policy.half_width"),
-            )
-        elif kind == "state_feedback":
-            K = _number(_require(ip_cfg, "K", "input_policy"), "input_policy.K", _floats)
-            if K.shape != (m, n):
-                raise ConfigError("input_policy.K", f"expected shape ({m}, {n})")
-            input_policy = ("state_feedback", K)
-        else:
-            raise ConfigError("input_policy.kind", f"unknown kind {kind!r}")
+        ip_cfg = _section(cfg, "input_policy", {})
+        kinds = ("zero", "iid_uniform", "state_feedback")
+        input_policy = _kind(ip_cfg, "input_policy.kind", kinds, "zero")
+        if input_policy == "iid_uniform":
+            input_policy = (input_policy, _number(ip_cfg, "input_policy.half_width", 1.0))
+        elif input_policy == "state_feedback":
+            input_policy = (input_policy, _array(ip_cfg, "input_policy.K", (m, n), _REQUIRED))
 
     met_cfg = _section(cfg, "metrics", {})
-    gamma = _number(met_cfg.get("gamma", 4.0), "metrics.gamma")
+    gamma = _number(met_cfg, "metrics.gamma", 4.0)
     if met_cfg.get("rate_probes", False):
         if gamma <= 2:
             raise ConfigError("metrics.gamma", "rate probes need gamma > 2")
-        b = _number(_section(cfg, "probe", {}).get("b", 0.0), "probe.b")
+        b = _number(_section(cfg, "probe", {}), "probe.b", 0.0)
         try:
             metrics.eta_default(b, gamma)
         except ValueError as exc:
             raise ConfigError("metrics.gamma", str(exc)) from exc
 
-    horizon = _number(cfg.get("horizon", 10_000), "horizon", int)
+    horizon = _number(cfg, "horizon", 10_000, int)
     if horizon < 1:
         raise ConfigError("horizon", "must be >= 1")
-    eig_stride = _number(met_cfg.get("eig_stride", 100), "metrics.eig_stride", int)
+    eig_stride = _number(met_cfg, "metrics.eig_stride", 100, int)
     if eig_stride < 1:
         raise ConfigError("metrics.eig_stride", "must be >= 1")
-    log_stride = _number(cfg.get("log_stride", 1), "log_stride", int)
+    log_stride = _number(cfg, "log_stride", 1, int)
     if log_stride < 1:
         raise ConfigError("log_stride", "must be >= 1")
-    seed = _number(cfg.get("seed", 0), "seed", int)
+    seed = _number(cfg, "seed", 0, int)
     if seed < 0:
         raise ConfigError("seed", "must be >= 0")
 

@@ -26,8 +26,6 @@ __all__ = [
     "adaptive_input",
     "policy_eval",
     "DareError",
-    "policy_from_config",
-    "probe_from_config",
 ]
 
 
@@ -144,18 +142,6 @@ class PinningLeader:
     def lift_probe(self, v):
         return v
 
-    def to_config(self):
-        cfg = {
-            "kind": "pinning_leader",
-            "x_leader": self.x_leader,
-            "pattern": self.pattern.tolist(),
-        }
-        if self.affine_c1 > 0.0:
-            cfg["gain"] = {"kind": "affine_norm", "c1": self.affine_c1, "c2": self.affine_c2}
-        else:
-            cfg["gain"] = {"kind": "constant", "kappa0": self.kappa0}
-        return cfg
-
 
 @dataclass
 class RiccatiFeedback:
@@ -226,14 +212,6 @@ class RiccatiFeedback:
             return v
         return np.concatenate([np.zeros(v.shape[:-1] + (3,)), v], axis=-1)
 
-    def to_config(self):
-        return {
-            "kind": "riccati_feedback",
-            "Q": self.Q.tolist(),
-            "R": self.R.tolist(),
-            "lift": self.lift_kind,
-        }
-
 
 @dataclass
 class CustomPolicy:
@@ -256,9 +234,6 @@ class CustomPolicy:
 
     def lift_probe(self, v):
         return v
-
-    def to_config(self):
-        raise ValueError("custom policies are not serializable")
 
 
 def _raw_eval(mech, theta, x):
@@ -346,14 +321,6 @@ class ProbingSignal:
     def enabled(self):
         return self.bound_eps > 0.0
 
-    def to_config(self):
-        return {
-            "b": self.decay_b,
-            "distribution": self.distribution,
-            "half_width": self.half_width,
-            "bound_eps": self.bound_eps,
-        }
-
 
 def probe_sample(sig, t, rng, steps=None):
     """Draw v_t; deterministic given the generator state.  With ``steps``,
@@ -385,43 +352,3 @@ def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, pset=None, v_raw=None):
         v_raw = probe_sample(sig, t, rng)
     lift = mech if x.ndim == 1 else mech[0]
     return lift.lift(x, u_raw + v_raw), lift.lift_probe(v_raw)
-
-
-# ---------------------------------------------------------------------------
-# Config plumbing
-
-
-def policy_from_config(cfg, n, m):
-    kind = cfg.get("kind")
-    if kind == "pinning_leader":
-        gain = cfg.get("gain", {"kind": "constant", "kappa0": 1.0})
-        pattern = np.asarray(cfg.get("pattern", [1.0] * m), dtype=float)
-        if gain.get("kind") == "affine_norm":
-            return PinningLeader(
-                x_leader=float(cfg["x_leader"]),
-                pattern=pattern,
-                affine_c1=float(gain["c1"]),
-                affine_c2=float(gain["c2"]),
-            )
-        return PinningLeader(
-            x_leader=float(cfg["x_leader"]),
-            pattern=pattern,
-            kappa0=float(gain.get("kappa0", 1.0)),
-        )
-    if kind == "riccati_feedback":
-        return RiccatiFeedback(
-            Q=np.asarray(cfg.get("Q", np.eye(n).tolist()), dtype=float),
-            R=np.asarray(cfg.get("R", np.eye(n).tolist()), dtype=float),
-            lift_kind=cfg.get("lift", "direct"),
-        )
-    raise ValueError(f"unknown policy kind {kind!r}")
-
-
-def probe_from_config(cfg, raw_dim):
-    return ProbingSignal(
-        decay_b=float(cfg.get("b", 0.0)),
-        dim=raw_dim,
-        distribution=cfg.get("distribution", "uniform_cube"),
-        half_width=float(cfg.get("half_width", 1.0)),
-        bound_eps=(float(cfg["bound_eps"]) if "bound_eps" in cfg else None),
-    )

@@ -9,7 +9,6 @@ forces the estimate sequence to settle even without excitation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "project_weighted",
     "ProjectionError",
     "NumericalAbort",
-    "parameter_set_from_config",
 ]
 
 
@@ -112,9 +110,6 @@ class FrobeniusBall:
         g /= max(np.linalg.norm(g), 1e-300)
         return g * self.radius * rng.uniform() ** (1.0 / (n * (n + m)))
 
-    def to_config(self):
-        return {"kind": "frobenius_ball", "radius": self.radius, "rho_eps": self.rho_eps}
-
 
 @dataclass(frozen=True)
 class BlockOperatorBalls:
@@ -154,25 +149,6 @@ class BlockOperatorBalls:
         a *= self.radius_a * rng.uniform() / max(np.linalg.norm(a, 2), 1e-300)
         b *= self.radius_b * rng.uniform() / max(np.linalg.norm(b, 2), 1e-300)
         return np.vstack([a.T, b.T])
-
-    def to_config(self):
-        return {
-            "kind": "block_operator_balls",
-            "radius_a": self.radius_a,
-            "radius_b": self.radius_b,
-            "rho_eps": self.rho_eps,
-        }
-
-
-def parameter_set_from_config(cfg):
-    kind = cfg.get("kind")
-    if kind == "frobenius_ball":
-        return FrobeniusBall(float(cfg["radius"]), float(cfg.get("rho_eps", 0.5)))
-    if kind == "block_operator_balls":
-        return BlockOperatorBalls(
-            float(cfg["radius_a"]), float(cfg["radius_b"]), float(cfg.get("rho_eps", 0.5))
-        )
-    raise ValueError(f"unknown parameter-set kind {kind!r}")
 
 
 def support_value(pset, phi, n=None):
@@ -303,33 +279,6 @@ class EstimatorState:
     @property
     def m(self):
         return self.theta_hat.shape[-2] - self.theta_hat.shape[-1]
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "theta_hat": self.theta_hat.flatten().tolist(),
-                "shape": list(self.theta_hat.shape),
-                "p_matrix": self.p_matrix.flatten().tolist(),
-                "r_accum": self.r_accum,
-                "step": self.step,
-                "delta": self.delta,
-                "projection_count": self.projection_count,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        shape = tuple(d["shape"])
-        dim = shape[0]
-        return cls(
-            theta_hat=np.array(d["theta_hat"]).reshape(shape),
-            p_matrix=np.array(d["p_matrix"]).reshape((dim, dim)),
-            r_accum=float(d["r_accum"]),
-            step=int(d["step"]),
-            delta=float(d["delta"]),
-            projection_count=int(d["projection_count"]),
-        )
 
 
 @dataclass

@@ -30,7 +30,6 @@ __all__ = [
     "smoothed_clamp_value",
     "all_finite",
     "stacked",
-    "link_from_config",
     "EnvelopeContractError",
 ]
 
@@ -128,9 +127,6 @@ class LinkFunction:
     def beta_env(self, c):
         raise NotImplementedError
 
-    def to_config(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Identity(LinkFunction):
@@ -146,9 +142,6 @@ class Identity(LinkFunction):
     def beta_env(self, c):
         _check_radius(c)
         return 1.0
-
-    def to_config(self):
-        return {"kind": "identity"}
 
 
 @dataclass(frozen=True)
@@ -177,9 +170,6 @@ class ScaledTanh(LinkFunction):
         _check_radius(c)
         return self.a
 
-    def to_config(self):
-        return {"kind": "scaled_tanh", "a": self.a}
-
 
 @dataclass(frozen=True)
 class Sigmoid(LinkFunction):
@@ -197,9 +187,6 @@ class Sigmoid(LinkFunction):
     def beta_env(self, c):
         _check_radius(c)
         return 0.25
-
-    def to_config(self):
-        return {"kind": "sigmoid"}
 
 
 @dataclass(frozen=True)
@@ -225,9 +212,6 @@ class LeakyRelu(LinkFunction):
         _check_radius(c)
         return 1.0
 
-    def to_config(self):
-        return {"kind": "leaky_relu", "slope": self.slope}
-
 
 @dataclass(frozen=True)
 class GaussianSurvival(LinkFunction):
@@ -251,9 +235,6 @@ class GaussianSurvival(LinkFunction):
     def beta_env(self, c):
         _check_radius(c)
         return _INV_SQRT_2PI
-
-    def to_config(self):
-        return {"kind": "gaussian_survival"}
 
 
 def smoothed_clamp_value(N, sigma, z):
@@ -321,9 +302,6 @@ class SmoothedClamp(LinkFunction):
             cands.append(self._deriv(0.5 * self.N))
         return float(max(cands))
 
-    def to_config(self):
-        return {"kind": "smoothed_clamp", "N": self.N, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class CustomComponentwise(LinkFunction):
@@ -374,26 +352,3 @@ class CustomComponentwise(LinkFunction):
     def beta_env(self, c):
         _check_radius(c)
         return max(hi(c) for hi in self.deriv_upper)
-
-    def to_config(self):
-        raise ValueError("custom componentwise links are not serializable")
-
-
-_KINDS = {
-    "identity": lambda cfg, dim: Identity(dim=dim),
-    "scaled_tanh": lambda cfg, dim: ScaledTanh(dim=dim, a=float(cfg["a"])),
-    "sigmoid": lambda cfg, dim: Sigmoid(dim=dim),
-    "leaky_relu": lambda cfg, dim: LeakyRelu(dim=dim, slope=float(cfg["slope"])),
-    "gaussian_survival": lambda cfg, dim: GaussianSurvival(dim=dim),
-    "smoothed_clamp": lambda cfg, dim: SmoothedClamp(
-        dim=dim, N=float(cfg["N"]), sigma=float(cfg["sigma"])
-    ),
-}
-
-
-def link_from_config(cfg, dim):
-    """Build a LinkFunction from its tagged-object config form."""
-    kind = cfg.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown link kind {kind!r}; known: {sorted(_KINDS)}")
-    return _KINDS[kind](cfg, dim)

@@ -94,16 +94,6 @@ class NoiseSpec:
     def bounded(self):
         return self.kind != "gaussian"
 
-    def to_config(self):
-        cfg = {"kind": self.kind}
-        if self.kind == "uniform_cube":
-            cfg["half_width"] = self.half_width
-        else:
-            cfg["sigma"] = self.sigma
-            if self.kind == "truncated_gaussian":
-                cfg["trunc"] = self.trunc
-        return cfg
-
 
 def noise_sample(spec, rng, steps=None):
     """Draw w; with ``steps``, that many draws at once, one row per step,
@@ -115,17 +105,6 @@ def noise_sample(spec, rng, steps=None):
     if spec.kind == "truncated_gaussian":
         return np.minimum(np.maximum(w, -spec.trunc), spec.trunc)
     return w
-
-
-def noise_from_config(cfg, n):
-    kind = cfg["kind"]
-    return NoiseSpec(
-        kind=kind,
-        n=n,
-        half_width=float(cfg.get("half_width", 0.1)),
-        sigma=float(cfg.get("sigma", 1.0)),
-        trunc=float(cfg.get("trunc", np.inf)),
-    )
 
 
 def spawn_streams(seed):
@@ -234,8 +213,6 @@ class RunRecord:
         return out
 
 
-
-
 @dataclass
 class RunSpec:
     """One run of ``run_batch``: the arguments of run_closed_loop (``mech``
@@ -269,14 +246,14 @@ def batch_key(spec):
 
 def run_closed_loop(
     plant, pset, mech, probe, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
-    eig_stride=100, divergence_ceiling=DIVERGENCE_CEILING, collect_metrics=True,
+    eig_stride=100, divergence_ceiling=DIVERGENCE_CEILING,
 ):
     """Adaptive closed loop plus oracle reference on a shared noise stream."""
     spec = RunSpec(
         plant, pset, noise, seed, mech=mech, probe=probe, theta0=theta0, delta=delta,
         gamma=gamma, divergence_ceiling=divergence_ceiling,
     )
-    return _alone(spec, horizon, eig_stride, collect_metrics)
+    return _alone(spec, horizon, eig_stride)
 
 
 def run_open_loop_id(
@@ -293,10 +270,10 @@ def run_open_loop_id(
         plant, pset, noise, seed, input_policy=input_policy, theta0=theta0, delta=delta,
         gamma=gamma, divergence_ceiling=divergence_ceiling,
     )
-    return _alone(spec, horizon, eig_stride, True)
+    return _alone(spec, horizon, eig_stride)
 
 
-def run_batch(specs, horizon, eig_stride=100, collect_metrics=True):
+def run_batch(specs, horizon, eig_stride=100):
     """Advance the runs ``specs`` (RunSpec, one batch_key) in lockstep.
 
     Returns one entry per run, in order: its RunRecord, or the exception it
@@ -308,11 +285,11 @@ def run_batch(specs, horizon, eig_stride=100, collect_metrics=True):
     """
     if len({batch_key(spec) for spec in specs}) > 1:
         raise ValueError("the runs of a batch must share batch_key")
-    return _run(specs, horizon, eig_stride, collect_metrics)
+    return _run(specs, horizon, eig_stride)
 
 
-def _alone(spec, horizon, eig_stride, collect_metrics):
-    (result,) = _run([spec], horizon, eig_stride, collect_metrics)
+def _alone(spec, horizon, eig_stride):
+    (result,) = _run([spec], horizon, eig_stride)
     if isinstance(result, BaseException):
         raise result
     return result
@@ -460,7 +437,7 @@ def _stack_states(states):
     )
 
 
-def _run(specs, horizon, eig_stride, collect_metrics):
+def _run(specs, horizon, eig_stride):
     """The loop of both entry points and of run_batch; returns one record or
     exception per spec.
 
@@ -468,7 +445,7 @@ def _run(specs, horizon, eig_stride, collect_metrics):
     steps: the loop buffers what the record does not hold (the estimator's
     prediction and theta_hat after each update) and hands a block to each
     run's accumulator when it ends, or before a failing step aborts the run;
-    the w and param_err columns are written then, with or without metrics.
+    the w and param_err columns are written then.
     A step of a batch that raises gives the batch up: each of its runs is
     run alone from step 0, which is the reference, so every run's record or
     exception is the one it gives alone."""
@@ -510,22 +487,21 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         rec.param_err[rows] = estimator.run_norms(
             mb.spec.plant.theta_star - run_thetas[1 : k + 1], 2
         )
-        if collect_metrics:
-            diag = estimator.StepDiagnostics(
-                d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
-                mu_weight=rec.mu_t[rows], prediction=view(prediction, mb)[:k],
-            )
-            x_star, u_star = (rec.x_star[rows], rec.u_star[rows]) if has_ref else (None, None)
-            rec.v_lyap[rows], track = acc.update(
-                np.concatenate([rec.x[rows], rec.u[rows]], axis=1), rec.x[rows],
-                rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, mb.spec.plant.link,
-                theta_hat=run_thetas[:k], theta_hat_next=run_thetas[1 : k + 1], x_star=x_star,
-                u=rec.u[rows], u_star=u_star, gamma=mb.spec.gamma,
-            )
-            if has_ref:
-                rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
-            if (stop - 1) % eig_stride == 0 or stop == horizon:
-                mb.lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
+        diag = estimator.StepDiagnostics(
+            d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
+            mu_weight=rec.mu_t[rows], prediction=view(prediction, mb)[:k],
+        )
+        x_star, u_star = (rec.x_star[rows], rec.u_star[rows]) if has_ref else (None, None)
+        rec.v_lyap[rows], track = acc.update(
+            np.concatenate([rec.x[rows], rec.u[rows]], axis=1), rec.x[rows],
+            rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, mb.spec.plant.link,
+            theta_hat=run_thetas[:k], theta_hat_next=run_thetas[1 : k + 1], x_star=x_star,
+            u=rec.u[rows], u_star=u_star, gamma=mb.spec.gamma,
+        )
+        if has_ref:
+            rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
+        if (stop - 1) % eig_stride == 0 or stop == horizon:
+            mb.lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
 
     def block_end(first):
         # one past the block's last step: the next eig_stride step, the cap
@@ -563,7 +539,7 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         except Exception as exc:  # noqa: BLE001 - the run's own failure
             if runs is not None:
                 for mb in members:
-                    (results[mb.index],) = _run([mb.spec], horizon, eig_stride, collect_metrics)
+                    (results[mb.index],) = _run([mb.spec], horizon, eig_stride)
                 return results
             (mb,) = members
             if isinstance(exc, _STEP_FAILURES):
@@ -584,8 +560,7 @@ def _run(specs, horizon, eig_stride, collect_metrics):
         cols["mu_t"][t] = diag.mu_weight
         cols["a_t"][t] = diag.a_weight
         cols["projected"][t] = diag.projected
-        if collect_metrics:
-            prediction[j] = diag.prediction
+        prediction[j] = diag.prediction
         thetas[j + 1] = state_next.theta_hat
         theta_ctrl = state.theta_hat  # controller at t+1 uses theta_hat_t
         state, x, x_star = state_next, x_next, x_star_next

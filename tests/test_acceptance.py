@@ -177,7 +177,7 @@ def test_criterion_02_sherman_morrison_invariant():
     ro = _opinion_objects(horizon=10_000)
     rec = simulate.run_closed_loop(
         ro.plant, ro.pset, ro.mech, ro.probe, ro.noise, ro.horizon, ro.seed,
-        theta0=ro.theta0, delta=ro.delta, collect_metrics=False,
+        theta0=ro.theta0, delta=ro.delta,
     )
     # replay the estimator offline; P_{t+1}^{-1} must equal
     # P_t^{-1} + (d_t^2/mu_t) phi phi^T at every step

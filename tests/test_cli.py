@@ -195,6 +195,26 @@ def _link_without_scale(cfg):
     return cfg
 
 
+def _riccati_entry(key, value):
+    # the opinion preset's policy is a pinning leader; Riccati weights need
+    # a plant with m = n
+    def mutate(cfg):
+        cfg = _leaky_relu_cfg("closed_loop")
+        cfg["policy"][key][0][1] = value
+        return cfg
+    return mutate
+
+
+def _affine_without_c2(cfg):
+    cfg["policy"]["gain"] = {"kind": "affine_norm", "c1": 0.5}
+    return cfg
+
+
+def _noise_without_kind(cfg):
+    del cfg["noise"]["kind"]
+    return cfg
+
+
 @pytest.mark.parametrize("field, mutate", [
     ("horizon", _set_field("horizon", "many")),
     ("seed", _set_field("seed", "x")),
@@ -218,10 +238,19 @@ def _link_without_scale(cfg):
     ("estimator.delta", _set_field("estimator.delta", True)),
     ("noise.half_width", _set_field("noise.half_width", True)),
     ("plant.x0", _set_field("plant.x0", [1.0, True, -1.0, -1.0])),
+    ("policy.pattern", _set_field("policy.pattern", [True])),
+    ("policy.Q", _riccati_entry("Q", True)),
+    ("policy.R", _riccati_entry("R", False)),
+    # an error names the field, not only its section
+    ("policy.Q", _riccati_entry("Q", "a")),
+    ("policy.gain.c2", _affine_without_c2),
+    ("noise.kind", _noise_without_kind),
 ], ids=["horizon", "seed", "plant.n", "estimator.delta", "metrics.eig_stride",
         "log_stride", "plant.x0", "plant.theta_star", "root-list", "link-missing-a",
         "horizon-2.5", "horizon-true", "seed-1.5", "log_stride-true", "eig_stride-10.5",
-        "plant.n-true", "plant.m-4.5", "delta-true", "half_width-true", "x0-entry-true"])
+        "plant.n-true", "plant.m-4.5", "delta-true", "half_width-true", "x0-entry-true",
+        "pattern-entry-true", "Q-entry-true", "R-entry-false", "Q-entry-string",
+        "affine-missing-c2", "noise-missing-kind"])
 def test_malformed_field_is_validation_error(tmp_path, capsys, field, mutate):
     cfg = mutate(_opinion_cfg(horizon=50))
     p = _write_cfg(tmp_path, cfg)
@@ -280,9 +309,10 @@ def _set_entry(*path, value):
     ("epidemic_sigma5", "policy.Q", _set_field("policy.Q", 1.0)),
     ("epidemic_sigma5", "policy.R", _set_field("policy.R", [[1.0]])),
     ("opinion", "seed", _set_field("seed", -1)),
+    ("opinion", "policy.gain.kind", _set_field("policy.gain.kind", "affine")),
 ], ids=["gain-not-object", "radius-null", "rho_eps-list", "radius_a-object",
         "radius_b-null", "theta_star-null-entry", "x0-null-entry", "Q-scalar",
-        "R-wrong-size", "seed-negative"])
+        "R-wrong-size", "seed-negative", "gain-kind-unknown"])
 def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
     p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):

@@ -281,19 +281,6 @@ def test_adaptive_input_null_policy_is_pure_probe():
     np.testing.assert_array_equal(v, expect)
 
 
-def test_policy_config_round_trip():
-    for mech in (
-        control.PinningLeader(x_leader=1.63, pattern=np.array([1.0]), kappa0=1.0),
-        control.PinningLeader(x_leader=1.0, pattern=np.array([1.0]), affine_c1=0.5, affine_c2=0.2),
-        control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2), lift_kind="quadratic_si"),
-    ):
-        cfg = mech.to_config()
-        clone = control.policy_from_config(cfg, 2, mech.raw_dim)
-        assert clone.to_config() == cfg
-    with pytest.raises(ValueError):
-        control.policy_from_config({"kind": "mpc"}, 2, 2)
-
-
 # ---------------------------------------------------------------------------
 # stacked products: a batch of runs gives the bits of its runs alone only
 # while these numpy calls equal the per-run products slice by slice

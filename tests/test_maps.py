@@ -171,16 +171,6 @@ def test_custom_componentwise_verified_at_construction():
         )
 
 
-def test_link_from_config_round_trip():
-    for f in ALL_LINKS:
-        if isinstance(f, maps.CustomComponentwise):
-            continue
-        g = maps.link_from_config(f.to_config(), f.dim)
-        assert g == f
-    with pytest.raises(ValueError):
-        maps.link_from_config({"kind": "spline"}, 2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     z=st.floats(-30, 30),

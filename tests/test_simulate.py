@@ -598,21 +598,6 @@ def test_batch_runs_match_their_solo_runs(tmp_path, name):
         assert all(rec.summary()["projections"] > 0 for rec in batched)
 
 
-@pytest.mark.parametrize("seeds", [[6], [6, 7]], ids=["solo", "batch"])
-def test_record_columns_do_not_depend_on_the_metrics(seeds):
-    # param_err and w are record columns, not metrics: a run without the
-    # metrics logs them as a run with them, bit for bit
-    def runs(collect_metrics):
-        specs = [cfgmod.validate_config(c) for c in _variants(_live_riccati_cfg(300), seed=seeds)]
-        return simulate.run_batch(specs, 300, 100, collect_metrics=collect_metrics)
-
-    for on, off in zip(runs(True), runs(False)):
-        for attr in ("param_err", "w", "x", "u", "x_star", "d_t"):
-            assert np.array_equal(getattr(on, attr), getattr(off, attr)), attr
-        assert not np.isnan(off.param_err).any()
-        assert np.isnan(off.v_lyap).all()
-
-
 def test_batch_steps_advance_all_runs_at_once(monkeypatch):
     # a batch runs its runs alone only when one of its steps raises: then
     # _run is called again for each run
