@@ -33,17 +33,17 @@ def preset_path(name):
     return Path(__file__).parent / "presets" / f"{name}.json"
 
 
-def _out_dir(cfg, override=None):
+def _out_dir(output_dir, override=None):
     """Where a command writes; made only when it writes there."""
-    return Path(override or os.environ.get("NADAC_OUT") or cfg.get("output_dir", "out"))
+    return Path(override or os.environ.get("NADAC_OUT") or output_dir)
 
 
-def _write_artifacts(cfg, rec, out):
+def _write_artifacts(cfg, ro, rec, out):
     out.mkdir(parents=True, exist_ok=True)
-    rec.write_csv(out / "run.csv", stride=int(cfg.get("log_stride", 1)))
+    rec.write_csv(out / "run.csv", stride=ro.log_stride)
     manifest = {
         "config": cfg,
-        "seed": cfg.get("seed", 0),
+        "seed": ro.seed,
         "summary": rec.summary(),
         "wall_time_s": rec.manifest.get("wall_time_s"),
     }
@@ -54,9 +54,10 @@ def _write_artifacts(cfg, rec, out):
 
 def cmd_run(args):
     cfg = cfgmod.load_config(args.config)
-    out = _out_dir(cfg, args.out)
+    ro = cfgmod.validate_config(cfg)
+    out = _out_dir(ro.output_dir, args.out)
     try:
-        rec = cfgmod.build_run(cfg)
+        rec = cfgmod.build_run(ro)
     except simulate.RunAbort as exc:
         if exc.record is not None:
             out.mkdir(parents=True, exist_ok=True)
@@ -64,7 +65,7 @@ def cmd_run(args):
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    manifest = _write_artifacts(cfg, rec, out)
+    manifest = _write_artifacts(cfg, ro, rec, out)
     s = manifest["summary"]
     print(
         f"ok: steps={s['steps']} param_err={s['final_param_err']:.6g} "
@@ -193,7 +194,8 @@ def cmd_sweep(args):
         raise cfgmod.ConfigError("--workers", f"must be >= 1, got {args.workers}")
     cfg = cfgmod.load_config(args.config)
     rows, failures = run_sweep(
-        cfg, args.param, values, seeds, workers=args.workers, out=_out_dir(cfg, args.out)
+        cfg, args.param, values, seeds, workers=args.workers,
+        out=_out_dir(cfgmod.output_dir(cfg), args.out),
     )
     for r in rows:
         print(

@@ -17,7 +17,7 @@ from . import control, estimator, maps, metrics, simulate
 
 __all__ = [
     "ConfigError", "validate_config", "build_run", "build_batch", "batch_key", "load_config",
-    "RunObjects",
+    "RunObjects", "output_dir",
 ]
 
 
@@ -197,6 +197,14 @@ def _probe(cfg, raw_dim):
     )
 
 
+def output_dir(cfg):
+    """The directory a command writes to, "out" when absent."""
+    out = _require(cfg, "output_dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError("output_dir", f"expected a string, got {type(out).__name__}")
+    return out
+
+
 @dataclass(kw_only=True)
 class RunObjects(simulate.RunSpec):
     """A validated config: the run the engine runs, plus what the command
@@ -206,6 +214,7 @@ class RunObjects(simulate.RunSpec):
     horizon: int
     eig_stride: int
     log_stride: int
+    output_dir: str
 
 
 def validate_config(cfg):
@@ -282,38 +291,21 @@ def validate_config(cfg):
         simulate.PlantSpec(theta_star=theta_star, link=link, n=n, m=m, x0=x0),
         pset, noise, seed, mech=mech, probe=probe, input_policy=input_policy, theta0=theta0,
         delta=delta, gamma=gamma, mode=mode, horizon=horizon, eig_stride=eig_stride,
-        log_stride=log_stride,
+        log_stride=log_stride, output_dir=output_dir(cfg),
     )
 
 
 def build_run(cfg):
-    """Validate a config dict and execute the described run."""
-    ro = validate_config(cfg)
+    """Execute the run of a config dict, or of its RunObjects when already
+    validated."""
+    ro = cfg if isinstance(cfg, RunObjects) else validate_config(cfg)
+    kw = dict(theta0=ro.theta0, delta=ro.delta, gamma=ro.gamma, eig_stride=ro.eig_stride)
     if ro.mode == "closed_loop":
         return simulate.run_closed_loop(
-            ro.plant,
-            ro.pset,
-            ro.mech,
-            ro.probe,
-            ro.noise,
-            ro.horizon,
-            ro.seed,
-            theta0=ro.theta0,
-            delta=ro.delta,
-            gamma=ro.gamma,
-            eig_stride=ro.eig_stride,
+            ro.plant, ro.pset, ro.mech, ro.probe, ro.noise, ro.horizon, ro.seed, **kw
         )
     return simulate.run_open_loop_id(
-        ro.plant,
-        ro.pset,
-        ro.input_policy,
-        ro.noise,
-        ro.horizon,
-        ro.seed,
-        theta0=ro.theta0,
-        delta=ro.delta,
-        gamma=ro.gamma,
-        eig_stride=ro.eig_stride,
+        ro.plant, ro.pset, ro.input_policy, ro.noise, ro.horizon, ro.seed, **kw
     )
 
 

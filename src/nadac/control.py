@@ -25,6 +25,7 @@ __all__ = [
     "probe_sample",
     "adaptive_input",
     "policy_eval",
+    "frozen_policy",
     "DareError",
 ]
 
@@ -260,6 +261,43 @@ def policy_eval(mech, theta, x, pset=None):
     if pset is not None and not pset.contains(theta):
         raise ValueError("theta lies outside the parameter set")
     return (mech if x.ndim == 1 else mech[0]).lift(x, _raw_eval(mech, theta, x))
+
+
+def frozen_policy(mech, theta):
+    """x -> policy_eval(mech, theta, x), to the last bit, for a theta that
+    never changes (a batch passes one mechanism per run, as a tuple).
+    Riccati feedback solves each run's DARE once, cold, and keeps P, R + P
+    and A; a pinning input is a constant; a custom policy is evaluated on
+    every call."""
+    batched = isinstance(mech, tuple)
+    mechs, thetas = (mech, theta) if batched else ((mech,), (theta,))
+    first = mechs[0]
+    if isinstance(first, CustomPolicy):
+        return lambda x: policy_eval(mech, theta, x)
+    if isinstance(first, PinningLeader):
+        u = np.array([mk.raw_eval(th, None) for mk, th in zip(mechs, thetas)])
+        u = u if batched else u[0]
+
+        def raw(x):
+            return u
+    else:
+        n = first.Q.shape[0]
+        P = np.array([solve_dare(_a_block(th, n), mk.Q, mk.R) for mk, th in zip(mechs, thetas)])
+        rp, A = np.array([mk.R for mk in mechs]) + P, theta[..., :n, :].mT
+        if not batched:
+            P, rp = P[0], rp[0]
+
+        def raw(x):
+            if batched:
+                return _solve(rp, np.matvec(P, np.matvec(A, x)))
+            return _solve(rp, P @ (A @ x))  # @ as in RiccatiFeedback.raw_eval
+
+    def evaluate(x):
+        if not all_finite(x):
+            raise ValueError("state must be finite")
+        return first.lift(x, raw(x))
+
+    return evaluate
 
 
 def validate_lipschitz(mech, pset, n, m, rng, pairs=10_000, x_scale=5.0, tol=1e-9):

@@ -321,8 +321,8 @@ def _runs(obj, count):
 def _weights(f, delta, r, c, quad):
     """d_t, g_bar, mu_t and a_t of one run from its envelopes at radius c;
     Python float powers, which numpy's power does not match bit for bit."""
-    d = 0.5 * f.alpha_env(c)
-    g_bar = f.beta_env(c)
+    alpha, g_bar = f.envelopes(c)
+    d = 0.5 * alpha
     mu = (1.0 + np.log(r)) ** (1.0 + delta) + d * g_bar**2 * quad
     return d, g_bar, mu, 1.0 / (mu + d * d * quad)
 

@@ -127,6 +127,10 @@ class LinkFunction:
     def beta_env(self, c):
         raise NotImplementedError
 
+    def envelopes(self, c):
+        """(alpha_env(c), beta_env(c)), for a caller that needs both."""
+        return self.alpha_env(c), self.beta_env(c)
+
 
 @dataclass(frozen=True)
 class Identity(LinkFunction):
@@ -274,6 +278,7 @@ class SmoothedClamp(LinkFunction):
     N: float = 1.0
     sigma: float = 1.0
     sigma_sq: float = field(init=False, repr=False, compare=False)
+    peak: float = field(init=False, repr=False, compare=False)  # _deriv(N/2)
 
     bounded = True
 
@@ -282,7 +287,7 @@ class SmoothedClamp(LinkFunction):
         if self.N <= 0 or self.sigma <= 0:
             raise ValueError("SmoothedClamp requires N > 0 and sigma > 0")
         object.__setattr__(self, "sigma_sq", self.sigma**2)
-        ndtr(0.0)  # binds scipy's ndtr while the config is validated
+        object.__setattr__(self, "peak", self._deriv(0.5 * self.N))  # binds scipy's ndtr
 
     def eval(self, z):
         return _clamp_mean(self.N, self.sigma, self.sigma_sq, _check_finite(z))
@@ -291,16 +296,18 @@ class SmoothedClamp(LinkFunction):
         return ndtr((self.N - z) / self.sigma) - ndtr(-z / self.sigma)
 
     def alpha_env(self, c):
-        _check_radius(c)
-        # derivative is unimodal: minimum over [-c, c] sits at an endpoint
-        return _floor_alpha(float(min(self._deriv(-c), self._deriv(c))))
+        return self.envelopes(c)[0]
 
     def beta_env(self, c):
+        return self.envelopes(c)[1]
+
+    def envelopes(self, c):
         _check_radius(c)
-        cands = [self._deriv(-c), self._deriv(c)]
-        if -c <= 0.5 * self.N <= c:
-            cands.append(self._deriv(0.5 * self.N))
-        return float(max(cands))
+        # the derivative is unimodal: its minimum over [-c, c] sits at an
+        # endpoint, its maximum there or at the peak when [-c, c] holds N/2
+        lo, hi = self._deriv(-c), self._deriv(c)
+        beta = max(lo, hi, self.peak) if 0.5 * self.N <= c else max(lo, hi)
+        return _floor_alpha(float(min(lo, hi))), float(beta)
 
 
 @dataclass(frozen=True)

@@ -326,15 +326,11 @@ class _Member:
         self.state = estimator.new_estimator(theta0, spec.pset, spec.delta, plant.link)
         streams = spawn_streams(spec.seed)
         self.rng_noise, self.rng_probe = streams["noise"], streams["probe"]
-        # the loop and the reference each get their own cold Riccati cache:
-        # every run starts cold, warm starts do not leak between the theta*
-        # solve and the moving theta_hat solves, and the caller's mechanism
-        # is never mutated
-        self.mech = self.ref_mech = spec.mech
+        # the loop's Riccati feedback solves on a copy with a cold cache: every
+        # run starts cold, and the caller's mechanism is never mutated
+        self.mech = spec.mech
         if isinstance(spec.mech, control.RiccatiFeedback):
-            self.mech, self.ref_mech = (
-                replace(spec.mech, _cache_theta=None, _cache_p=None) for _ in range(2)
-            )
+            self.mech = replace(spec.mech, _cache_theta=None, _cache_p=None)
         self.acc = metrics.MetricAccumulator(n=n, m=m, theta_star=plant.theta_star)
         self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
         self.rec = None
@@ -354,7 +350,8 @@ class _Member:
 class _Loop:
     """One step of a run, or of a batch with its objects stacked along a
     leading run axis: link and set parameters that differ between the runs
-    as arrays (maps.stacked), one mechanism per run."""
+    as arrays (maps.stacked), one mechanism per run.  The reference policy of
+    the fixed theta* is formed at the first step, so its failure aborts step 0."""
 
     def __init__(self, members):
         specs = [mb.spec for mb in members]
@@ -370,12 +367,13 @@ class _Loop:
             self.mech = self.ref_mech = None  # open loop
             if first.mech is not None:
                 self.mech = tuple(mb.mech for mb in members)
-                self.ref_mech = tuple(mb.ref_mech for mb in members)
+                self.ref_mech = tuple(s.mech for s in specs)
             self.ceiling = np.array([s.divergence_ceiling for s in specs])
         else:
             (mb,) = members
             self.plant, self.pset, self.ceiling = first.plant, first.pset, first.divergence_ceiling
-            self.mech, self.ref_mech = mb.mech, mb.ref_mech
+            self.mech, self.ref_mech = mb.mech, first.mech
+        self.reference = None
         self.zero = np.zeros((len(specs), first.plant.m) if self.batched else first.plant.m)
         ip = first.input_policy
         self.input_kind = ip[0] if isinstance(ip, tuple) else ip
@@ -402,7 +400,9 @@ class _Loop:
             x_next = plant_step(plant, x, u, w)
         else:
             # the reference rides the plant's call, stacked before any run axis
-            u_star = control.policy_eval(self.ref_mech, plant.theta_star, x_star)
+            if self.reference is None:
+                self.reference = control.frozen_policy(self.ref_mech, plant.theta_star)
+            u_star = self.reference(x_star)
             x_next, x_star_next = plant_step(
                 plant, np.array((x, x_star)), np.array((u, u_star)), w
             )

@@ -49,6 +49,18 @@ def test_run_ok_writes_artifacts(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ok:")
 
 
+def test_manifest_reports_the_validated_seed_and_stride(tmp_path):
+    # an integral float seed runs as the integer, and the manifest says so;
+    # the CSV keeps every log_stride-th row
+    cfg = _opinion_cfg(horizon=10)
+    cfg["seed"], cfg["log_stride"] = 3.0, 4.0
+    assert cli.main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["seed"] == 3 and isinstance(manifest["seed"], int)
+    rows = (tmp_path / "o" / "run.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "4", "8"]
+
+
 def test_missing_config_file_is_validation_error(tmp_path, capsys):
     code = cli.main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == cli.EXIT_VALIDATION
@@ -122,6 +134,38 @@ def test_truncated_csv_goes_to_the_config_output_dir(tmp_path, monkeypatch):
     assert cli.main(["run", str(_write_cfg(tmp_path, cfg))]) == cli.EXIT_RUNTIME
     assert (tmp_path / "cfg_out" / "run_truncated.csv").exists()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [5, None, ["out"], {"dir": "out"}],
+                         ids=["int", "null", "list", "object"])
+def test_non_string_output_dir_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NADAC_OUT", raising=False)
+    cfg = _opinion_cfg(horizon=3)
+    cfg["output_dir"] = value
+    p = str(_write_cfg(tmp_path, cfg))
+    assert cli.main(["run", p]) == cli.EXIT_VALIDATION
+    assert cli.main(["sweep", p, "--param", "noise.half_width", "--values", "0.1",
+                     "--seeds", "0", "--workers", "1"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("validation error: output_dir: ") for line in err)
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_reference_dare_overflow_is_runtime_abort_at_step_0(tmp_path, capsys):
+    # theta*'s A-block 1e150 overflows the second iterate of the reference's
+    # DARE, which the first step solves: exit 3 and a CSV of no rows
+    cfg = _leaky_relu_cfg("closed_loop")
+    cfg["plant"].update(n=1, m=1, theta_star=[[1e150], [1.0]])
+    cfg["parameter_set"]["radius"] = 1e151
+    cfg["policy"].update(Q=[[1.0]], R=[[1.0]])
+    code = cli.main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime abort: DARE iterate non-finite") and "(step 0)" in err
+    lines = (tmp_path / "o" / "run_truncated.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("t,x0,")
 
 
 def _leaky_relu_cfg(mode, horizon=50):

@@ -221,3 +221,30 @@ def test_gaussian_cdf_links_evaluate_in_a_spawned_process():
     want = [f.eval(z) for f in links] + [maps.smoothed_clamp_value(10.0, 2.0, z)]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1.0, 5.0, 10.0])
+def test_smoothed_clamp_envelopes_match_each_bound(sigma):
+    # one pair of endpoint derivatives and the stored peak give both bounds,
+    # bit for bit as each bound from its own derivative evaluations; c = 1e3
+    # drives the alpha bound to its floor
+    f = maps.SmoothedClamp(dim=2, N=10.0, sigma=sigma)
+    half = 0.5 * f.N
+    for c in (0.0, 0.25 * f.N, np.nextafter(half, 0.0), half, f.N, 10.0 * f.N, 1e3):
+        ends = [f._deriv(-c), f._deriv(c)]
+        alpha = max(float(min(ends)), 1e-300)
+        beta = float(max(ends + [f._deriv(half)] if c >= half else ends))
+        got = f.envelopes(c)
+        assert got == (alpha, beta) == (f.alpha_env(c), f.beta_env(c)), c
+        assert all(type(v) is float for v in got)
+    assert f.envelopes(1e3)[0] == 1e-300
+
+
+@pytest.mark.parametrize("f", [
+    maps.Identity(dim=2), maps.ScaledTanh(dim=1, a=2.0), maps.Sigmoid(dim=1),
+    maps.LeakyRelu(dim=2, slope=0.3), maps.GaussianSurvival(dim=1),
+], ids=lambda f: type(f).__name__)
+def test_links_without_override_take_both_envelopes(f):
+    assert type(f).envelopes is maps.LinkFunction.envelopes
+    for c in (0.0, 0.5, 3.0, 40.0):
+        assert f.envelopes(c) == (f.alpha_env(c), f.beta_env(c))

@@ -1,6 +1,7 @@
 """Plant stepping, noise streams, and the closed-loop engine."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -718,3 +719,142 @@ def test_batch_rejects_runs_of_different_kinds():
     specs[1].noise = simulate.NoiseSpec(kind="gaussian", n=2)
     with pytest.raises(ValueError, match="batch_key"):
         simulate.run_batch(specs, 10)
+
+
+# ---------------------------------------------------------------------------
+# the reference policy, formed once per run from the fixed theta*
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.asarray(a).tobytes()
+
+
+REFERENCE_CASES = {
+    # (mechanism, theta*, a function of the run index that varies the mechanism)
+    "riccati-direct": lambda: (
+        control.RiccatiFeedback(Q=np.eye(2), R=np.diag([1.0, 2.0])),
+        np.array([[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]]),
+        lambda mech, k: dataclasses.replace(mech, R=mech.R * (1.0 + 0.5 * k)),
+    ),
+    "riccati-quadratic-si": lambda: (
+        control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2), lift_kind="quadratic_si"),
+        np.vstack([[[0.9, 0.1], [0.2, 0.8]], 0.1 * np.ones((5, 2))]),
+        lambda mech, k: dataclasses.replace(mech, Q=mech.Q * (1.0 + k)),
+    ),
+    # A* < 0 at x* = 0: @ and np.matvec give +0.0, where ndarray.dot gives -0.0
+    "riccati-n1-negative-a": lambda: (
+        control.RiccatiFeedback(Q=np.eye(1), R=np.eye(1)),
+        np.array([[-0.5], [1.0]]),
+        lambda mech, k: dataclasses.replace(mech, R=mech.R + k),
+    ),
+    "pinning-constant": lambda: (
+        control.PinningLeader(x_leader=1.63, pattern=np.array([1.0, 0.0]), kappa0=0.7),
+        np.array([[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]]),
+        lambda mech, k: dataclasses.replace(mech, kappa0=mech.kappa0 + k),
+    ),
+    "pinning-affine": lambda: (
+        control.PinningLeader(
+            x_leader=2.0, pattern=np.array([1.0, 0.5]), affine_c1=0.5, affine_c2=1.0
+        ),
+        np.array([[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]]),
+        lambda mech, k: dataclasses.replace(mech, affine_c1=mech.affine_c1 + 0.25 * k),
+    ),
+}
+
+
+def _reference_states(n, rows=None):
+    rng = np.random.default_rng(15)
+    shape = (n,) if rows is None else (rows, n)
+    return [rng.standard_normal(shape) for _ in range(6)] + [np.zeros(shape)]
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_frozen_reference_is_policy_eval_alone(name):
+    mech, theta, _ = REFERENCE_CASES[name]()
+    n = theta.shape[1]
+    u_star = control.frozen_policy(mech, theta)
+    for x in _reference_states(n):
+        want = control.policy_eval(copy.deepcopy(mech), theta, x)
+        got = u_star(x)
+        assert np.array_equal(got, want)
+        assert _bits(got) == _bits(want)
+    if isinstance(mech, control.RiccatiFeedback):
+        assert mech._cache_theta is None  # the caller's mechanism is left as it is
+    if name == "riccati-n1-negative-a":
+        assert not np.signbit(u_star(np.zeros(1))).any()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_frozen_reference_is_policy_eval_in_a_batch(name):
+    mech, theta, vary = REFERENCE_CASES[name]()
+    n = theta.shape[1]
+    mechs = tuple(vary(mech, k) for k in range(3))
+    thetas = np.array([theta * s for s in (1.0, 0.9, 1.1)])
+    u_star = control.frozen_policy(mechs, thetas)
+    for x in _reference_states(n, rows=3):
+        want = control.policy_eval(copy.deepcopy(mechs), thetas, x)
+        got = u_star(x)
+        assert np.array_equal(got, want)
+        assert _bits(got) == _bits(want)
+        # each row is the run's own reference alone
+        for r in range(3):
+            alone = control.frozen_policy(mechs[r], thetas[r])(x[r])
+            assert _bits(got[r].copy()) == _bits(alone)
+
+
+def test_frozen_reference_checks_the_state_is_finite():
+    mech, theta, _ = REFERENCE_CASES["riccati-direct"]()
+    with pytest.raises(ValueError, match="finite"):
+        control.frozen_policy(mech, theta)(np.array([np.nan, 0.0]))
+
+
+def test_reference_solves_its_dare_once_per_run(monkeypatch):
+    # the estimate moves every step, so the loop solves the DARE once per
+    # step but two: steps 0 and 1 both see theta_hat_0, and with x_0 = 0 the
+    # first update leaves the A-block as it was, so step 2 hits the cache too.
+    # The reference solves theta*'s once per run
+    real, a_blocks = control.solve_dare, []
+
+    def counting(A, *args, **kwargs):
+        a_blocks.append(np.array(A))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_dare", counting)
+    horizon = 40
+    cfgs = _variants(_live_riccati_cfg(horizon), seed=[6, 7, 8])
+    for batch in ([cfgs[0]], cfgs):
+        a_blocks.clear()
+        results = cfgmod.build_batch(batch)
+        assert all(isinstance(rec, simulate.RunRecord) for rec in results)
+        a_star = np.array(batch[0]["plant"]["theta_star"])[:2].T
+        reference = [a for a in a_blocks if np.array_equal(a, a_star)]
+        assert len(reference) == len(batch)
+        assert len(a_blocks) - len(reference) == len(batch) * (horizon - 2)
+
+
+def _overflowing_reference_cfg(horizon=50):
+    # theta*'s A-block 1e150 overflows the second DARE iterate; the loop's
+    # theta_hat_0 = 0 solves at once
+    cfg = _live_riccati_cfg(horizon)
+    cfg["plant"] = {
+        "n": 1, "m": 1, "link": {"kind": "leaky_relu", "slope": 0.3},
+        "theta_star": [[1e150], [1.0]],
+    }
+    cfg["parameter_set"] = {"kind": "frobenius_ball", "radius": 1e151, "rho_eps": 0.5}
+    cfg["policy"] = {"kind": "riccati_feedback", "Q": [[1.0]], "R": [[1.0]]}
+    return cfg
+
+
+def test_reference_dare_failure_aborts_at_step_0():
+    cfg = _overflowing_reference_cfg()
+    with pytest.raises(simulate.RunAbort) as info:
+        cfgmod.build_run(cfg)
+    assert info.value.step == 0 and "DARE" in str(info.value)
+    assert info.value.record.steps_completed == 0
+    # in a batch, the run gets the abort it gets alone and the other its record
+    stable = copy.deepcopy(cfg)
+    stable["plant"]["theta_star"] = [[0.5], [1.0]]
+    aborted, rec = cfgmod.build_batch([cfg, stable])
+    assert isinstance(aborted, simulate.RunAbort)
+    assert (str(aborted), aborted.step) == (str(info.value), 0)
+    assert rec.steps_completed == 50
