@@ -89,6 +89,14 @@ def _floats(val):
     return np.asarray(val, dtype=float)
 
 
+def _nonnegative(cfg, path, default):
+    """The float at ``path`` (as _number), which must be >= 0."""
+    val = _number(cfg, path, default)
+    if val is not None and val < 0:
+        raise ConfigError(path, f"must be >= 0, got {val!r}")
+    return val
+
+
 def _array(cfg, path, shape, default):
     """The float array at ``path`` (as _number), of the given shape."""
     arr = _number(cfg, path, default, _floats)
@@ -155,8 +163,8 @@ def _noise(cfg, n):
     kind = _kind(cfg, "noise.kind", ("uniform_cube", "truncated_gaussian", "gaussian"), _REQUIRED)
     return _construct(
         "noise", simulate.NoiseSpec, kind=kind, n=n,
-        half_width=_number(cfg, "noise.half_width", 0.1), sigma=_number(cfg, "noise.sigma", 1.0),
-        trunc=_number(cfg, "noise.trunc", np.inf),
+        half_width=_nonnegative(cfg, "noise.half_width", 0.1),
+        sigma=_nonnegative(cfg, "noise.sigma", 1.0), trunc=_nonnegative(cfg, "noise.trunc", np.inf),
     )
 
 
@@ -191,9 +199,11 @@ def _policy(cfg, n, m):
 def _probe(cfg, raw_dim):
     return _construct(
         "probe", control.ProbingSignal, decay_b=_number(cfg, "probe.b", 0.0), dim=raw_dim,
-        distribution=_require(cfg, "probe.distribution", "uniform_cube"),
-        half_width=_number(cfg, "probe.half_width", 1.0),
-        bound_eps=_number(cfg, "probe.bound_eps", None),
+        distribution=_kind(
+            cfg, "probe.distribution", ("uniform_cube", "scaled_uniform"), "uniform_cube"
+        ),
+        half_width=_nonnegative(cfg, "probe.half_width", 1.0),
+        bound_eps=_nonnegative(cfg, "probe.bound_eps", None),
     )
 
 
@@ -224,8 +234,10 @@ def validate_config(cfg):
     plant_cfg = _section(cfg, "plant", _REQUIRED)
     n = _number(plant_cfg, "plant.n", _REQUIRED, int)
     m = _number(plant_cfg, "plant.m", _REQUIRED, int)
-    if n < 1 or m < 1:
-        raise ConfigError("plant.n", "dimensions must be positive")
+    if n < 1:
+        raise ConfigError("plant.n", "must be >= 1")
+    if m < 1:
+        raise ConfigError("plant.m", "must be >= 1")
     link = _link(_section(plant_cfg, "plant.link", _REQUIRED), n)
     theta_star = _array(plant_cfg, "plant.theta_star", (n + m, n), _REQUIRED)
     x0 = _array(plant_cfg, "plant.x0", (n,), np.zeros(n))
@@ -265,7 +277,10 @@ def validate_config(cfg):
 
     met_cfg = _section(cfg, "metrics", {})
     gamma = _number(met_cfg, "metrics.gamma", 4.0)
-    if met_cfg.get("rate_probes", False):
+    rate_probes = _require(met_cfg, "metrics.rate_probes", False)
+    if not isinstance(rate_probes, bool):
+        raise ConfigError("metrics.rate_probes", f"expected a boolean, got {rate_probes!r}")
+    if rate_probes:
         if gamma <= 2:
             raise ConfigError("metrics.gamma", "rate probes need gamma > 2")
         b = _number(_section(cfg, "probe", {}), "probe.b", 0.0)

@@ -25,6 +25,7 @@ __all__ = [
     "support_value",
     "frobenius_norm",
     "run_norms",
+    "link_input",
     "step_weights",
     "estimator_step",
     "project_weighted",
@@ -327,10 +328,17 @@ def _weights(f, delta, r, c, quad):
     return d, g_bar, mu, 1.0 / (mu + d * d * quad)
 
 
-def step_weights(state, phi, f, pset):
+def link_input(theta_hat, phi):
+    """theta_hat^T phi, the link input of the prediction f(theta_hat^T phi);
+    with a leading run axis on both, one row per run."""
+    return phi.dot(theta_hat) if phi.ndim == 1 else np.matvec(theta_hat.mT, phi)
+
+
+def step_weights(state, phi, f, pset, z=None):
     """Adaptive weights for one step; absorbs ||phi||^2 into r first.
 
     Mutates state.r_accum (r_t includes the current regressor by definition).
+    ``z`` is link_input(state.theta_hat, phi), formed here when not given.
     With a leading run axis on the state and phi (a batch, with f and pset
     stacked by maps.stacked), the weights are arrays with one entry per run,
     the scalar envelope math runs run by run, and state.r_accum is replaced
@@ -339,14 +347,14 @@ def step_weights(state, phi, f, pset):
     phi = np.asarray(phi, dtype=float)
     if not all_finite(phi):
         raise ValueError("regressor must be finite")
+    if z is None:
+        z = link_input(state.theta_hat, phi)
     if phi.ndim == 1:
-        z = phi.dot(state.theta_hat)
         c = frobenius_norm(z) + pset.support_value(phi, n=state.n)
         quad = float(phi.dot(state.p_matrix).dot(phi))  # phi @ P @ phi, left to right
         state.r_accum += float(phi.dot(phi))
         d, g_bar, mu, a = _weights(f, state.delta, state.r_accum, c, quad)
     else:
-        z = np.matvec(state.theta_hat.mT, phi)
         c = run_norms(z, 1) + pset.support_value(phi, n=state.n)
         quad = np.vecdot(np.vecmat(phi, state.p_matrix), phi)
         state.r_accum = state.r_accum + np.vecdot(phi, phi)
@@ -383,11 +391,15 @@ def _project(candidate, p_next, pset, n):
     return project_weighted(candidate, weight, pset, n=n)
 
 
-def estimator_step(state, phi, x_next, f, pset):
+def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     """One recursion step on (phi_t, x_{t+1}); returns (new state, diagnostics).
 
     Order matters: r absorbs phi before mu is formed, and the covariance is
     contracted before the parameter update (which multiplies by P_{t+1}).
+    ``z`` and ``prediction`` are link_input(state.theta_hat, phi) and f(z),
+    for a caller that has formed them (the simulation loop evaluates f once
+    per step, on the plant's inputs and z together); each is formed here
+    when not given.
     A leading run axis on the state (theta_hat (R, n+m, n), p_matrix
     (R, n+m, n+m), r_accum, delta and projection_count (R,)), phi and
     x_next advances R runs at once, each to the same bits as alone; the
@@ -411,7 +423,7 @@ def estimator_step(state, phi, x_next, f, pset):
         delta=state.delta,
         projection_count=state.projection_count,
     )
-    diag = step_weights(st, phi, f, pset)
+    diag = step_weights(st, phi, f, pset, z)
     d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
 
     contraction = a * d * d * quad
@@ -434,7 +446,7 @@ def estimator_step(state, phi, x_next, f, pset):
     p_next = st.p_matrix - gain * (p_phi[..., :, None] * p_phi[..., None, :])
     p_next = 0.5 * (p_next + p_next.mT)
 
-    diag.prediction = f.eval(diag.z)
+    diag.prediction = f.eval(diag.z) if prediction is None else prediction
     residual = x_next - diag.prediction
     p_next_phi = np.matvec(p_next, phi) if runs else p_next.dot(phi)
     update = p_next_phi[..., :, None] * residual[..., None, :]

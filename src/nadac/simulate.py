@@ -4,8 +4,9 @@ A closed-loop run co-simulates the adaptive loop and the oracle reference
 trajectory on a shared noise stream; an open-loop identification run drives
 the plant with an exogenous input and has no reference.  Both advance the
 estimator once per step.  Step order at time t: input -> reference ->
-noise -> plant (one call for both trajectories) -> estimator update; the
-controller always sees the estimate that was current one update ago.  What
+noise -> plant (one link call for both trajectories and the estimator's
+prediction) -> estimator update; the controller always sees the estimate
+that was current one update ago.  What
 no step reads back (the run metrics, w and param_err) is formed a block of
 steps at a time, and each run's random draws for a block are taken at its start.
 
@@ -58,15 +59,23 @@ class PlantSpec:
         return self.theta_star[..., self.n :, :].mT
 
 
-def plant_step(spec, x, u, w):
+def plant_step(spec, x, u, w, z=None):
     """x_{t+1} = f(A x + B u) + w; x, u and w of a batch carry a leading run
     axis, as do theta_star and the link parameters of its stacked spec.  x
     and u may carry a further leading axis, the states and inputs of
-    trajectories that share the plant and w."""
-    x_next = spec.link.eval(np.matvec(spec.a_matrix, x) + np.matvec(spec.b_matrix, u)) + w
+    trajectories that share the plant and w.  With ``z`` (shaped like w), the
+    link input of the estimator's prediction, f is evaluated once on A x + B u
+    with z stacked after it, and the return is (x_next, f(z)): every link is
+    elementwise, so each row gets the bits it gets alone."""
+    y = np.matvec(spec.a_matrix, x) + np.matvec(spec.b_matrix, u)
+    if z is None:
+        x_next = spec.link.eval(y) + w
+    else:
+        fy = spec.link.eval(np.concatenate((y.reshape((-1,) + z.shape), z[None])))
+        x_next, prediction = fy[:-1].reshape(y.shape) + w, fy[-1]
     if not maps.all_finite(x_next):
         raise ValueError("plant produced a non-finite state")
-    return x_next
+    return x_next if z is None else (x_next, prediction)
 
 
 @dataclass(frozen=True)
@@ -395,16 +404,19 @@ class _Loop:
         else:
             u, v = self.zero, self.zero
         plant = self.plant
+        # the estimator's prediction f(theta_hat^T phi) rides the plant's call
+        phi = np.concatenate([x, u], axis=-1)
+        z = estimator.link_input(state.theta_hat, phi)
         u_star = x_star_next = None
         if self.ref_mech is None:
-            x_next = plant_step(plant, x, u, w)
+            x_next, prediction = plant_step(plant, x, u, w, z)
         else:
-            # the reference rides the plant's call, stacked before any run axis
+            # so does the reference, stacked before any run axis
             if self.reference is None:
                 self.reference = control.frozen_policy(self.ref_mech, plant.theta_star)
             u_star = self.reference(x_star)
-            x_next, x_star_next = plant_step(
-                plant, np.array((x, x_star)), np.array((u, u_star)), w
+            (x_next, x_star_next), prediction = plant_step(
+                plant, np.array((x, x_star)), np.array((u, u_star)), w, z
             )
         norm = estimator.run_norms(x_next, 1)
         if self.batched:
@@ -412,8 +424,9 @@ class _Loop:
                 raise ValueError("a run's state norm exceeded the divergence ceiling")
         elif norm > self.ceiling:
             raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
-        phi = np.concatenate([x, u], axis=-1)
-        state_next, diag = estimator.estimator_step(state, phi, x_next, plant.link, self.pset)
+        state_next, diag = estimator.estimator_step(
+            state, phi, x_next, plant.link, self.pset, z, prediction
+        )
         return u, v, u_star, x_next, x_star_next, state_next, diag
 
 

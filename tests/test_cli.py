@@ -354,9 +354,24 @@ def _set_entry(*path, value):
     ("epidemic_sigma5", "policy.R", _set_field("policy.R", [[1.0]])),
     ("opinion", "seed", _set_field("seed", -1)),
     ("opinion", "policy.gain.kind", _set_field("policy.gain.kind", "affine")),
+    # a negative width would clip every noise draw to one sign, or turn the
+    # probe off without a word
+    ("epidemic_sigma5", "noise.trunc", _set_field("noise.trunc", -1.0)),
+    ("opinion", "noise.half_width", _set_field("noise.half_width", -1.0)),
+    ("epidemic_sigma5", "noise.sigma", _set_field("noise.sigma", -0.5)),
+    ("opinion", "probe.half_width", _set_field("probe.half_width", -1.0)),
+    ("opinion", "probe.bound_eps", _set_entry("probe", "bound_eps", value=-1.0)),
+    ("opinion", "plant.m", _set_field("plant.m", 0)),
+    ("opinion", "probe.distribution", _set_field("probe.distribution", "gaussian")),
+    ("opinion", "metrics.rate_probes", _set_field("metrics.rate_probes", "no")),
+    ("opinion", "metrics.rate_probes", _set_field("metrics.rate_probes", 0.0)),
+    ("opinion", "metrics.rate_probes", _set_field("metrics.rate_probes", [])),
 ], ids=["gain-not-object", "radius-null", "rho_eps-list", "radius_a-object",
         "radius_b-null", "theta_star-null-entry", "x0-null-entry", "Q-scalar",
-        "R-wrong-size", "seed-negative", "gain-kind-unknown"])
+        "R-wrong-size", "seed-negative", "gain-kind-unknown", "trunc-negative",
+        "noise-half_width-negative", "sigma-negative", "probe-half_width-negative",
+        "bound_eps-negative", "m-zero", "distribution-unknown", "rate_probes-string",
+        "rate_probes-float", "rate_probes-list"])
 def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
     p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
@@ -364,6 +379,20 @@ def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
         err = capsys.readouterr().err
         assert code == cli.EXIT_VALIDATION, err
         assert f"validation error: {field}:" in err
+
+
+@pytest.mark.parametrize("preset, mutate", [
+    ("epidemic_sigma5", _set_field("noise.trunc", 0.0)),
+    ("epidemic_sigma5", _set_field("noise.sigma", 0.0)),
+    ("opinion", _set_field("noise.half_width", 0.0)),
+    ("opinion", _set_field("probe.half_width", 0.0)),
+    ("opinion", _set_entry("probe", "bound_eps", value=0.0)),
+], ids=["trunc", "sigma", "noise-half_width", "probe-half_width", "bound_eps"])
+def test_zero_widths_are_valid(tmp_path, capsys, preset, mutate):
+    # zero turns the noise or the probe off, which the tests of the engine use
+    p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: steps=3 ")
 
 
 def _affine_gain(c1, c2):

@@ -202,6 +202,51 @@ def test_stacked_link_evaluates_each_run_as_alone(links):
         assert batch.N == 10.0 and batch.sigma.shape == (3, 1)
 
 
+def _custom_tanh(dim):
+    return maps.CustomComponentwise(
+        dim=dim, components=(np.tanh,) * dim, deriv_lower=(lambda c: 1.0 / np.cosh(c) ** 2,) * dim,
+        deriv_upper=(lambda c: 1.0,) * dim,
+    )
+
+
+STACKED_CALLS = {
+    **{type(f).__name__ + (f"_sigma{f.sigma:g}" if isinstance(f, maps.SmoothedClamp) else ""):
+       [f] * 3 for f in ALL_LINKS},
+    "CustomComponentwise": [_custom_tanh(2)] * 3,
+    "ScaledTanh_per_run": [maps.ScaledTanh(dim=2, a=a) for a in (0.5, 2.0, 2.0)],
+    "LeakyRelu_per_run": [maps.LeakyRelu(dim=2, slope=s) for s in (0.1, 0.3, 0.5)],
+    "SmoothedClamp_per_run_sigma": [
+        maps.SmoothedClamp(dim=2, N=10.0, sigma=s) for s in (1.0, 5.0, 10.0)
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("name", list(STACKED_CALLS))
+def test_stacked_call_is_separate_calls_bit_for_bit(name, rows):
+    # the simulation loop evaluates the plant's rows (and the reference's)
+    # with the estimator's prediction stacked after them, in one call: each
+    # row must get the bits of its own call, alone (rows, n) and in a batch
+    # (rows, R, n) with the link's per-run parameters stacked along R
+    links = STACKED_CALLS[name]
+    n = links[0].dim
+    rng = np.random.default_rng(rows)
+    z = rng.uniform(-30.0, 30.0, (rows, len(links), n))
+    z[0, 0, 0], z[-1, -1, -1] = 0.0, -0.0
+    for r, link in enumerate(links):
+        out = link.eval(z[:, r])
+        assert out.shape == (rows, n)
+        for i in range(rows):
+            assert out[i].tobytes() == link.eval(z[i, r]).tobytes(), (r, i)
+    batch = maps.stacked(links, 1)
+    out = batch.eval(z)
+    assert out.shape == z.shape
+    for i in range(rows):
+        assert out[i].tobytes() == batch.eval(z[i]).tobytes(), i
+        for r, link in enumerate(links):
+            assert out[i, r].tobytes() == link.eval(z[i, r]).tobytes(), (r, i)
+
+
 def test_stacked_rejects_runs_of_different_kinds():
     with pytest.raises(ValueError):
         maps.stacked([maps.Sigmoid(dim=2), maps.Identity(dim=2)])

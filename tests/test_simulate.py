@@ -41,6 +41,21 @@ def test_plant_step_tanh_equilibrium_at_zero():
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
+@pytest.mark.parametrize("stack", [None, 2], ids=["alone", "with_reference"])
+def test_plant_step_with_prediction_is_two_calls_bit_for_bit(stack):
+    link = maps.SmoothedClamp(dim=2, N=10.0, sigma=5.0)
+    theta = np.array([[0.9, 0.1], [-0.2, 0.7], [1.0, 0.0], [0.3, -1.0]])
+    plant = simulate.PlantSpec(theta_star=theta, link=link, n=2, m=2, x0=np.zeros(2))
+    rng = np.random.default_rng(3)
+    lead = () if stack is None else (stack,)
+    x, u = rng.uniform(-8.0, 8.0, lead + (2,)), rng.uniform(-8.0, 8.0, lead + (2,))
+    w, z = rng.uniform(-0.1, 0.1, 2), rng.uniform(-20.0, 20.0, 2)
+    x_next, prediction = simulate.plant_step(plant, x, u, w, z)
+    assert x_next.tobytes() == simulate.plant_step(plant, x, u, w).tobytes()
+    assert x_next.shape == x.shape
+    assert prediction.tobytes() == link.eval(z).tobytes()
+
+
 def test_plant_step_smoothed_clamp_midpoint():
     # drive the pre-activation to (N/2, N/2); the clamp mean is exact there
     a = np.array([[3.0, 1.5], [1.5, 3.0]])
@@ -376,10 +391,10 @@ def test_plant_step_calls_per_step(monkeypatch, input_policy):
     None,
 ], ids=["state_feedback", "iid_uniform", "closed_loop"])
 def test_link_eval_calls_per_step(monkeypatch, input_policy):
-    # per step the plant step (with the reference, if any) and the
-    # estimator's prediction f(theta_hat^T phi), which the metrics reuse; per
-    # metric block the metrics' f(theta*^T phi).  40 steps at the eig stride
-    # of 100 make two blocks: step 0, then steps 1 .. 39
+    # per step one call: the plant step, with the reference (if any) and the
+    # estimator's prediction f(theta_hat^T phi) stacked after it, which the
+    # metrics reuse; per metric block the metrics' f(theta*^T phi).  40 steps
+    # at the eig stride of 100 make two blocks: step 0, then steps 1 .. 39
     real, calls = maps.Identity.eval, []
 
     def counting(self, z):
@@ -395,7 +410,32 @@ def test_link_eval_calls_per_step(monkeypatch, input_policy):
              noise, 40, 5)
     else:
         simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
-    assert len(calls) == 2 * 40 + 2
+    assert len(calls) == 40 + 2
+
+
+@pytest.mark.parametrize("input_policy", [("iid_uniform", 1.0), None],
+                         ids=["iid_uniform", "closed_loop"])
+def test_link_eval_calls_per_batch_step(monkeypatch, input_policy):
+    # a batch of three makes one call per batch step for all its runs, and
+    # per metric block one call per run
+    real, calls = maps.Identity.eval, []
+
+    def counting(self, z):
+        calls.append(None)
+        return real(self, z)
+
+    monkeypatch.setattr(maps.Identity, "eval", counting)
+    plant = _identification_plant()
+    pset = est.FrobeniusBall(2.0)
+    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
+    if input_policy is None:
+        kw = dict(mech=_null_policy(1, 1), probe=control.ProbingSignal(decay_b=0.125, dim=1))
+    else:
+        kw = dict(input_policy=input_policy)
+    specs = [simulate.RunSpec(plant, pset, noise, seed, **kw) for seed in (5, 6, 7)]
+    results = simulate.run_batch(specs, 40)
+    assert all(isinstance(rec, simulate.RunRecord) for rec in results)
+    assert len(calls) == 40 + 2 * 3
 
 
 # ---------------------------------------------------------------------------
