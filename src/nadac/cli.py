@@ -209,7 +209,8 @@ def cmd_sweep(args):
 
 def _dare_matrices(path):
     """A, Q and R of a dare input file: finite, A square, Q and R of A's
-    size and R nonsingular.  A ConfigError names the first that is not."""
+    size and symmetric, and R nonsingular.  A ConfigError names the first
+    that is not."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -233,6 +234,8 @@ def _dare_matrices(path):
             )
         if not np.isfinite(M).all():
             raise cfgmod.ConfigError(name, "entries must be finite")
+        if name != "A" and not np.array_equal(M, M.T):
+            raise cfgmod.ConfigError(name, "must be symmetric")
         mats.append(M)
     if np.linalg.matrix_rank(mats[2]) < len(mats[2]):
         raise cfgmod.ConfigError("R", "must be nonsingular")

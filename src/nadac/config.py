@@ -105,6 +105,15 @@ def _array(cfg, path, shape, default):
     return arr
 
 
+def _symmetric(cfg, path, n):
+    """The (n, n) float array at ``path`` (as _array), identity when absent,
+    equal to its transpose: a DARE weight."""
+    arr = _array(cfg, path, (n, n), np.eye(n))
+    if not np.array_equal(arr, arr.T):
+        raise ConfigError(path, "must be symmetric")
+    return arr
+
+
 def _section(cfg, path, default):
     """The sub-object at ``path`` (as _require)."""
     val = _require(cfg, path, default)
@@ -191,8 +200,8 @@ def _policy(cfg, n, m):
             f"Riccati feedback with lift {lift!r} needs a raw input of n = {n} entries, "
             f"got {raw_dim} from m = {m}",
         )
-    Q = _array(cfg, "policy.Q", (n, n), np.eye(n))
-    R = _array(cfg, "policy.R", (n, n), np.eye(n))
+    Q = _symmetric(cfg, "policy.Q", n)
+    R = _symmetric(cfg, "policy.R", n)
     return _construct("policy", control.RiccatiFeedback, Q, R, lift_kind=lift)
 
 

@@ -350,6 +350,10 @@ class ProbingSignal:
             raise ValueError("decay exponent must be >= 0")
         if self.distribution not in ("uniform_cube", "scaled_uniform"):
             raise ValueError(f"unknown probe distribution {self.distribution!r}")
+        for name in ("half_width", "bound_eps"):
+            width = getattr(self, name)
+            if width is not None and not width >= 0:  # NaN too
+                raise ValueError(f"probe {name} must be >= 0")
         if self.bound_eps is None:
             self.bound_eps = (
                 self.half_width if self.distribution == "uniform_cube" else np.sqrt(3.0)

@@ -321,10 +321,16 @@ def _runs(obj, count):
 
 def _weights(f, delta, r, c, quad):
     """d_t, g_bar, mu_t and a_t of one run from its envelopes at radius c;
-    Python float powers, which numpy's power does not match bit for bit."""
+    Python float powers, which numpy's array power does not match bit for
+    bit (the libm pow of a numpy scalar does, and gives inf where Python's
+    raises OverflowError)."""
     alpha, g_bar = f.envelopes(c)
     d = 0.5 * alpha
-    mu = (1.0 + np.log(r)) ** (1.0 + delta) + d * g_bar**2 * quad
+    try:
+        lead = (1.0 + float(np.log(r))) ** (1.0 + delta)
+    except OverflowError:
+        lead = math.inf
+    mu = lead + d * g_bar**2 * quad
     return d, g_bar, mu, 1.0 / (mu + d * d * quad)
 
 
@@ -345,16 +351,23 @@ def step_weights(state, phi, f, pset, z=None):
     rather than written in place.
     """
     phi = np.asarray(phi, dtype=float)
-    if not all_finite(phi):
-        raise ValueError("regressor must be finite")
-    if z is None:
-        z = link_input(state.theta_hat, phi)
     if phi.ndim == 1:
-        c = frobenius_norm(z) + pset.support_value(phi, n=state.n)
+        # phi.phi, which r absorbs, is not finite for a non-finite phi, so
+        # phi itself is checked only when the dot is not finite
+        energy = phi.dot(phi)
+        if not math.isfinite(energy) and not all_finite(phi):
+            raise ValueError("regressor must be finite")
+        if z is None:
+            z = link_input(state.theta_hat, phi)
+        c = math.sqrt(z.dot(z)) + pset.support_value(phi, n=state.n)
         quad = float(phi.dot(state.p_matrix).dot(phi))  # phi @ P @ phi, left to right
-        state.r_accum += float(phi.dot(phi))
+        state.r_accum += float(energy)
         d, g_bar, mu, a = _weights(f, state.delta, state.r_accum, c, quad)
     else:
+        if not all_finite(phi):
+            raise ValueError("regressor must be finite")
+        if z is None:
+            z = link_input(state.theta_hat, phi)
         c = run_norms(z, 1) + pset.support_value(phi, n=state.n)
         quad = np.vecdot(np.vecmat(phi, state.p_matrix), phi)
         state.r_accum = state.r_accum + np.vecdot(phi, phi)
@@ -391,6 +404,35 @@ def _project(candidate, p_next, pset, n):
     return project_weighted(candidate, weight, pset, n=n)
 
 
+def _step_one(st, diag, phi, x_next, f, pset, prediction):
+    """The rest of estimator_step for a state without a run axis, from its
+    weights: the arithmetic of a batch of one, to the same bits, in fewer
+    numpy calls."""
+    d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
+    if a * d * d * quad >= 1.0:
+        a, mu = _extended_weights(phi, st.p_matrix, st.r_accum, st.delta, d, diag.g_bar, st.step)
+        diag.a_weight, diag.mu_weight = a, mu
+    p_phi = st.p_matrix.dot(phi)
+    p_next = st.p_matrix - (a * d * d) * np.multiply.outer(p_phi, p_phi)
+    p_next = 0.5 * (p_next + p_next.T)
+    if prediction is None:
+        prediction = f.eval(diag.z)
+    diag.prediction = prediction
+    update = np.multiply.outer(p_next.dot(phi), x_next - prediction)
+    candidate = st.theta_hat + (d / mu) * update
+    if not all_finite(candidate):
+        raise NumericalAbort(f"non-finite parameter update at step {st.step}")
+    if pset.contains(candidate):
+        st.theta_hat = candidate
+    else:
+        st.theta_hat = _project(candidate, p_next, pset, st.n)
+        st.projection_count += 1
+        diag.projected = True
+    st.p_matrix = p_next
+    st.step += 1
+    return st, diag
+
+
 def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     """One recursion step on (phi_t, x_{t+1}); returns (new state, diagnostics).
 
@@ -400,10 +442,11 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     for a caller that has formed them (the simulation loop evaluates f once
     per step, on the plant's inputs and z together); each is formed here
     when not given.
-    A leading run axis on the state (theta_hat (R, n+m, n), p_matrix
-    (R, n+m, n+m), r_accum, delta and projection_count (R,)), phi and
-    x_next advances R runs at once, each to the same bits as alone; the
-    extended-precision fallback and the projection then run per run.
+    A state without a run axis finishes in _step_one.  A leading run axis
+    on the state (theta_hat (R, n+m, n), p_matrix (R, n+m, n+m), r_accum,
+    delta and projection_count (R,)), phi and x_next advances R runs at
+    once, each to the same bits as alone; the extended-precision fallback
+    and the projection then run per run.
     """
     phi = np.asarray(phi, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
@@ -424,52 +467,37 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
         projection_count=state.projection_count,
     )
     diag = step_weights(st, phi, f, pset, z)
+    if not runs:
+        return _step_one(st, diag, phi, x_next, f, pset, prediction)
     d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
 
     contraction = a * d * d * quad
-    if runs:
-        late = np.flatnonzero(contraction >= 1.0) if np.maximum.reduce(contraction) >= 1.0 else ()
-        for r in late:
+    if np.maximum.reduce(contraction) >= 1.0:
+        for r in np.flatnonzero(contraction >= 1.0):
             a[r], mu[r] = _extended_weights(
                 phi[r], st.p_matrix[r], st.r_accum[r], st.delta[r], d[r], diag.g_bar[r], st.step
             )
-    elif contraction >= 1.0:
-        a, mu = _extended_weights(phi, st.p_matrix, st.r_accum, st.delta, d, diag.g_bar, st.step)
-        diag.a_weight, diag.mu_weight = a, mu
 
-    gain, step = a * d * d, d / mu
-    if runs:
-        gain, step = gain[:, None, None], step[:, None, None]
-        p_phi = np.matvec(st.p_matrix, phi)
-    else:
-        p_phi = st.p_matrix.dot(phi)
-    p_next = st.p_matrix - gain * (p_phi[..., :, None] * p_phi[..., None, :])
+    gain, step = (a * d * d)[:, None, None], (d / mu)[:, None, None]
+    p_phi = np.matvec(st.p_matrix, phi)
+    p_next = st.p_matrix - gain * (p_phi[:, :, None] * p_phi[:, None, :])
     p_next = 0.5 * (p_next + p_next.mT)
 
     diag.prediction = f.eval(diag.z) if prediction is None else prediction
     residual = x_next - diag.prediction
-    p_next_phi = np.matvec(p_next, phi) if runs else p_next.dot(phi)
-    update = p_next_phi[..., :, None] * residual[..., None, :]
+    update = np.matvec(p_next, phi)[:, :, None] * residual[:, None, :]
     candidate = st.theta_hat + step * update
     if not all_finite(candidate):
         raise NumericalAbort(f"non-finite parameter update at step {st.step}")
 
     inside = pset.contains(candidate)
-    if runs:
-        diag.projected = ~inside
-        if not np.logical_and.reduce(inside):
-            sets = _runs(pset, len(phi))
-            for r in np.flatnonzero(diag.projected):
-                candidate[r] = _project(candidate[r], p_next[r], sets[r], st.n)
-            st.projection_count = st.projection_count + diag.projected
-        st.theta_hat = candidate
-    elif inside:
-        st.theta_hat = candidate
-    else:
-        st.theta_hat = _project(candidate, p_next, pset, st.n)
-        st.projection_count += 1
-        diag.projected = True
-
+    diag.projected = ~inside
+    if not np.logical_and.reduce(inside):
+        sets = _runs(pset, len(phi))
+        for r in np.flatnonzero(diag.projected):
+            candidate[r] = _project(candidate[r], p_next[r], sets[r], st.n)
+        st.projection_count = st.projection_count + diag.projected
+    st.theta_hat = candidate
     st.p_matrix = p_next
     st.step += 1
     return st, diag

@@ -17,6 +17,7 @@ gives the same bits as alone.  A single run has no run axis.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
@@ -70,6 +71,10 @@ def plant_step(spec, x, u, w, z=None):
     y = np.matvec(spec.a_matrix, x) + np.matvec(spec.b_matrix, u)
     if z is None:
         x_next = spec.link.eval(y) + w
+    elif y.ndim == 1:
+        # a single run without a reference: y and z end to end in one vector
+        fy = spec.link.eval(np.concatenate((y, z)))
+        x_next, prediction = fy[: len(y)] + w, fy[len(y) :]
     else:
         fy = spec.link.eval(np.concatenate((y.reshape((-1,) + z.shape), z[None])))
         x_next, prediction = fy[:-1].reshape(y.shape) + w, fy[-1]
@@ -96,6 +101,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("uniform_cube", "truncated_gaussian", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("half_width", "sigma", "trunc"):
+            if not getattr(self, name) >= 0:  # NaN too
+                raise ValueError(f"noise {name} must be >= 0")
         if self.kind == "truncated_gaussian" and not np.isfinite(self.trunc):
             raise ValueError("truncated_gaussian needs a finite truncation radius")
 
@@ -418,12 +426,14 @@ class _Loop:
             (x_next, x_star_next), prediction = plant_step(
                 plant, np.array((x, x_star)), np.array((u, u_star)), w, z
             )
-        norm = estimator.run_norms(x_next, 1)
         if self.batched:
+            norm = estimator.run_norms(x_next, 1)
             if np.logical_or.reduce(norm > self.ceiling):
                 raise ValueError("a run's state norm exceeded the divergence ceiling")
-        elif norm > self.ceiling:
-            raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
+        else:
+            norm = math.sqrt(x_next.dot(x_next))
+            if norm > self.ceiling:
+                raise ValueError(f"state norm {norm:.3e} exceeded the divergence ceiling")
         state_next, diag = estimator.estimator_step(
             state, phi, x_next, plant.link, self.pset, z, prediction
         )

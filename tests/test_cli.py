@@ -844,3 +844,26 @@ def test_start_up_imports_only_what_the_config_uses(tmp_path):
     )
     got = json.loads(done.stdout.splitlines()[-1])
     assert got == {"opinion": [], "epidemic": True, "bound": True}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("policy.R", [[1.0, 5.0], [0.0, 1.0]]),
+    ("policy.Q", [[1.0, 3.0], [0.0, 1.0]]),
+    ("policy.Q", [[1.0, 0.5], [0.5 + 1e-16, 1.0]]),
+], ids=["R", "Q", "Q-last-bit"])
+def test_non_symmetric_weight_is_validation_error(tmp_path, capsys, field, value):
+    # a non-symmetric weight once validated, ran the DARE to its iteration
+    # cap and exited 3 at step 0
+    p = _write_cfg(tmp_path, _set_field(field, value)(_preset_cfg("epidemic_sigma5", horizon=3)))
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"validation error: {field}: must be symmetric")
+
+
+@pytest.mark.parametrize("name", ["Q", "R"])
+def test_dare_non_symmetric_weight_is_validation_error(tmp_path, capsys, name):
+    spec = {"A": _EYE2, "Q": _EYE2, "R": _EYE2, name: [[1.0, 2.0], [0.0, 1.0]]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(spec))
+    assert cli.main(["dare", str(p)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {name}: must be symmetric")

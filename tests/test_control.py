@@ -382,3 +382,12 @@ def test_riccati_feedback_keeps_positive_zero_for_scalar_state():
     solo = mech.raw_eval(theta, np.zeros(1))
     batch = control._raw_eval((mech, mech), np.array([theta, theta]), np.zeros((2, 1)))
     assert not np.signbit(solo).any() and not np.signbit(batch).any()
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+@pytest.mark.parametrize("field", ["half_width", "bound_eps"])
+def test_probe_rejects_negative_widths(field, bad):
+    # a negative half_width would turn the probe off without a word
+    with pytest.raises(ValueError, match=f"probe {field} must be >= 0"):
+        control.ProbingSignal(decay_b=0.1, dim=1, **{field: bad})
+    assert control.ProbingSignal(decay_b=0.1, dim=1, **{field: 0.0}).bound_eps == 0.0

@@ -453,3 +453,172 @@ def test_run_norms_equal_each_runs_frobenius_norm():
     for r in range(5):
         assert norms[r] == est.frobenius_norm(theta[r]) == est.run_norms(theta[r], 2)
         assert vec_norms[r] == est.frobenius_norm(phi[r, :2])
+
+
+# ---------------------------------------------------------------------------
+# the single-run step against a batch of one
+
+
+def _batch_of_one(state):
+    return est.EstimatorState(
+        theta_hat=state.theta_hat[None], p_matrix=state.p_matrix[None],
+        r_accum=np.array([state.r_accum]), step=state.step, delta=np.array([state.delta]),
+        projection_count=np.array([state.projection_count]),
+    )
+
+
+def _float_bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _step_alone_and_batched(state, phi, x_next, f, pset, given=False):
+    """estimator_step of a single run and of the same run as a batch of one
+    (with ``given``, on the z and prediction the simulation loop hands in).
+    Asserts the same bits, or the same exception with the same message,
+    and returns the single run's (state, diag) or exception."""
+    outs = []
+    for batched in (False, True):
+        st_in = _batch_of_one(state) if batched else state
+        args = (phi[None], x_next[None]) if batched else (phi, x_next)
+        extra = ()
+        if given:
+            z = est.link_input(st_in.theta_hat, args[0])
+            extra = (z, f.eval(z))
+        try:
+            outs.append(est.estimator_step(st_in, *args, f, pset, *extra))
+        except Exception as exc:  # noqa: BLE001 - compared below
+            outs.append(exc)
+    one, batch = outs
+    if isinstance(one, Exception) or isinstance(batch, Exception):
+        assert type(one) is type(batch) and str(one) == str(batch), (one, batch)
+        return one
+    (st1, d1), (stb, db) = one, batch
+    assert st1.theta_hat.tobytes() == stb.theta_hat[0].tobytes()
+    assert st1.p_matrix.tobytes() == stb.p_matrix[0].tobytes()
+    assert _float_bits(st1.r_accum) == _float_bits(stb.r_accum[0])
+    assert st1.step == stb.step
+    assert st1.projection_count == stb.projection_count[0]
+    for name in ("d_gain", "g_bar", "a_weight", "mu_weight", "quad"):
+        assert _float_bits(getattr(d1, name)) == _float_bits(getattr(db, name)[0]), name
+    assert bool(d1.projected) == bool(db.projected[0])
+    assert d1.prediction.tobytes() == db.prediction[0].tobytes()
+    assert d1.z.tobytes() == db.z[0].tobytes()
+    return one
+
+
+def test_single_step_is_batch_of_one_while_learning():
+    # 50 steps of a leaky-ReLU plant whose estimate learns (d_t = 0.15)
+    n, m = 2, 2
+    link = maps.LeakyRelu(dim=n, slope=0.3)
+    pset = est.FrobeniusBall(50.0)
+    rng = np.random.default_rng(31)
+    theta_star = 0.3 * rng.standard_normal((n + m, n))
+    state = est.new_estimator(np.zeros((n + m, n)), pset, 0.7, link)
+    x = np.zeros(n)
+    for t in range(50):
+        phi = np.concatenate([x, rng.uniform(-1.0, 1.0, m)])
+        x_next = link.eval(theta_star.T @ phi) + rng.uniform(-0.1, 0.1, n)
+        state, diag = _step_alone_and_batched(state, phi, x_next, link, pset, given=t % 2 == 0)
+        assert not diag.projected
+        x = x_next
+    assert state.step == 50 and np.linalg.norm(state.theta_hat - theta_star) < 0.5
+
+
+def test_single_step_is_batch_of_one_for_zero_regressor():
+    pset = est.FrobeniusBall(2.0)
+    link = maps.ScaledTanh(dim=2, a=2.0)
+    state = est.new_estimator(np.full((4, 2), 0.25), pset, 0.5, link)
+    nxt, _ = _step_alone_and_batched(state, np.zeros(4), np.array([0.4, -0.1]), link, pset)
+    np.testing.assert_array_equal(nxt.theta_hat, state.theta_hat)
+
+
+@pytest.mark.parametrize("pset", [est.FrobeniusBall(0.3), est.BlockOperatorBalls(0.3, 0.2)],
+                         ids=["frobenius", "blocks"])
+def test_single_step_is_batch_of_one_when_projecting(pset):
+    link = maps.Identity(dim=2)
+    state = est.new_estimator(np.full((4, 2), 0.01), pset, 0.5, link)
+    phi = np.array([1.0, -2.0, 0.5, 1.5])
+    nxt, diag = _step_alone_and_batched(state, phi, np.array([4.0, -3.0]), link, pset)
+    assert diag.projected and nxt.projection_count == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_single_step_is_batch_of_one_for_non_finite_regressor(bad):
+    pset = est.FrobeniusBall(2.0)
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, maps.Identity(dim=2))
+    phi = np.array([0.5, bad, 0.0, 1.0])
+    exc = _step_alone_and_batched(state, phi, np.zeros(2), maps.Identity(dim=2), pset)
+    assert isinstance(exc, ValueError) and str(exc) == "regressor must be finite"
+
+
+def test_single_step_is_batch_of_one_when_energy_overflows():
+    # a finite phi whose phi.phi overflows: r and the radius become inf, and
+    # the envelope's radius check raises
+    pset = est.FrobeniusBall(2.0)
+    link = maps.LeakyRelu(dim=2, slope=0.3)
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, link)
+    with np.errstate(over="ignore"):
+        exc = _step_alone_and_batched(
+            state, np.array([1e200, 0.0, 0.0, 0.0]), np.zeros(2), link, pset
+        )
+    assert isinstance(exc, ValueError)
+    assert str(exc).startswith("envelope radius must be finite")
+
+
+@pytest.mark.parametrize("phi, rescued", [
+    (np.array([4.7e26, 0.0, 0.0, 0.0]), True),
+    (1.185e27 * np.array([1.0, 0.3, -0.2, 0.1]), False),
+], ids=["rescued", "abort"])
+def test_single_step_is_batch_of_one_in_extended_precision(monkeypatch, phi, rescued):
+    # a tiny tanh gain on a tiny ball and |phi| near 1e27: d^2 quad is about
+    # 1e20 times mu, so a d^2 quad rounds to 1.0 in float64 at step 0 and the
+    # weights are re-derived in long double, which may or may not resolve it
+    calls = []
+    extended = est._extended_weights
+    monkeypatch.setattr(
+        est, "_extended_weights", lambda *args: calls.append(args) or extended(*args)
+    )
+    link = maps.ScaledTanh(dim=2, a=1e-17)
+    pset = est.FrobeniusBall(1e-30)
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, link)
+    out = _step_alone_and_batched(state, phi, np.zeros(2), link, pset)
+    assert len(calls) == 2  # once alone, once in the batch
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        assert isinstance(out, tuple) == rescued
+    if not rescued:
+        assert isinstance(out, est.NumericalAbort)
+        assert str(out).startswith("covariance contraction factor")
+
+
+# ---------------------------------------------------------------------------
+# forms of the single-run step that the CI floor leg (numpy 2.2) pins: each
+# must give the bits of the form it replaced
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7])
+def test_multiply_outer_is_broadcast_product_bit_for_bit(size):
+    rng = np.random.default_rng(40 + size)
+    for _ in range(200):
+        a = rng.standard_normal(size) * rng.uniform(1e-3, 1e3)
+        b = rng.standard_normal(2 + size % 3) * rng.uniform(1e-3, 1e3)
+        a[rng.integers(size)] = rng.choice([0.0, -0.0])
+        assert np.multiply.outer(a, b).tobytes() == (a[:, None] * b[None, :]).tobytes()
+        assert np.multiply.outer(a, a).tobytes() == (a[:, None] * a[None, :]).tobytes()
+
+
+def test_python_float_mu_is_numpy_scalar_mu():
+    # mu_t from a Python float power equals the numpy scalar power it
+    # replaced, including the overflow to inf of a very large exponent
+    rng = np.random.default_rng(23)
+    count = 20_000
+    rs = np.concatenate([[1.0, 2.0, np.e, 1e308], np.exp(rng.uniform(0.0, 709.0, count))])
+    deltas = np.concatenate([[0.5, 1.0, 2.0, 0.5], rng.uniform(1e-3, 5.0, count)])
+    quads = rng.uniform(0.0, 1e3, count + 4)
+    for r, delta, quad in zip(rs.tolist(), deltas.tolist(), quads.tolist()):
+        d, g_bar, mu, a = est._weights(IDENT, delta, r, 1.0, quad)
+        want = (1.0 + np.log(r)) ** (1.0 + delta) + d * g_bar**2 * quad
+        assert _float_bits(mu) == _float_bits(want), (r, delta)
+        assert _float_bits(a) == _float_bits(1.0 / (want + d * d * quad))
+    with np.errstate(over="ignore"):
+        want = (1.0 + np.log(1e10)) ** (1.0 + 300.0)
+    assert want == np.inf and est._weights(IDENT, 300.0, 1e10, 1.0, 1.0)[2] == np.inf

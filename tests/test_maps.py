@@ -293,3 +293,18 @@ def test_links_without_override_take_both_envelopes(f):
     assert type(f).envelopes is maps.LinkFunction.envelopes
     for c in (0.0, 0.5, 3.0, 40.0):
         assert f.envelopes(c) == (f.alpha_env(c), f.beta_env(c))
+
+
+@pytest.mark.parametrize("name", list(STACKED_CALLS))
+def test_end_to_end_call_is_separate_calls_bit_for_bit(name):
+    # a single run without a reference hands the link its plant row and its
+    # prediction's input end to end, as one vector of 2n entries
+    link = STACKED_CALLS[name][0]
+    n = link.dim
+    rng = np.random.default_rng(len(name))
+    for _ in range(20):
+        y, z = rng.uniform(-30.0, 30.0, n), rng.uniform(-30.0, 30.0, n)
+        y[0], z[-1] = 0.0, -0.0
+        out = link.eval(np.concatenate((y, z)))
+        assert out[:n].tobytes() == link.eval(y).tobytes()
+        assert out[n:].tobytes() == link.eval(z).tobytes()

@@ -898,3 +898,32 @@ def test_reference_dare_failure_aborts_at_step_0():
     assert isinstance(aborted, simulate.RunAbort)
     assert (str(aborted), aborted.step) == (str(info.value), 0)
     assert rec.steps_completed == 50
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+@pytest.mark.parametrize("field", ["half_width", "sigma", "trunc"])
+def test_noise_spec_rejects_negative_widths(field, bad):
+    # a negative trunc would draw w = -trunc on every step; zero stays valid
+    widths = {"sigma": 5.0, "trunc": 1.0}
+    with pytest.raises(ValueError, match=f"noise {field} must be >= 0"):
+        simulate.NoiseSpec("truncated_gaussian", 2, **{**widths, field: bad})
+    spec = simulate.NoiseSpec("truncated_gaussian", 2, **{**widths, field: 0.0})
+    assert getattr(spec, field) == 0.0
+
+
+@pytest.mark.parametrize("with_prediction", [False, True])
+def test_plant_step_keeps_positive_zero_for_scalar_state(with_prediction):
+    # with n = 1, A < 0 and x = 0, np.matvec gives +0.0 where ndarray.dot
+    # gives -0.0; with a -0.0 draw of w the state's sign would show it
+    plant = simulate.PlantSpec(
+        theta_star=np.array([[-0.5], [-0.3]]), link=maps.Identity(dim=1), n=1, m=1,
+        x0=np.zeros(1),
+    )
+    x, u, w = np.zeros(1), np.zeros(1), np.array([-0.0])
+    z = np.array([-0.0])
+    out = simulate.plant_step(plant, x, u, w, z) if with_prediction else (
+        simulate.plant_step(plant, x, u, w), None
+    )
+    assert out[0].tobytes() == np.zeros(1).tobytes()
+    if with_prediction:
+        assert out[1].tobytes() == z.tobytes()
