@@ -187,9 +187,11 @@ def _policy(cfg, n, m):
             return control.PinningLeader(
                 x_leader, pattern, kappa0=_number(gain, "policy.gain.kappa0", 1.0)
             )
+        c1 = _number(gain, "policy.gain.c1", _REQUIRED)
+        if c1 <= 0:
+            raise ConfigError("policy.gain.c1", "must be positive")
         return control.PinningLeader(
-            x_leader, pattern, affine_c1=_number(gain, "policy.gain.c1", _REQUIRED),
-            affine_c2=_number(gain, "policy.gain.c2", _REQUIRED),
+            x_leader, pattern, affine_c1=c1, affine_c2=_number(gain, "policy.gain.c2", _REQUIRED)
         )
     lift = _kind(cfg, "policy.lift", ("direct", "quadratic_si"), "direct")
     # the DARE has B = I, so the feedback before the lift has n entries
@@ -280,12 +282,14 @@ def validate_config(cfg):
         kinds = ("zero", "iid_uniform", "state_feedback")
         input_policy = _kind(ip_cfg, "input_policy.kind", kinds, "zero")
         if input_policy == "iid_uniform":
-            input_policy = (input_policy, _number(ip_cfg, "input_policy.half_width", 1.0))
+            input_policy = (input_policy, _nonnegative(ip_cfg, "input_policy.half_width", 1.0))
         elif input_policy == "state_feedback":
             input_policy = (input_policy, _array(ip_cfg, "input_policy.K", (m, n), _REQUIRED))
 
     met_cfg = _section(cfg, "metrics", {})
     gamma = _number(met_cfg, "metrics.gamma", 4.0)
+    if gamma <= 0:
+        raise ConfigError("metrics.gamma", "must be positive")
     rate_probes = _require(met_cfg, "metrics.rate_probes", False)
     if not isinstance(rate_probes, bool):
         raise ConfigError("metrics.rate_probes", f"expected a boolean, got {rate_probes!r}")

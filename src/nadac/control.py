@@ -19,7 +19,6 @@ from .maps import all_finite
 __all__ = [
     "PinningLeader",
     "RiccatiFeedback",
-    "CustomPolicy",
     "ProbingSignal",
     "solve_dare",
     "probe_sample",
@@ -119,11 +118,11 @@ class PinningLeader:
     kappa0: float = 1.0
     affine_c1: float = 0.0  # kappa = affine_c1 * ||theta||_F + affine_c2 when c1 > 0
     affine_c2: float = 0.0
-    lipschitz_L: float = 0.0
-    param_lipschitz_L1: float = 0.0
 
     def __post_init__(self):
         self.pattern = np.asarray(self.pattern, dtype=float)
+        if not self.affine_c1 >= 0.0 or (self.affine_c1 == 0.0 and self.affine_c2 != 0.0):
+            raise ValueError("an affine gain needs affine_c1 > 0 (or both constants zero)")
 
     @property
     def raw_dim(self):
@@ -157,10 +156,8 @@ class RiccatiFeedback:
     Q: np.ndarray
     R: np.ndarray
     lift_kind: str = "direct"
-    lipschitz_L: float = 1.0
-    param_lipschitz_L1: float = 1.0
-    _cache_theta: np.ndarray | None = field(default=None, repr=False)
-    _cache_p: np.ndarray | None = field(default=None, repr=False)
+    _cache_theta: np.ndarray | None = field(init=False, default=None, repr=False)
+    _cache_p: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
@@ -214,29 +211,6 @@ class RiccatiFeedback:
         return np.concatenate([np.zeros(v.shape[:-1] + (3,)), v], axis=-1)
 
 
-@dataclass
-class CustomPolicy:
-    """Delegates to a user function (theta, x) -> u with declared constants."""
-
-    fn: object
-    m: int
-    lipschitz_L: float = 0.0
-    param_lipschitz_L1: float = 0.0
-
-    @property
-    def raw_dim(self):
-        return self.m
-
-    def raw_eval(self, theta, x):
-        return np.asarray(self.fn(theta, x), dtype=float)
-
-    def lift(self, x, u_raw):
-        return u_raw
-
-    def lift_probe(self, v):
-        return v
-
-
 def _raw_eval(mech, theta, x):
     """mech.raw_eval(theta, x).  For a batch, ``mech`` holds one mechanism
     per run (one class and lift), theta and x carry a leading run axis, and
@@ -267,13 +241,10 @@ def frozen_policy(mech, theta):
     """x -> policy_eval(mech, theta, x), to the last bit, for a theta that
     never changes (a batch passes one mechanism per run, as a tuple).
     Riccati feedback solves each run's DARE once, cold, and keeps P, R + P
-    and A; a pinning input is a constant; a custom policy is evaluated on
-    every call."""
+    and A; a pinning input is a constant."""
     batched = isinstance(mech, tuple)
     mechs, thetas = (mech, theta) if batched else ((mech,), (theta,))
     first = mechs[0]
-    if isinstance(first, CustomPolicy):
-        return lambda x: policy_eval(mech, theta, x)
     if isinstance(first, PinningLeader):
         u = np.array([mk.raw_eval(th, None) for mk, th in zip(mechs, thetas)])
         u = u if batched else u[0]
@@ -298,32 +269,6 @@ def frozen_policy(mech, theta):
         return first.lift(x, raw(x))
 
     return evaluate
-
-
-def validate_lipschitz(mech, pset, n, m, rng, pairs=10_000, x_scale=5.0, tol=1e-9):
-    """Randomized check of the declared Lipschitz constants.
-
-    Raises ValueError on the first sampled violation of either the
-    state-Lipschitz bound L or the parameter-sensitivity bound L1.
-    """
-    for _ in range(pairs):
-        theta = pset.sample(n, m, rng)
-        theta2 = pset.sample(n, m, rng)
-        x = rng.standard_normal(n) * x_scale
-        x2 = rng.standard_normal(n) * x_scale
-        u1 = mech.raw_eval(theta, x)
-        du = np.linalg.norm(u1 - mech.raw_eval(theta, x2))
-        if du > mech.lipschitz_L * np.linalg.norm(x - x2) + tol:
-            raise ValueError(
-                f"state Lipschitz bound violated: {du:.6g} > "
-                f"{mech.lipschitz_L} * ||dx||"
-            )
-        dup = np.linalg.norm(u1 - mech.raw_eval(theta2, x))
-        bound = mech.param_lipschitz_L1 * np.linalg.norm(theta - theta2) * np.linalg.norm(x)
-        if dup > bound + tol:
-            raise ValueError(
-                f"parameter Lipschitz bound violated: {dup:.6g} > {bound:.6g}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +323,7 @@ def probe_sample(sig, t, rng, steps=None):
     return np.array([[(s + 1.0) ** (-sig.decay_b)] for s in range(t, t + steps)]) * eps
 
 
-def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, pset=None, v_raw=None):
+def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, v_raw=None):
     """u_t = pi_{theta_hat}(x_t) + v_t; returns (u, v) with v in input space.
 
     ``v_raw``: the raw probe when it is already drawn by probe_sample (sig,
@@ -387,8 +332,6 @@ def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, pset=None, v_raw=None):
     run; u and v then have one row per run.
     """
     x = np.asarray(x, dtype=float)
-    if pset is not None and not pset.contains(theta_hat_prev):
-        raise ValueError("theta_hat lies outside the parameter set")
     u_raw = _raw_eval(mech, theta_hat_prev, x)
     if v_raw is None:
         v_raw = probe_sample(sig, t, rng)

@@ -22,7 +22,6 @@ __all__ = [
     "EstimatorState",
     "StepDiagnostics",
     "new_estimator",
-    "support_value",
     "frobenius_norm",
     "run_norms",
     "link_input",
@@ -152,19 +151,11 @@ class BlockOperatorBalls:
         return np.vstack([a.T, b.T])
 
 
-def support_value(pset, phi, n=None):
-    """sup over theta in Theta of ||theta^T phi|| (exact for both kinds)."""
-    phi = np.asarray(phi, dtype=float)
-    if not all_finite(phi):
-        raise ValueError("regressor must be finite")
-    return pset.support_value(phi, n=n)
-
-
 # ---------------------------------------------------------------------------
 # Weighted projection onto the shrunken set
 
 
-def _project_frobenius(x, weight, radius, tol=1e-10, max_iter=300):
+def _project_frobenius(x, weight, radius):
     """argmin_{||y||_F <= radius} tr[(x-y)^T M (x-y)] via the Lagrangian
     y(lam) = (M + lam I)^{-1} M x; ||y(lam)||_F is monotone decreasing."""
     if np.linalg.norm(x) <= radius:
@@ -181,11 +172,11 @@ def _project_frobenius(x, weight, radius, tol=1e-10, max_iter=300):
         hi *= 2.0
         if hi > 1e300:
             raise ProjectionError("Frobenius-ball bisection failed to bracket", best=y_of(1e300))
-    for _ in range(max_iter):
+    for _ in range(300):
         mid = 0.5 * (lo + hi)
         ymid = y_of(mid)
         nrm = np.linalg.norm(ymid)
-        if abs(nrm - radius) <= tol:
+        if abs(nrm - radius) <= 1e-10:
             return ymid
         if nrm > radius:
             lo = mid
@@ -211,7 +202,7 @@ def _clip_operator_norm(block, radius):
     return u @ np.diag(np.minimum(s, radius)) @ vt
 
 
-def _project_blocks(x, weight, pset, n, tol=1e-12, max_iter=10_000):
+def _project_blocks(x, weight, pset, n):
     """Projected gradient on the weighted quadratic with spectral-ball
     Euclidean projections per block; step 1/lambda_max(M)."""
     ra = pset.radius_a * pset.rho_eps
@@ -230,11 +221,11 @@ def _project_blocks(x, weight, pset, n, tol=1e-12, max_iter=10_000):
     step = 1.0 / float(np.linalg.eigvalsh(weight)[-1])
     y = proj(x)
     prev = obj(y)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         grad = -2.0 * weight @ (x - y)
         y = proj(y - 0.5 * step * grad)
         cur = obj(y)
-        if prev - cur <= tol * max(1.0, abs(prev)):
+        if prev - cur <= 1e-12 * max(1.0, abs(prev)):
             return y
         prev = cur
     raise ProjectionError(

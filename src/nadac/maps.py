@@ -26,7 +26,6 @@ __all__ = [
     "LeakyRelu",
     "GaussianSurvival",
     "SmoothedClamp",
-    "CustomComponentwise",
     "smoothed_clamp_value",
     "all_finite",
     "stacked",
@@ -309,53 +308,3 @@ class SmoothedClamp(LinkFunction):
         beta = max(lo, hi, self.peak) if 0.5 * self.N <= c else max(lo, hi)
         return _floor_alpha(float(min(lo, hi))), float(beta)
 
-
-@dataclass(frozen=True)
-class CustomComponentwise(LinkFunction):
-    """User-supplied scalar components with derivative-bound callbacks.
-
-    ``deriv_lower(c)`` / ``deriv_upper(c)`` must bound the derivative of the
-    matching component over [-c, c].  The bounds are spot-checked against
-    finite differences at construction and rejected if violated.
-    """
-
-    components: tuple = ()
-    deriv_lower: tuple = ()
-    deriv_upper: tuple = ()
-    bounded_flag: bool = False
-
-    @property
-    def bounded(self):  # type: ignore[override]
-        return self.bounded_flag
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (len(self.components) == len(self.deriv_lower) == len(self.deriv_upper) == self.dim):
-            raise ValueError("need one component and one bound pair per dimension")
-        self._verify_bounds()
-
-    def _verify_bounds(self, radius=5.0, h=1e-6, tol=1e-4):
-        zs = np.linspace(-radius, radius, 64)
-        for fi, lo, hi in zip(self.components, self.deriv_lower, self.deriv_upper):
-            lo_c, hi_c = lo(radius), hi(radius)
-            for z in zs:
-                d = (fi(z + h) - fi(z - h)) / (2.0 * h)
-                if d < lo_c - tol or d > hi_c + tol:
-                    raise EnvelopeContractError(
-                        f"sampled derivative {d:.6g} at z={z:.3g} escapes "
-                        f"declared bounds [{lo_c:.6g}, {hi_c:.6g}]"
-                    )
-
-    def eval(self, z):
-        z = _check_finite(z)
-        rows = np.reshape(z, (-1, self.dim))  # one row per run of a batch
-        out = np.array([[fi(zi) for fi, zi in zip(self.components, row)] for row in rows])
-        return out.reshape(np.shape(z))
-
-    def alpha_env(self, c):
-        _check_radius(c)
-        return _floor_alpha(min(lo(c) for lo in self.deriv_lower))
-
-    def beta_env(self, c):
-        _check_radius(c)
-        return max(hi(c) for hi in self.deriv_upper)

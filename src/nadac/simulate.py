@@ -347,7 +347,7 @@ class _Member:
         # run starts cold, and the caller's mechanism is never mutated
         self.mech = spec.mech
         if isinstance(spec.mech, control.RiccatiFeedback):
-            self.mech = replace(spec.mech, _cache_theta=None, _cache_p=None)
+            self.mech = replace(spec.mech)
         self.acc = metrics.MetricAccumulator(n=n, m=m, theta_star=plant.theta_star)
         self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
         self.rec = None

@@ -342,6 +342,25 @@ def _set_entry(*path, value):
     return mutate
 
 
+def _affine_gain(c1, c2):
+    def mutate(cfg):
+        cfg["policy"]["gain"] = {"kind": "affine_norm", "c1": c1, "c2": c2}
+        return cfg
+    return mutate
+
+
+def _open_loop_iid(*mutations):
+    # the open-loop variant that the openloop_id workload runs, then mutated
+    def mutate(cfg):
+        cfg["mode"] = "open_loop"
+        cfg["input_policy"] = {"kind": "iid_uniform", "half_width": 1.0}
+        del cfg["policy"], cfg["probe"]
+        for mutation in mutations:
+            cfg = mutation(cfg)
+        return cfg
+    return mutate
+
+
 @pytest.mark.parametrize("preset, field, mutate", [
     ("opinion", "policy.gain", _set_field("policy.gain", 1.0)),
     ("opinion", "parameter_set.radius", _set_field("parameter_set.radius", None)),
@@ -366,12 +385,22 @@ def _set_entry(*path, value):
     ("opinion", "metrics.rate_probes", _set_field("metrics.rate_probes", "no")),
     ("opinion", "metrics.rate_probes", _set_field("metrics.rate_probes", 0.0)),
     ("opinion", "metrics.rate_probes", _set_field("metrics.rate_probes", [])),
+    # kappa reads the affine pair only when c1 > 0, so any other c1 would run
+    # the constant gain without a word
+    ("opinion", "policy.gain.c1", _affine_gain(0, 3)),
+    ("opinion", "policy.gain.c1", _affine_gain(-0.5, 3)),
+    # ||v||^gamma of the open loop's zero v has no negative power
+    ("opinion", "metrics.gamma", _open_loop_iid(_set_field("metrics", {"gamma": -1.0}))),
+    ("opinion", "metrics.gamma", _set_field("metrics", {"gamma": 0.0})),
+    ("opinion", "input_policy.half_width",
+     _open_loop_iid(_set_field("input_policy.half_width", -1.0))),
 ], ids=["gain-not-object", "radius-null", "rho_eps-list", "radius_a-object",
         "radius_b-null", "theta_star-null-entry", "x0-null-entry", "Q-scalar",
         "R-wrong-size", "seed-negative", "gain-kind-unknown", "trunc-negative",
         "noise-half_width-negative", "sigma-negative", "probe-half_width-negative",
         "bound_eps-negative", "m-zero", "distribution-unknown", "rate_probes-string",
-        "rate_probes-float", "rate_probes-list"])
+        "rate_probes-float", "rate_probes-list", "c1-zero", "c1-negative",
+        "gamma-negative-open-loop", "gamma-zero", "input-half_width-negative"])
 def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
     p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
@@ -387,19 +416,14 @@ def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
     ("opinion", _set_field("noise.half_width", 0.0)),
     ("opinion", _set_field("probe.half_width", 0.0)),
     ("opinion", _set_entry("probe", "bound_eps", value=0.0)),
-], ids=["trunc", "sigma", "noise-half_width", "probe-half_width", "bound_eps"])
+    ("opinion", _open_loop_iid(_set_field("input_policy.half_width", 0.0))),
+], ids=["trunc", "sigma", "noise-half_width", "probe-half_width", "bound_eps",
+        "input-half_width"])
 def test_zero_widths_are_valid(tmp_path, capsys, preset, mutate):
     # zero turns the noise or the probe off, which the tests of the engine use
     p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
     assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("ok: steps=3 ")
-
-
-def _affine_gain(c1, c2):
-    def mutate(cfg):
-        cfg["policy"]["gain"] = {"kind": "affine_norm", "c1": c1, "c2": c2}
-        return cfg
-    return mutate
 
 
 _NULL_LEAVES = [

@@ -1,5 +1,6 @@
 """Policies, probing signals, and the Riccati fixed-point solver."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -165,6 +166,15 @@ def test_pinning_leader_affine_gain():
     np.testing.assert_allclose(u, [(0.5 * 4.0 + 1.0) * 2.0, 0.0])
 
 
+@pytest.mark.parametrize("c1, c2", [(-0.5, 3.0), (np.nan, 0.0), (0.0, 3.0), (0.0, np.nan)])
+def test_pinning_leader_rejects_an_affine_pair_kappa_ignores(c1, c2):
+    # kappa reads the affine pair only when c1 > 0: any other pair would run
+    # the constant gain kappa0 without a word
+    with pytest.raises(ValueError):
+        control.PinningLeader(1.0, np.ones(1), affine_c1=c1, affine_c2=c2)
+    assert control.PinningLeader(1.0, np.ones(1), affine_c1=0.0, affine_c2=0.0).kappa(None) == 1.0
+
+
 def test_riccati_feedback_zero_dynamics_gives_zero_input():
     mech = control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2))
     theta = np.zeros((4, 2))
@@ -193,36 +203,22 @@ def test_riccati_cache_tracks_theta_changes():
     assert not np.allclose(p1, p2)
 
 
+def test_replaced_riccati_feedback_starts_with_a_cold_cache():
+    # the cache belongs to the weights it was solved for: a copy with another
+    # R must solve afresh, not return the P of the old R
+    theta = np.array([[0.5], [1.0]])
+    warm = control.RiccatiFeedback(Q=np.eye(1), R=np.eye(1))
+    warm.riccati_solution(theta)
+    got = dataclasses.replace(warm, R=10.0 * np.eye(1)).riccati_solution(theta)
+    cold = control.RiccatiFeedback(Q=np.eye(1), R=10.0 * np.eye(1)).riccati_solution(theta)
+    assert got.tobytes() == cold.tobytes()
+
+
 def test_policy_eval_rejects_outside_theta():
     mech = control.PinningLeader(x_leader=1.0, pattern=np.array([1.0]))
     pset = est.FrobeniusBall(1.0)
     with pytest.raises(ValueError):
         control.policy_eval(mech, np.full((2, 1), 5.0), np.zeros(1), pset=pset)
-
-
-def test_custom_policy_delegates():
-    mech = control.CustomPolicy(fn=lambda theta, x: 0.0 * x, m=2, lipschitz_L=0.0)
-    np.testing.assert_array_equal(
-        control.policy_eval(mech, np.zeros((4, 2)), np.ones(2)), np.zeros(2)
-    )
-
-
-def test_validate_lipschitz_accepts_honest_constants():
-    rng = np.random.default_rng(0)
-    pset = est.FrobeniusBall(2.0)
-    mech = control.PinningLeader(
-        x_leader=1.0, pattern=np.array([1.0]), kappa0=1.0,
-        lipschitz_L=0.0, param_lipschitz_L1=0.0,
-    )
-    control.validate_lipschitz(mech, pset, n=1, m=1, rng=rng, pairs=500)
-
-
-def test_validate_lipschitz_rejects_false_constants():
-    rng = np.random.default_rng(0)
-    pset = est.FrobeniusBall(2.0)
-    mech = control.CustomPolicy(fn=lambda theta, x: 10.0 * x, m=2, lipschitz_L=1.0)
-    with pytest.raises(ValueError):
-        control.validate_lipschitz(mech, pset, n=2, m=2, rng=rng, pairs=200)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def test_probe_disabled_is_zero():
 
 
 def test_adaptive_input_null_policy_is_pure_probe():
-    mech = control.CustomPolicy(fn=lambda theta, x: np.zeros(2), m=2)
+    mech = control.PinningLeader(0.0, np.zeros(2))
     sig = control.ProbingSignal(decay_b=0.0, dim=2)
     seed = 5
     u, v = control.adaptive_input(mech, np.zeros((4, 2)), np.zeros(2), sig, 0, np.random.default_rng(seed))

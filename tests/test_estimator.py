@@ -28,11 +28,11 @@ def _scalar_system(radius=2.0):
 def test_support_values():
     ball = est.FrobeniusBall(5.0)
     phi = np.array([2.0, 0.0])
-    assert est.support_value(ball, phi) == pytest.approx(10.0)
+    assert ball.support_value(phi) == pytest.approx(10.0)
     blocks = est.BlockOperatorBalls(15.0, 5.0)
     phi = np.array([1.0, 0.0, 0.0, 2.0, 0.0, 0.0])  # ||x|| = 1, ||u|| = 2
-    assert est.support_value(blocks, phi, n=1) == pytest.approx(25.0)
-    assert est.support_value(ball, np.zeros(2)) == 0.0
+    assert blocks.support_value(phi, n=1) == pytest.approx(25.0)
+    assert ball.support_value(np.zeros(2)) == 0.0
 
 
 def test_support_value_is_attained():

@@ -153,24 +153,6 @@ def test_invalid_inputs():
         maps.smoothed_clamp_value(10.0, -1.0, 0.0)
 
 
-def test_custom_componentwise_verified_at_construction():
-    f = maps.CustomComponentwise(
-        dim=1,
-        components=(np.tanh,),
-        deriv_lower=(lambda c: 1.0 / np.cosh(c) ** 2,),
-        deriv_upper=(lambda c: 1.0,),
-        bounded_flag=True,
-    )
-    assert f.alpha_env(1.0) == pytest.approx(1.0 / np.cosh(1.0) ** 2)
-    with pytest.raises(maps.EnvelopeContractError):
-        maps.CustomComponentwise(
-            dim=1,
-            components=(np.tanh,),
-            deriv_lower=(lambda c: 0.9,),  # false: tanh' drops below 0.9
-            deriv_upper=(lambda c: 1.0,),
-        )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     z=st.floats(-30, 30),
@@ -202,17 +184,9 @@ def test_stacked_link_evaluates_each_run_as_alone(links):
         assert batch.N == 10.0 and batch.sigma.shape == (3, 1)
 
 
-def _custom_tanh(dim):
-    return maps.CustomComponentwise(
-        dim=dim, components=(np.tanh,) * dim, deriv_lower=(lambda c: 1.0 / np.cosh(c) ** 2,) * dim,
-        deriv_upper=(lambda c: 1.0,) * dim,
-    )
-
-
 STACKED_CALLS = {
     **{type(f).__name__ + (f"_sigma{f.sigma:g}" if isinstance(f, maps.SmoothedClamp) else ""):
        [f] * 3 for f in ALL_LINKS},
-    "CustomComponentwise": [_custom_tanh(2)] * 3,
     "ScaledTanh_per_run": [maps.ScaledTanh(dim=2, a=a) for a in (0.5, 2.0, 2.0)],
     "LeakyRelu_per_run": [maps.LeakyRelu(dim=2, slope=s) for s in (0.1, 0.3, 0.5)],
     "SmoothedClamp_per_run_sigma": [

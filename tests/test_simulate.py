@@ -124,7 +124,7 @@ def test_spawn_streams_are_independent_and_stable():
 
 
 def _null_policy(m, n):
-    return control.CustomPolicy(fn=lambda theta, x: np.zeros(m), m=m)
+    return control.PinningLeader(0.0, np.zeros(m))
 
 
 def _run(plant, pset, mech, probe, noise, T, seed, **kw):
