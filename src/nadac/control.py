@@ -63,8 +63,10 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     a_t = A.T
     # one error state for the whole iteration, in place of one per _solve:
@@ -72,18 +74,28 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     # ndarray.dot makes the BLAS call of @ without the gufunc dispatch; a 1x1
     # dot may give -0.0 where @ gives +0.0, and adding Q clears it
     with np.errstate(all="ignore"):
+        at_p = a_t.dot(P)  # A.T @ P @ A evaluates left to right
+        # a caller's Q or p0 need not be symmetric, so the first P A is its
+        # own product; every later P is symmetrized, and P A is (A^T P)^T
+        p_a = P.dot(A)
         for k in range(1, max_iter + 1):
-            at_p = a_t.dot(P)  # A.T @ P @ A evaluates left to right
-            gain = _umath_linalg.solve(R + P, P.dot(A), signature="dd->d")
+            gain = _umath_linalg.solve(R + P, p_a, signature="dd->d")
             nxt = at_p.dot(A) - at_p.dot(gain) + Q
             nxt = 0.5 * (nxt + nxt.T)
-            res = float(np.maximum.reduce(np.abs(nxt - P), axis=None))
+            # the sup norm of nxt - P on Python floats: max passes over a
+            # NaN, which the sum of the magnitudes keeps
+            dev = list(map(abs, (nxt - P).ravel().tolist()))
+            res = sum(dev)
+            if res == res:
+                res = max(dev)
             if res <= tol:
                 return nxt
             if not math.isfinite(res):
                 msg = f"DARE iterate non-finite at iteration {k} (residual {res:.3e})"
                 raise DareError(msg, last_p=P, residual=res)
             P = nxt
+            at_p = a_t.dot(P)
+            p_a = at_p.T
     raise DareError(
         f"DARE iteration exceeded {max_iter} iterations (residual {res:.3e})",
         last_p=P,
@@ -156,8 +168,9 @@ class RiccatiFeedback:
     Q: np.ndarray
     R: np.ndarray
     lift_kind: str = "direct"
-    _cache_theta: np.ndarray | None = field(init=False, default=None, repr=False)
+    _cache_theta: list | None = field(init=False, default=None, repr=False)
     _cache_p: np.ndarray | None = field(init=False, default=None, repr=False)
+    _cache_rp: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
@@ -172,27 +185,25 @@ class RiccatiFeedback:
         return self.R.shape[0]
 
     def riccati_solution(self, theta):
-        """DARE solution for theta's A-block, warm-started per mechanism."""
-        n = self.Q.shape[0]
-        A = _a_block(theta, n)
-        # A has the same shape on every call, so == decides equality alone
-        cached = self._cache_theta
-        if cached is not None and np.logical_and.reduce(A == cached, axis=None):
+        """DARE solution for theta's A-block, warm-started per mechanism.
+        The cache also keeps R + P, which the feedback solves with."""
+        A = _a_block(theta, self.Q.shape[0])
+        # the A block as Python floats: list == compares entry by entry as
+        # the arrays' == does (-0.0 equals 0.0, NaN never matches), since a
+        # fresh tolist never shares a float object with the cached one
+        key = A.tolist()
+        if key == self._cache_theta:
             return self._cache_p
-        p0 = self._cache_p
-        P = solve_dare(A, self.Q, self.R, p0=p0)
-        self._cache_theta = A.copy()
-        self._cache_p = P
+        P = solve_dare(A, self.Q, self.R, p0=self._cache_p)
+        self._cache_theta, self._cache_p, self._cache_rp = key, P, self.R + P
         return P
 
     def raw_eval(self, theta, x):
-        n = self.Q.shape[0]
-        A = _a_block(theta, n)
         P = self.riccati_solution(theta)
         # @, not ndarray.dot: for n = 1, dot multiplies the 1x1 operands
         # directly and keeps the sign of a zero (A < 0, x = 0 gives -0.0),
         # where @ and the batch's np.matvec add the product to +0.0
-        return _solve(self.R + P, P @ (A @ x))
+        return _solve(self._cache_rp, P @ (_a_block(theta, self.Q.shape[0]) @ x))
 
     def lift(self, x, u_raw):
         """The input vector from the raw feedback; rows of x and u_raw are
@@ -221,8 +232,8 @@ def _raw_eval(mech, theta, x):
     if isinstance(mech[0], RiccatiFeedback):
         n = x.shape[-1]
         P = np.array([mk.riccati_solution(th) for mk, th in zip(mech, theta)])
-        A = theta[:, :n].mT
-        return _solve(np.array([mk.R for mk in mech]) + P, np.matvec(P, np.matvec(A, x)))
+        rp = np.array([mk._cache_rp for mk in mech])  # R + P, kept by each run's cache
+        return _solve(rp, np.matvec(P, np.matvec(theta[:, :n].mT, x)))
     return np.array([mk.raw_eval(th, xr) for mk, th, xr in zip(mech, theta, x)])
 
 
@@ -291,7 +302,7 @@ class ProbingSignal:
     bound_eps: float | None = None
 
     def __post_init__(self):
-        if self.decay_b < 0:
+        if not self.decay_b >= 0:  # NaN too
             raise ValueError("decay exponent must be >= 0")
         if self.distribution not in ("uniform_cube", "scaled_uniform"):
             raise ValueError(f"unknown probe distribution {self.distribution!r}")

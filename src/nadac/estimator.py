@@ -350,7 +350,13 @@ def step_weights(state, phi, f, pset, z=None):
             raise ValueError("regressor must be finite")
         if z is None:
             z = link_input(state.theta_hat, phi)
-        c = math.sqrt(z.dot(z)) + pset.support_value(phi, n=state.n)
+        if type(pset) is FrobeniusBall and phi.flags.c_contiguous:
+            # the ball's support, radius * frobenius_norm(phi), whose dot on
+            # a contiguous phi is the phi.phi at hand
+            support = pset.radius * math.sqrt(energy)
+        else:
+            support = pset.support_value(phi, n=state.n)
+        c = math.sqrt(z.dot(z)) + support
         quad = float(phi.dot(state.p_matrix).dot(phi))  # phi @ P @ phi, left to right
         state.r_accum += float(energy)
         d, g_bar, mu, a = _weights(f, state.delta, state.r_accum, c, quad)

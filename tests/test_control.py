@@ -145,6 +145,105 @@ def test_warm_started_dare_chain_is_reference_loop_bit_for_bit(n):
         prev = got
 
 
+def _untransposed_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
+    """solve_dare as written with P.dot(A) in every iteration and the
+    residual from np.abs and np.maximum.reduce, error paths included."""
+    A = np.asarray(A, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    R = np.asarray(R, dtype=float)
+    P = Q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    a_t = A.T
+    with np.errstate(all="ignore"):
+        for k in range(1, max_iter + 1):
+            at_p = a_t.dot(P)
+            gain = control._umath_linalg.solve(R + P, P.dot(A), signature="dd->d")
+            nxt = at_p.dot(A) - at_p.dot(gain) + Q
+            nxt = 0.5 * (nxt + nxt.T)
+            res = float(np.maximum.reduce(np.abs(nxt - P), axis=None))
+            if res <= tol:
+                return nxt
+            if not np.isfinite(res):
+                msg = f"DARE iterate non-finite at iteration {k} (residual {res:.3e})"
+                raise control.DareError(msg, last_p=P, residual=res)
+            P = nxt
+    raise control.DareError(
+        f"DARE iteration exceeded {max_iter} iterations (residual {res:.3e})",
+        last_p=P,
+        residual=res,
+    )
+
+
+def _dare_outcome(solver, *args, **kwargs):
+    """What a solver gives, to the bit: the solution, or the DareError's
+    message, last iterate and residual."""
+    try:
+        return "solved", solver(*args, **kwargs).tobytes()
+    except control.DareError as exc:
+        return "DareError", str(exc), exc.last_p.tobytes(), repr(exc.residual)
+
+
+_DARE_EDGE_CASES = {
+    # a caller's Q and p0 need not be symmetric: the first P A is P.dot(A)
+    "cold, non-symmetric Q": (
+        np.array([[0.9, 0.2], [-0.3, 0.7]]), np.array([[2.0, 0.7], [-0.4, 1.0]]), np.eye(2), {}),
+    "warm, non-symmetric p0": (
+        np.array([[0.9, 0.2], [-0.3, 0.7]]), np.eye(2), np.eye(2),
+        {"p0": np.array([[1.5, 0.9], [-0.6, 1.2]])}),
+    "n = 1, A < 0": (np.array([[-0.8]]), np.array([[1.0]]), np.array([[2.0]]), {}),
+    "n = 1, A = -0.0": (np.array([[-0.0]]), np.array([[1.0]]), np.array([[1.0]]), {}),
+    "-0.0 entries": (
+        np.array([[-0.0, 0.4], [-0.0, -0.5]]), np.array([[1.0, -0.0], [-0.0, 1.0]]), np.eye(2),
+        {"p0": np.array([[-0.0, -0.0], [-0.0, 2.0]])}),
+    # A^T P A overflows and inf - inf leaves a NaN residual
+    "overflow to NaN": (np.array([[1e200]]), np.array([[1.0]]), np.array([[1.0]]), {}),
+    # a large R keeps the gain term finite, so the residual is inf
+    "overflow to inf": (np.array([[1e200]]), np.array([[1.0]]), np.array([[1e300]]), {}),
+    "singular R + P": (np.eye(2), np.diag([-1.0, 1.0]), np.eye(2), {}),
+    # only the second diagonal entry overflows: the NaN is not the first entry
+    "NaN off the first entry": (np.diag([0.5, 1e200]), np.eye(2), np.eye(2), {}),
+    "max_iter reached": (np.array([[2.0, 0.1], [0.0, 1.5]]), np.eye(2), np.eye(2), {"max_iter": 3}),
+}
+
+
+@pytest.mark.parametrize("case", list(_DARE_EDGE_CASES))
+def test_solve_dare_edge_cases_match_untransposed_loop(case):
+    A, Q, R, kwargs = _DARE_EDGE_CASES[case]
+    want = _dare_outcome(_untransposed_dare, A, Q, R, **kwargs)
+    assert _dare_outcome(control.solve_dare, A, Q, R, **kwargs) == want
+    if case == "NaN off the first entry":
+        assert want[:2] == ("DareError", "DARE iterate non-finite at iteration 1 (residual nan)")
+    if case == "overflow to inf":
+        assert want[-1] == "inf"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+def test_solve_dare_matches_untransposed_loop_on_random_systems(n):
+    # the engine's layout: A is the theta[:n].T view, and a warm start comes
+    # from a neighbouring system's solution
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        theta = rng.uniform(-1.5, 1.5, (n + 1, n))
+        A = theta[:n].T
+        g = rng.standard_normal((n, n))
+        Q, R = g @ g.T + np.eye(n), np.diag(rng.uniform(0.5, 2.0, n))
+        want = _dare_outcome(_untransposed_dare, A, Q, R)
+        assert _dare_outcome(control.solve_dare, A, Q, R) == want
+        if want[0] == "solved":
+            p0 = np.frombuffer(want[1]).reshape(n, n)
+            A2 = (theta + 1e-3 * rng.standard_normal(theta.shape))[:n].T
+            warm = _dare_outcome(control.solve_dare, A2, Q, R, p0=p0)
+            assert warm == _dare_outcome(_untransposed_dare, A2, Q, R, p0=p0)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -3}, {"tol": np.nan}],
+                         ids=["max_iter=0", "max_iter<0", "tol=nan"])
+def test_dare_rejects_bad_iteration_arguments(kwargs):
+    # max_iter = 0 would leave no residual to report, and a NaN tolerance is
+    # never met, so the loop would spin to max_iter
+    with pytest.raises(ValueError):
+        control.solve_dare(np.eye(2), np.eye(2), np.eye(2), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # policy mechanisms
 
@@ -201,6 +300,50 @@ def test_riccati_cache_tracks_theta_changes():
     assert p1 is p1_again  # cache hit
     p2 = mech.riccati_solution(theta2)
     assert not np.allclose(p1, p2)
+
+
+def _counting_solver(monkeypatch):
+    """Replace control.solve_dare by a stub that counts its calls."""
+    calls = []
+
+    def solve(A, Q, R, p0=None):
+        calls.append(A.copy())
+        return np.full(Q.shape, float(len(calls)))
+
+    monkeypatch.setattr(control, "solve_dare", solve)
+    return calls
+
+
+def test_riccati_cache_compares_a_block_as_arrays_compare(monkeypatch):
+    # the cache test is == entry by entry: -0.0 equals 0.0, any changed
+    # entry of the A block misses, and the B block is not looked at
+    calls = _counting_solver(monkeypatch)
+    mech = control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2))
+    theta = np.array([[0.0, 0.5], [0.0, 0.0], [1.0, 2.0]])
+    first = mech.riccati_solution(theta)
+    signed = theta.copy()
+    signed[0, 0] = signed[1, 1] = -0.0
+    assert mech.riccati_solution(signed) is first
+    other_b = theta.copy()
+    other_b[2] = [3.0, -4.0]
+    assert mech.riccati_solution(other_b) is first
+    assert len(calls) == 1
+    changed = theta.copy()
+    changed[1, 0] = np.nextafter(0.0, 1.0)
+    assert mech.riccati_solution(changed) is not first
+    assert len(calls) == 2
+    # the feedback solves with R + P of the cached solution
+    np.testing.assert_array_equal(mech._cache_rp, np.eye(2) + 2.0)
+
+
+def test_riccati_cache_never_hits_a_nan_block(monkeypatch):
+    calls = _counting_solver(monkeypatch)
+    mech = control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2))
+    theta = np.array([[0.1, np.nan], [0.0, 0.3], [1.0, 2.0]])
+    p1 = mech.riccati_solution(theta)
+    p2 = mech.riccati_solution(theta)
+    p3 = mech.riccati_solution(theta.copy())
+    assert len(calls) == 3 and p1 is not p2 and p2 is not p3
 
 
 def test_replaced_riccati_feedback_starts_with_a_cold_cache():
@@ -350,6 +493,20 @@ def test_riccati_dot_products_equal_matmul_bit_for_bit(n):
         assert np.array_equal(at_p.dot(s), at_p @ s)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_transposed_riccati_product_is_p_dot_a_bit_for_bit(n):
+    # solve_dare forms P A as (A^T P)^T from the second iterate on, where P
+    # is symmetrized as 0.5 * (S + S^T) and so exactly symmetric
+    rng = np.random.default_rng(500 + n)
+    for _ in range(200):
+        theta = rng.standard_normal((n + 2, n)) * rng.uniform(0.1, 10.0)
+        A = theta[:n].T
+        s = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+        P = 0.5 * (s + s.T)
+        assert np.array_equal(A.T.dot(P).T, P.dot(A))
+        assert np.array_equal(A.T.dot(P).T, P @ A)
+
+
 @pytest.mark.parametrize("m", [1, 2, 5])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_estimator_dot_products_equal_per_run_forms_bit_for_bit(n, m):
@@ -387,3 +544,9 @@ def test_probe_rejects_negative_widths(field, bad):
     with pytest.raises(ValueError, match=f"probe {field} must be >= 0"):
         control.ProbingSignal(decay_b=0.1, dim=1, **{field: bad})
     assert control.ProbingSignal(decay_b=0.1, dim=1, **{field: 0.0}).bound_eps == 0.0
+
+
+def test_probe_rejects_nan_decay():
+    # a NaN exponent would make every probe NaN and abort the run later
+    with pytest.raises(ValueError, match="decay exponent"):
+        control.ProbingSignal(decay_b=np.nan, dim=1)

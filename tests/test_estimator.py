@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -622,3 +623,27 @@ def test_python_float_mu_is_numpy_scalar_mu():
     with np.errstate(over="ignore"):
         want = (1.0 + np.log(1e10)) ** (1.0 + 300.0)
     assert want == np.inf and est._weights(IDENT, 300.0, 1e10, 1.0, 1.0)[2] == np.inf
+
+
+class _PlainBall(est.FrobeniusBall):
+    """A Frobenius ball that step_weights does not recognize by type, so
+    the support comes from support_value."""
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 17, 40])
+def test_ball_support_from_regressor_energy_is_support_value(d):
+    # a single run's step takes the ball's support from the phi.phi it
+    # absorbs into r; it must give the bits of support_value
+    rng = np.random.default_rng(700 + d)
+    f = maps.ScaledTanh(dim=1, a=2.0)
+    for _ in range(50):
+        radius = rng.uniform(0.5, 20.0)
+        phi = rng.standard_normal(d) * rng.uniform(1e-3, 1e3)
+        theta = rng.uniform(-1.0, 1.0, (d, 1)) * radius / (2.0 * d)
+        got, want = (
+            est.step_weights(est.new_estimator(theta, pset, 0.5, f), phi, f, pset)
+            for pset in (est.FrobeniusBall(radius), _PlainBall(radius))
+        )
+        for key in ("d_gain", "g_bar", "a_weight", "mu_weight", "quad"):
+            assert _float_bits(getattr(got, key)) == _float_bits(getattr(want, key)), key
+        assert radius * math.sqrt(phi.dot(phi)) == est.FrobeniusBall(radius).support_value(phi)
