@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from . import control, simulate
 
@@ -45,7 +43,7 @@ def _write_artifacts(cfg, ro, rec, out):
         "config": cfg,
         "seed": ro.seed,
         "summary": rec.summary(),
-        "wall_time_s": rec.manifest.get("wall_time_s"),
+        "wall_time_s": rec.wall_time_s,
     }
     with open(out / "run_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -70,7 +68,7 @@ def cmd_run(args):
     print(
         f"ok: steps={s['steps']} param_err={s['final_param_err']:.6g} "
         f"J_t={s['final_tracking_error']:.6g} projections={s['projections']} "
-        f"wall={rec.manifest['wall_time_s']:.2f}s -> {out}"
+        f"wall={rec.wall_time_s:.2f}s -> {out}"
     )
     return EXIT_OK
 
@@ -126,7 +124,10 @@ def _batches(keys, workers):
 def run_sweep(cfg, param, values, seeds, workers=None, out=None):
     """Cross product of axis values and seeds; returns (rows, failures).
     Each worker advances one batch of tasks in lockstep; rows and failures
-    keep the task order."""
+    keep the task order.  The seeds are the seed axis, so ``param`` may not
+    be "seed"."""
+    if param == "seed":
+        raise cfgmod.ConfigError("--param", "the seed is swept by --seeds, not --param")
     tasks = []
     for val in values:
         for seed in seeds:
@@ -207,43 +208,8 @@ def cmd_sweep(args):
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def _dare_matrices(path):
-    """A, Q and R of a dare input file: finite, A square, Q and R of A's
-    size and symmetric, and R nonsingular.  A ConfigError names the first
-    that is not."""
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise cfgmod.ConfigError("matrices", str(exc)) from None
-    if not isinstance(spec, dict):
-        raise cfgmod.ConfigError("matrices", "expected a JSON object with A, Q and R")
-    mats = []
-    for name in ("A", "Q", "R"):
-        if name not in spec:
-            raise cfgmod.ConfigError(name, "missing required field")
-        try:
-            M = np.asarray(spec[name], dtype=float)
-        except (TypeError, ValueError):
-            raise cfgmod.ConfigError(name, "not a numeric matrix") from None
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-            raise cfgmod.ConfigError(name, f"expected a square matrix, got shape {M.shape}")
-        if mats and M.shape != mats[0].shape:
-            raise cfgmod.ConfigError(
-                name, f"expected the shape of A {mats[0].shape}, got {M.shape}"
-            )
-        if not np.isfinite(M).all():
-            raise cfgmod.ConfigError(name, "entries must be finite")
-        if name != "A" and not np.array_equal(M, M.T):
-            raise cfgmod.ConfigError(name, "must be symmetric")
-        mats.append(M)
-    if np.linalg.matrix_rank(mats[2]) < len(mats[2]):
-        raise cfgmod.ConfigError("R", "must be nonsingular")
-    return mats
-
-
 def cmd_dare(args):
-    A, Q, R = _dare_matrices(args.matrices)
+    A, Q, R = cfgmod.dare_matrices(args.matrices)
     try:
         P = control.solve_dare(A, Q, R)
     except control.DareError as exc:

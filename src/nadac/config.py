@@ -17,7 +17,7 @@ from . import control, estimator, maps, metrics, simulate
 
 __all__ = [
     "ConfigError", "validate_config", "build_run", "build_batch", "batch_key", "load_config",
-    "RunObjects", "output_dir",
+    "RunObjects", "output_dir", "dare_matrices",
 ]
 
 
@@ -105,10 +105,10 @@ def _array(cfg, path, shape, default):
     return arr
 
 
-def _symmetric(cfg, path, n):
-    """The (n, n) float array at ``path`` (as _array), identity when absent,
-    equal to its transpose: a DARE weight."""
-    arr = _array(cfg, path, (n, n), np.eye(n))
+def _symmetric(cfg, path, n, default):
+    """The (n, n) float array at ``path`` (as _array), equal to its
+    transpose: a DARE weight."""
+    arr = _array(cfg, path, (n, n), default)
     if not np.array_equal(arr, arr.T):
         raise ConfigError(path, "must be symmetric")
     return arr
@@ -202,8 +202,8 @@ def _policy(cfg, n, m):
             f"Riccati feedback with lift {lift!r} needs a raw input of n = {n} entries, "
             f"got {raw_dim} from m = {m}",
         )
-    Q = _symmetric(cfg, "policy.Q", n)
-    R = _symmetric(cfg, "policy.R", n)
+    Q = _symmetric(cfg, "policy.Q", n, np.eye(n))
+    R = _symmetric(cfg, "policy.R", n, np.eye(n))
     return _construct("policy", control.RiccatiFeedback, Q, R, lift_kind=lift)
 
 
@@ -216,6 +216,26 @@ def _probe(cfg, raw_dim):
         half_width=_nonnegative(cfg, "probe.half_width", 1.0),
         bound_eps=_nonnegative(cfg, "probe.bound_eps", None),
     )
+
+
+def dare_matrices(path):
+    """A, Q and R of a ``nadac dare`` input file, float arrays read as a
+    config's (_number): A square, Q and R of its shape and symmetric, and R
+    nonsingular.  A ConfigError names the first that is not."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("matrices", str(exc)) from None
+    if not isinstance(spec, dict):
+        raise ConfigError("matrices", "expected a JSON object with A, Q and R")
+    A = _number(spec, "A", _REQUIRED, _floats)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ConfigError("A", f"expected a square matrix, got shape {A.shape}")
+    Q, R = (_symmetric(spec, name, len(A), _REQUIRED) for name in ("Q", "R"))
+    if np.linalg.matrix_rank(R) < len(R):
+        raise ConfigError("R", "must be nonsingular")
+    return A, Q, R
 
 
 def output_dir(cfg):
@@ -231,7 +251,6 @@ class RunObjects(simulate.RunSpec):
     """A validated config: the run the engine runs, plus what the command
     needs around it."""
 
-    mode: str
     horizon: int
     eig_stride: int
     log_stride: int
@@ -318,7 +337,7 @@ def validate_config(cfg):
     return RunObjects(
         simulate.PlantSpec(theta_star=theta_star, link=link, n=n, m=m, x0=x0),
         pset, noise, seed, mech=mech, probe=probe, input_policy=input_policy, theta0=theta0,
-        delta=delta, gamma=gamma, mode=mode, horizon=horizon, eig_stride=eig_stride,
+        delta=delta, gamma=gamma, horizon=horizon, eig_stride=eig_stride,
         log_stride=log_stride, output_dir=output_dir(cfg),
     )
 
@@ -328,7 +347,7 @@ def build_run(cfg):
     validated."""
     ro = cfg if isinstance(cfg, RunObjects) else validate_config(cfg)
     kw = dict(theta0=ro.theta0, delta=ro.delta, gamma=ro.gamma, eig_stride=ro.eig_stride)
-    if ro.mode == "closed_loop":
+    if ro.mech is not None:
         return simulate.run_closed_loop(
             ro.plant, ro.pset, ro.mech, ro.probe, ro.noise, ro.horizon, ro.seed, **kw
         )

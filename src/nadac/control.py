@@ -9,7 +9,7 @@ v_t = (t+1)^{-b} * eps_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -200,10 +200,7 @@ class RiccatiFeedback:
 
     def raw_eval(self, theta, x):
         P = self.riccati_solution(theta)
-        # @, not ndarray.dot: for n = 1, dot multiplies the 1x1 operands
-        # directly and keeps the sign of a zero (A < 0, x = 0 gives -0.0),
-        # where @ and the batch's np.matvec add the product to +0.0
-        return _solve(self._cache_rp, P @ (_a_block(theta, self.Q.shape[0]) @ x))
+        return _feedback(self._cache_rp, P, _a_block(theta, self.Q.shape[0]), x)
 
     def lift(self, x, u_raw):
         """The input vector from the raw feedback; rows of x and u_raw are
@@ -222,6 +219,17 @@ class RiccatiFeedback:
         return np.concatenate([np.zeros(v.shape[:-1] + (3,)), v], axis=-1)
 
 
+def _feedback(rp, P, A, x):
+    """(R + P)^{-1} P A x from R + P, P and A; a batch passes all four with
+    a leading run axis.  One run uses @, not ndarray.dot: for n = 1, dot
+    multiplies the 1x1 operands directly and keeps the sign of a zero
+    (A < 0, x = 0 gives -0.0), where @ and the batch's np.matvec add the
+    product to +0.0."""
+    if x.ndim == 1:
+        return _solve(rp, P @ (A @ x))
+    return _solve(rp, np.matvec(P, np.matvec(A, x)))
+
+
 def _raw_eval(mech, theta, x):
     """mech.raw_eval(theta, x).  For a batch, ``mech`` holds one mechanism
     per run (one class and lift), theta and x carry a leading run axis, and
@@ -233,7 +241,7 @@ def _raw_eval(mech, theta, x):
         n = x.shape[-1]
         P = np.array([mk.riccati_solution(th) for mk, th in zip(mech, theta)])
         rp = np.array([mk._cache_rp for mk in mech])  # R + P, kept by each run's cache
-        return _solve(rp, np.matvec(P, np.matvec(theta[:, :n].mT, x)))
+        return _feedback(rp, P, theta[:, :n].mT, x)
     return np.array([mk.raw_eval(th, xr) for mk, th, xr in zip(mech, theta, x)])
 
 
@@ -251,8 +259,9 @@ def policy_eval(mech, theta, x, pset=None):
 def frozen_policy(mech, theta):
     """x -> policy_eval(mech, theta, x), to the last bit, for a theta that
     never changes (a batch passes one mechanism per run, as a tuple).
-    Riccati feedback solves each run's DARE once, cold, and keeps P, R + P
-    and A; a pinning input is a constant."""
+    Riccati feedback solves each run's DARE once, on a cold copy of its
+    mechanism (the caller's cache is left as it is), and keeps P, R + P and
+    A; a pinning input is a constant."""
     batched = isinstance(mech, tuple)
     mechs, thetas = (mech, theta) if batched else ((mech,), (theta,))
     first = mechs[0]
@@ -264,15 +273,14 @@ def frozen_policy(mech, theta):
             return u
     else:
         n = first.Q.shape[0]
-        P = np.array([solve_dare(_a_block(th, n), mk.Q, mk.R) for mk, th in zip(mechs, thetas)])
-        rp, A = np.array([mk.R for mk in mechs]) + P, theta[..., :n, :].mT
+        cold = [replace(mk) for mk in mechs]
+        P = np.array([mk.riccati_solution(th) for mk, th in zip(cold, thetas)])
+        rp, A = np.array([mk._cache_rp for mk in cold]), theta[..., :n, :].mT
         if not batched:
             P, rp = P[0], rp[0]
 
         def raw(x):
-            if batched:
-                return _solve(rp, np.matvec(P, np.matvec(A, x)))
-            return _solve(rp, P @ (A @ x))  # @ as in RiccatiFeedback.raw_eval
+            return _feedback(rp, P, A, x)
 
     def evaluate(x):
         if not all_finite(x):
@@ -334,17 +342,13 @@ def probe_sample(sig, t, rng, steps=None):
     return np.array([[(s + 1.0) ** (-sig.decay_b)] for s in range(t, t + steps)]) * eps
 
 
-def adaptive_input(mech, theta_hat_prev, x, sig, t, rng, v_raw=None):
+def adaptive_input(mech, theta_hat_prev, x, v_raw):
     """u_t = pi_{theta_hat}(x_t) + v_t; returns (u, v) with v in input space.
 
-    ``v_raw``: the raw probe when it is already drawn by probe_sample (sig,
-    t and rng are then unused).  A batch passes one mechanism per run,
-    theta_hat_prev and x with a leading run axis, and v_raw with one row per
-    run; u and v then have one row per run.
+    ``v_raw`` is the raw probe v_t as probe_sample draws it.  A batch passes
+    one mechanism per run, theta_hat_prev and x with a leading run axis, and
+    v_raw with one row per run; u and v then have one row per run.
     """
     x = np.asarray(x, dtype=float)
-    u_raw = _raw_eval(mech, theta_hat_prev, x)
-    if v_raw is None:
-        v_raw = probe_sample(sig, t, rng)
     lift = mech if x.ndim == 1 else mech[0]
-    return lift.lift(x, u_raw + v_raw), lift.lift_probe(v_raw)
+    return lift.lift(x, _raw_eval(mech, theta_hat_prev, x) + v_raw), lift.lift_probe(v_raw)

@@ -92,7 +92,7 @@ class FrobeniusBall:
     rho_eps: float = 0.5
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN too
             raise ValueError("radius must be positive")
         if not 0.0 < self.rho_eps <= 1.0:
             raise ValueError("rho_eps must lie in (0, 1]")
@@ -121,7 +121,7 @@ class BlockOperatorBalls:
     rho_eps: float = 0.5
 
     def __post_init__(self):
-        if self.radius_a <= 0 or self.radius_b <= 0:
+        if not (self.radius_a > 0 and self.radius_b > 0):  # NaN too
             raise ValueError("block radii must be positive")
         if not 0.0 < self.rho_eps <= 1.0:
             raise ValueError("rho_eps must lie in (0, 1]")
@@ -157,9 +157,8 @@ class BlockOperatorBalls:
 
 def _project_frobenius(x, weight, radius):
     """argmin_{||y||_F <= radius} tr[(x-y)^T M (x-y)] via the Lagrangian
-    y(lam) = (M + lam I)^{-1} M x; ||y(lam)||_F is monotone decreasing."""
-    if np.linalg.norm(x) <= radius:
-        return x.copy()
+    y(lam) = (M + lam I)^{-1} M x; ||y(lam)||_F is monotone decreasing.
+    The caller has returned already for an x in the ball."""
     dim = weight.shape[0]
     eye = np.eye(dim)
     mx = weight @ x
@@ -202,9 +201,11 @@ def _clip_operator_norm(block, radius):
     return u @ np.diag(np.minimum(s, radius)) @ vt
 
 
-def _project_blocks(x, weight, pset, n):
+def _project_blocks(x, weight, pset):
     """Projected gradient on the weighted quadratic with spectral-ball
-    Euclidean projections per block; step 1/lambda_max(M)."""
+    Euclidean projections per block, split at row n = x.shape[1]; step
+    1/lambda_max(M)."""
+    n = x.shape[1]
     ra = pset.radius_a * pset.rho_eps
     rb = pset.radius_b * pset.rho_eps
 
@@ -233,7 +234,7 @@ def _project_blocks(x, weight, pset, n):
     )
 
 
-def project_weighted(x, weight, pset, n=None):
+def project_weighted(x, weight, pset):
     """Minimize tr[(x-y)^T M (x-y)] over the shrunken set rho_eps * Theta.
 
     Returns x unchanged when it is already feasible.
@@ -245,9 +246,7 @@ def project_weighted(x, weight, pset, n=None):
     if isinstance(pset, FrobeniusBall):
         return _project_frobenius(x, weight, pset.radius * pset.rho_eps)
     if isinstance(pset, BlockOperatorBalls):
-        if n is None:
-            n = x.shape[1]
-        return _project_blocks(x, weight, pset, n)
+        return _project_blocks(x, weight, pset)
     raise TypeError(f"unsupported parameter set {type(pset).__name__}")
 
 
@@ -290,7 +289,7 @@ def new_estimator(theta0, pset, delta, f):
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim != 2 or theta0.shape[0] <= theta0.shape[1]:
         raise ValueError("theta0 must have shape (n+m, n) with m >= 1")
-    if delta <= 0:
+    if not delta > 0:  # NaN too
         raise ValueError("delta must be positive")
     if not pset.contains(theta0):
         raise ValueError("theta0 lies outside the parameter set")
@@ -394,11 +393,11 @@ def _extended_weights(phi, p_matrix, r_accum, delta, d, g_bar, step):
     return float(a_l), float(mu_l)
 
 
-def _project(candidate, p_next, pset, n):
+def _project(candidate, p_next, pset):
     """Weighted projection of one run's candidate, weight P_{t+1}^{-1}."""
     weight = np.linalg.inv(p_next)
     weight = 0.5 * (weight + weight.T)
-    return project_weighted(candidate, weight, pset, n=n)
+    return project_weighted(candidate, weight, pset)
 
 
 def _step_one(st, diag, phi, x_next, f, pset, prediction):
@@ -422,7 +421,7 @@ def _step_one(st, diag, phi, x_next, f, pset, prediction):
     if pset.contains(candidate):
         st.theta_hat = candidate
     else:
-        st.theta_hat = _project(candidate, p_next, pset, st.n)
+        st.theta_hat = _project(candidate, p_next, pset)
         st.projection_count += 1
         diag.projected = True
     st.p_matrix = p_next
@@ -492,7 +491,7 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     if not np.logical_and.reduce(inside):
         sets = _runs(pset, len(phi))
         for r in np.flatnonzero(diag.projected):
-            candidate[r] = _project(candidate[r], p_next[r], sets[r], st.n)
+            candidate[r] = _project(candidate[r], p_next[r], sets[r])
         st.projection_count = st.projection_count + diag.projected
     st.theta_hat = candidate
     st.p_matrix = p_next

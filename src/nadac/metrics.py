@@ -80,17 +80,17 @@ class MetricAccumulator:
     m: int
     theta_star: np.ndarray | None = None
 
-    steps: int = 0
+    steps: int = field(init=False, default=0)
     gram_normalized: np.ndarray = field(init=False)
     p_inv: np.ndarray = field(init=False)  # independent Sherman-Morrison track
-    sum_track_sq: float = 0.0
-    sum_sign_mismatch: float = 0.0
-    sum_pred_regret: float = 0.0
-    sum_a_psi_sq: float = 0.0
-    sum_v_pow_gamma: float = 0.0
-    sum_w_pow_gamma: float = 0.0
-    sum_xnext_pow_gamma: float = 0.0
-    lyapunov_v: float = float("nan")
+    sum_track_sq: float = field(init=False, default=0.0)
+    sum_sign_mismatch: float = field(init=False, default=0.0)
+    sum_pred_regret: float = field(init=False, default=0.0)
+    sum_a_psi_sq: float = field(init=False, default=0.0)
+    sum_v_pow_gamma: float = field(init=False, default=0.0)
+    sum_w_pow_gamma: float = field(init=False, default=0.0)
+    sum_xnext_pow_gamma: float = field(init=False, default=0.0)
+    lyapunov_v: float = field(init=False, default=float("nan"))
 
     def __post_init__(self):
         dim = self.n + self.m

@@ -169,18 +169,17 @@ def _columns(n, m, horizon, runs=None):
 
 @dataclass
 class RunRecord:
-    """Full per-step log of one simulation plus manifest metadata: one array
-    per entry of COLUMNS for ``horizon`` steps, set to the column's fill until
+    """Full per-step log of one simulation plus its wall time: one array per
+    entry of COLUMNS for ``horizon`` steps, set to the column's fill until
     written (x_star, u_star and j_t stay NaN in a run without a reference).
     ``columns`` may hand in the arrays (views into a batch's)."""
 
     n: int
     m: int
     horizon: int
-    manifest: dict = field(default_factory=dict)
     acc: metrics.MetricAccumulator | None = None
-    final_state: estimator.EstimatorState | None = None
     steps_completed: int = 0
+    wall_time_s: float | None = field(init=False, default=None)  # of a completed run
     columns: InitVar[dict | None] = None
 
     def __post_init__(self, columns):
@@ -218,7 +217,7 @@ class RunRecord:
             "final_param_err": float(self.param_err[last]),
             "final_tracking_error": float(self.j_t[last]),
             "final_lambda_min": float(self.lambda_t[last]),
-            "projections": int(self.final_state.projection_count) if self.final_state else 0,
+            "projections": int(np.count_nonzero(self.projected[: self.steps_completed])),
         }
         if self.acc is not None:
             out["empirical_gain_ratio"] = metrics.empirical_gain_ratio(self.acc)
@@ -402,9 +401,7 @@ class _Loop:
         """Step t from the state before it and the step's draws; returns
         (u, v, u_star, x_next, x_star_next, state_next, diag)."""
         if self.mech is not None:
-            u, v = control.adaptive_input(
-                self.mech, theta_ctrl, x, None, t, None, v_raw=v_draw
-            )
+            u, v = control.adaptive_input(self.mech, theta_ctrl, x, v_draw)
         elif self.input_kind == "iid_uniform":
             u, v = v_draw, self.zero
         elif self.input_kind == "state_feedback":
@@ -438,15 +435,6 @@ class _Loop:
             state, phi, x_next, plant.link, self.pset, z, prediction
         )
         return u, v, u_star, x_next, x_star_next, state_next, diag
-
-
-def _run_state(state, pos):
-    """The estimator state of the run at ``pos`` of a batch's state."""
-    return estimator.EstimatorState(
-        theta_hat=state.theta_hat[pos], p_matrix=state.p_matrix[pos],
-        r_accum=float(state.r_accum[pos]), step=state.step, delta=float(state.delta[pos]),
-        projection_count=int(state.projection_count[pos]),
-    )
 
 
 def _stack_states(states):
@@ -599,7 +587,6 @@ def _run(specs, horizon, eig_stride):
     for mb in members:
         rec = mb.rec
         rec.steps_completed = horizon
-        rec.final_state = state if mb.pos is None else _run_state(state, mb.pos)
-        rec.manifest["wall_time_s"] = wall
+        rec.wall_time_s = wall
         results[mb.index] = rec
     return results

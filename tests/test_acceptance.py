@@ -217,7 +217,7 @@ def test_criterion_03_projection_optimality():
         weight = g.T @ g + 0.1 * np.eye(n + m)
         x = rng.standard_normal((n + m, n)) * rng.uniform(1.0, 5.0)
 
-        y = est.project_weighted(x, weight, pset, n=n)
+        y = est.project_weighted(x, weight, pset)
         assert pset.contains(y, shrunk=True, tol=1e-8)
 
         def obj(z):

@@ -551,7 +551,12 @@ _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
     ({"A": [[0.5, 0.0], [0.0, float("nan")]], "Q": _EYE2, "R": _EYE2}, "A"),
     ({"A": _EYE2, "Q": [[1.0, 0.0], [0.0, float("inf")]], "R": _EYE2}, "Q"),
     ({"A": _EYE2, "Q": _EYE2, "R": [[float("-inf"), 0.0], [0.0, 1.0]]}, "R"),
-], ids=["A-not-square", "A-vector", "Q-3x3", "R-1x1", "A-nan", "Q-inf", "R-inf"])
+    # a JSON boolean is no number, as in a run config
+    ({"A": [[True]], "Q": [[1.0]], "R": [[True]]}, "A"),
+    ({"A": [[0.5]], "Q": [[True]], "R": [[1.0]]}, "Q"),
+    ({"A": _EYE2, "Q": _EYE2, "R": [[1.0, False], [False, 1.0]]}, "R"),
+], ids=["A-not-square", "A-vector", "Q-3x3", "R-1x1", "A-nan", "Q-inf", "R-inf", "A-bool",
+        "Q-bool", "R-bool"])
 def test_dare_bad_matrix_is_validation_error(tmp_path, capsys, spec, name):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(spec))
@@ -612,6 +617,18 @@ def test_sweep_bad_input_is_validation_error(tmp_path, capsys, config, values, s
             "--seeds", seeds, "--workers", workers, "--out", str(tmp_path / "o")]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"validation error: {field}:")
+
+
+def test_sweep_over_the_seed_is_validation_error(tmp_path, capsys):
+    # --seeds sets each task's seed, so a seed axis would be overwritten:
+    # every row would run the same seed under another label
+    p = _write_cfg(tmp_path, _opinion_cfg(horizon=50))
+    argv = ["sweep", str(p), "--param", "seed", "--values", "1", "2", "--seeds", "5",
+            "--workers", "1", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.err.startswith("validation error: --param:") and not out.out
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

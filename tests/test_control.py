@@ -414,7 +414,8 @@ def test_adaptive_input_null_policy_is_pure_probe():
     mech = control.PinningLeader(0.0, np.zeros(2))
     sig = control.ProbingSignal(decay_b=0.0, dim=2)
     seed = 5
-    u, v = control.adaptive_input(mech, np.zeros((4, 2)), np.zeros(2), sig, 0, np.random.default_rng(seed))
+    v_raw = control.probe_sample(sig, 0, np.random.default_rng(seed))
+    u, v = control.adaptive_input(mech, np.zeros((4, 2)), np.zeros(2), v_raw)
     expect = control.probe_sample(sig, 0, np.random.default_rng(seed))
     np.testing.assert_array_equal(u, expect)
     np.testing.assert_array_equal(v, expect)

@@ -128,6 +128,24 @@ def test_new_estimator_boundary_accepted_outside_rejected():
         est.new_estimator(np.zeros((3, 2)), pset, -0.1, maps.Identity(dim=2))
 
 
+def test_frobenius_ball_rejects_nan_radius():
+    # NaN <= 0 is False; a NaN ball once constructed and then reported
+    # "theta0 lies outside the parameter set"
+    with pytest.raises(ValueError, match="radius must be positive"):
+        est.FrobeniusBall(np.nan)
+
+
+@pytest.mark.parametrize("radii", [(np.nan, 1.0), (1.0, np.nan)], ids=["a", "b"])
+def test_block_balls_reject_nan_radius(radii):
+    with pytest.raises(ValueError, match="block radii must be positive"):
+        est.BlockOperatorBalls(*radii)
+
+
+def test_new_estimator_rejects_nan_delta():
+    with pytest.raises(ValueError, match="delta must be positive"):
+        est.new_estimator(np.zeros((3, 2)), est.FrobeniusBall(5.0), np.nan, maps.Identity(dim=2))
+
+
 # ---------------------------------------------------------------------------
 # step weights
 
@@ -389,7 +407,7 @@ def test_projection_block_set_feasible_and_competitive():
     x = rng.standard_normal((n + m, n)) * 2.0
     g = rng.standard_normal((n + m, n + m))
     weight = g @ g.T + 0.5 * np.eye(n + m)
-    out = est.project_weighted(x, weight, pset, n=n)
+    out = est.project_weighted(x, weight, pset)
     assert pset.contains(out, tol=1e-9)
 
     def obj(y):
@@ -427,7 +445,8 @@ def test_lyapunov_diagnostic_stays_bounded():
     theta_ctrl = state.theta_hat.copy()
     series = []
     for t in range(T):
-        u, v = control.adaptive_input(ro.mech, theta_ctrl, x, ro.probe, t, streams["probe"])
+        v_raw = control.probe_sample(ro.probe, t, streams["probe"])
+        u, v = control.adaptive_input(ro.mech, theta_ctrl, x, v_raw)
         w = simulate.noise_sample(ro.noise, streams["noise"])
         x_next = simulate.plant_step(ro.plant, x, u, w)
         phi = np.concatenate([x, u])

@@ -639,6 +639,35 @@ def test_batch_runs_match_their_solo_runs(tmp_path, name):
         assert all(rec.summary()["projections"] > 0 for rec in batched)
 
 
+def _replayed_projections(cfg, rec):
+    """The projection count of the estimator run on the record's phi_t and
+    x_{t+1}."""
+    ro = cfgmod.validate_config(cfg)
+    state = est.new_estimator(ro.theta0, ro.pset, ro.delta, ro.plant.link)
+    for t in range(rec.steps_completed):
+        phi = np.concatenate([rec.x[t], rec.u[t]])
+        state, _ = est.estimator_step(state, phi, rec.x[t + 1], ro.plant.link, ro.pset)
+    return state.projection_count
+
+
+def test_summary_projections_are_the_estimator_projections():
+    # the summary counts the record's projected column, over the completed
+    # steps of a truncated record too
+    cfgs = BATCHES["tight-block-projects"]()
+    runs = [(cfgs[0], cfgmod.build_run(cfgs[0]))] + list(zip(cfgs, cfgmod.build_batch(cfgs)))
+    # seed 11 projects from step 5 on, and its state norm peaks anew at step 14
+    solo = cfgmod.build_run(cfgs[2])
+    ceiling, cross = _late_crossing_ceiling(solo, 5)
+    ro = cfgmod.validate_config(cfgs[2])
+    ro.divergence_ceiling = ceiling
+    (aborted,) = simulate.run_batch([ro], ro.horizon)
+    assert aborted.step == cross
+    runs.append((cfgs[2], aborted.record))
+    for cfg, rec in runs:
+        assert _replayed_projections(cfg, rec) == rec.summary()["projections"] > 0
+    assert aborted.record.summary()["projections"] < solo.summary()["projections"]
+
+
 def test_batch_steps_advance_all_runs_at_once(monkeypatch):
     # a batch runs its runs alone only when one of its steps raises: then
     # _run is called again for each run
