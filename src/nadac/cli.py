@@ -31,7 +31,7 @@ def preset_path(name):
     return Path(__file__).parent / "presets" / f"{name}.json"
 
 
-def _out_dir(output_dir, override=None):
+def _out_dir(output_dir, override):
     """Where a command writes; made only when it writes there."""
     return Path(override or os.environ.get("NADAC_OUT") or output_dir)
 
@@ -136,7 +136,7 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
             c["seed"] = int(seed)
             tasks.append((c, (val, int(seed))))
     # fail fast before spawning workers
-    keys = [cfgmod.batch_key(cfgmod.validate_config(c)) for c, _ in tasks]
+    keys = [simulate.batch_key(cfgmod.validate_config(c)) for c, _ in tasks]
     positions = _batches(keys, workers or os.cpu_count() or 1)
     batches = [[tasks[i] for i in batch] for batch in positions]
 

@@ -9,14 +9,14 @@ values; a ValueError of a constructor's own checks names the section.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import control, estimator, maps, metrics, simulate
 
 __all__ = [
-    "ConfigError", "validate_config", "build_run", "build_batch", "batch_key", "load_config",
+    "ConfigError", "validate_config", "build_run", "build_batch", "load_config",
     "RunObjects", "output_dir", "dare_matrices",
 ]
 
@@ -221,7 +221,8 @@ def _probe(cfg, raw_dim):
 def dare_matrices(path):
     """A, Q and R of a ``nadac dare`` input file, float arrays read as a
     config's (_number): A square, Q and R of its shape and symmetric, and R
-    nonsingular.  A ConfigError names the first that is not."""
+    positive definite, as a run config's policy.R.  A ConfigError names the
+    first that is not."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -233,8 +234,7 @@ def dare_matrices(path):
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ConfigError("A", f"expected a square matrix, got shape {A.shape}")
     Q, R = (_symmetric(spec, name, len(A), _REQUIRED) for name in ("Q", "R"))
-    if np.linalg.matrix_rank(R) < len(R):
-        raise ConfigError("R", "must be nonsingular")
+    _construct("R", control.RiccatiFeedback, Q, R)
     return A, Q, R
 
 
@@ -251,8 +251,6 @@ class RunObjects(simulate.RunSpec):
     """A validated config: the run the engine runs, plus what the command
     needs around it."""
 
-    horizon: int
-    eig_stride: int
     log_stride: int
     output_dir: str
 
@@ -344,28 +342,17 @@ def validate_config(cfg):
 
 def build_run(cfg):
     """Execute the run of a config dict, or of its RunObjects when already
-    validated."""
+    validated, through the entry point of its mode with every RunSpec field."""
     ro = cfg if isinstance(cfg, RunObjects) else validate_config(cfg)
-    kw = dict(theta0=ro.theta0, delta=ro.delta, gamma=ro.gamma, eig_stride=ro.eig_stride)
-    if ro.mech is not None:
-        return simulate.run_closed_loop(
-            ro.plant, ro.pset, ro.mech, ro.probe, ro.noise, ro.horizon, ro.seed, **kw
-        )
-    return simulate.run_open_loop_id(
-        ro.plant, ro.pset, ro.input_policy, ro.noise, ro.horizon, ro.seed, **kw
-    )
-
-
-def batch_key(ro):
-    """Runs whose validated objects have equal keys can share a batch: the
-    horizon, the eig stride and simulate.batch_key."""
-    return (ro.horizon, ro.eig_stride) + simulate.batch_key(ro)
+    spec = {f.name: getattr(ro, f.name) for f in fields(simulate.RunSpec)}
+    run = simulate.run_closed_loop if ro.mech is not None else simulate.run_open_loop_id
+    return run(**spec)
 
 
 def build_batch(cfgs):
-    """Validate configs of one batch_key and execute them in lockstep
-    (simulate.run_batch).  Returns one entry per config, in order: its
-    RunRecord, or the exception it raises alone (ConfigError, RunAbort)."""
+    """Validate configs of one simulate.batch_key and execute them in
+    lockstep (simulate.run_batch).  Returns one entry per config, in order:
+    its RunRecord, or the exception it raises alone (ConfigError, RunAbort)."""
     results = [None] * len(cfgs)
     runs = []
     for i, cfg in enumerate(cfgs):
@@ -373,11 +360,8 @@ def build_batch(cfgs):
             runs.append((i, validate_config(cfg)))
         except ConfigError as exc:
             results[i] = exc
-    if len({batch_key(ro) for _, ro in runs}) > 1:
-        raise ValueError("the configs of a batch must share batch_key")
     if runs:
-        ro = runs[0][1]
-        done = simulate.run_batch([r for _, r in runs], ro.horizon, ro.eig_stride)
+        done = simulate.run_batch([ro for _, ro in runs])
         for (i, _), result in zip(runs, done):
             results[i] = result
     return results

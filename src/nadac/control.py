@@ -245,14 +245,12 @@ def _raw_eval(mech, theta, x):
     return np.array([mk.raw_eval(th, xr) for mk, th, xr in zip(mech, theta, x)])
 
 
-def policy_eval(mech, theta, x, pset=None):
+def policy_eval(mech, theta, x):
     """Full policy output for one state (lift applied, no probe); for a batch
     as in ``adaptive_input``."""
     x = np.asarray(x, dtype=float)
     if not all_finite(x):
         raise ValueError("state must be finite")
-    if pset is not None and not pset.contains(theta):
-        raise ValueError("theta lies outside the parameter set")
     return (mech if x.ndim == 1 else mech[0]).lift(x, _raw_eval(mech, theta, x))
 
 

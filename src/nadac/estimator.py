@@ -34,12 +34,7 @@ __all__ = [
 
 
 class ProjectionError(RuntimeError):
-    """Weighted projection failed to converge; carries the best iterate."""
-
-    def __init__(self, message, best=None, residual=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
+    """Weighted projection failed to converge."""
 
 
 class NumericalAbort(RuntimeError):
@@ -101,7 +96,7 @@ class FrobeniusBall:
         r = self.radius * (self.rho_eps if shrunk else 1.0)
         return run_norms(theta, 2) <= r * (1.0 + tol)
 
-    def support_value(self, phi, n=None):
+    def support_value(self, phi, n):
         return self.radius * run_norms(phi, 1)
 
     def sample(self, n, m, rng):
@@ -136,9 +131,7 @@ class BlockOperatorBalls:
         in_b = _spectral_within(theta[..., n:, :], s * self.radius_b * (1.0 + tol))
         return in_a & in_b
 
-    def support_value(self, phi, n=None):
-        if n is None:
-            raise ValueError("block set needs the state dimension to split phi")
+    def support_value(self, phi, n):
         return self.radius_a * run_norms(phi[..., :n], 1) + self.radius_b * run_norms(
             phi[..., n:], 1
         )
@@ -170,7 +163,7 @@ def _project_frobenius(x, weight, radius):
     while np.linalg.norm(y_of(hi)) > radius:
         hi *= 2.0
         if hi > 1e300:
-            raise ProjectionError("Frobenius-ball bisection failed to bracket", best=y_of(1e300))
+            raise ProjectionError("Frobenius-ball bisection failed to bracket")
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         ymid = y_of(mid)
@@ -186,11 +179,7 @@ def _project_frobenius(x, weight, radius):
     # the iterate is still feasible up to the bracket width
     if np.linalg.norm(y) <= radius * (1.0 + 1e-9):
         return y
-    raise ProjectionError(
-        "Frobenius-ball bisection did not converge",
-        best=y,
-        residual=abs(np.linalg.norm(y) - radius),
-    )
+    raise ProjectionError("Frobenius-ball bisection did not converge")
 
 
 def _clip_operator_norm(block, radius):
@@ -229,9 +218,7 @@ def _project_blocks(x, weight, pset):
         if prev - cur <= 1e-12 * max(1.0, abs(prev)):
             return y
         prev = cur
-    raise ProjectionError(
-        "block projected-gradient did not converge", best=y, residual=prev - cur
-    )
+    raise ProjectionError("block projected-gradient did not converge")
 
 
 def project_weighted(x, weight, pset):
@@ -261,7 +248,6 @@ class EstimatorState:
     r_accum: float  # 1 + sum ||phi||^2
     step: int
     delta: float
-    projection_count: int = 0
 
     @property
     def n(self):
@@ -422,7 +408,6 @@ def _step_one(st, diag, phi, x_next, f, pset, prediction):
         st.theta_hat = candidate
     else:
         st.theta_hat = _project(candidate, p_next, pset)
-        st.projection_count += 1
         diag.projected = True
     st.p_matrix = p_next
     st.step += 1
@@ -439,8 +424,8 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     per step, on the plant's inputs and z together); each is formed here
     when not given.
     A state without a run axis finishes in _step_one.  A leading run axis
-    on the state (theta_hat (R, n+m, n), p_matrix (R, n+m, n+m), r_accum,
-    delta and projection_count (R,)), phi and x_next advances R runs at
+    on the state (theta_hat (R, n+m, n), p_matrix (R, n+m, n+m), r_accum
+    and delta (R,)), phi and x_next advances R runs at
     once, each to the same bits as alone; the extended-precision fallback
     and the projection then run per run.
     """
@@ -460,7 +445,6 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
         r_accum=state.r_accum,
         step=state.step,
         delta=state.delta,
-        projection_count=state.projection_count,
     )
     diag = step_weights(st, phi, f, pset, z)
     if not runs:
@@ -492,7 +476,6 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
         sets = _runs(pset, len(phi))
         for r in np.flatnonzero(diag.projected):
             candidate[r] = _project(candidate[r], p_next[r], sets[r])
-        st.projection_count = st.projection_count + diag.projected
     st.theta_hat = candidate
     st.p_matrix = p_next
     st.step += 1

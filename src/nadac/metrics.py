@@ -22,12 +22,7 @@ __all__ = [
     "prediction_regret",
     "empirical_gain_ratio",
     "eta_default",
-    "GroundTruthRequired",
 ]
-
-
-class GroundTruthRequired(RuntimeError):
-    """Metric needs theta*, which this run withheld."""
 
 
 def _sgn(x):
@@ -78,7 +73,7 @@ class MetricAccumulator:
 
     n: int
     m: int
-    theta_star: np.ndarray | None = None
+    theta_star: np.ndarray
 
     steps: int = field(init=False, default=0)
     gram_normalized: np.ndarray = field(init=False)
@@ -113,7 +108,6 @@ class MetricAccumulator:
         u=None,
         u_star=None,
         gamma=4.0,
-        prediction_star=None,  # f(theta*^T phi); else formed here for the block
     ):
         """Absorb K consecutive steps.  Each per-step argument carries a
         leading step axis of length K, and the fields d_gain, mu_weight,
@@ -153,13 +147,11 @@ class MetricAccumulator:
             self.sum_sign_mismatch = _total(self.sum_sign_mismatch, mismatch)
 
         lyapunov = np.full(K, self.lyapunov_v)
-        if self.theta_star is not None and theta_hat is not None:
+        if theta_hat is not None:
             prediction = _steps(diag.prediction, 1)
             if prediction is None:
                 prediction = link.eval(np.matvec(theta_hat.mT, phi))
-            if prediction_star is None:
-                prediction_star = link.eval(np.matvec(self.theta_star.T, phi))
-            psi = _steps(prediction_star, 1) - prediction
+            psi = link.eval(np.matvec(self.theta_star.T, phi)) - prediction
             psi_sq = _dots(psi, psi)
             self.sum_pred_regret = _total(self.sum_pred_regret, psi_sq / mu)
             self.sum_a_psi_sq = _total(self.sum_a_psi_sq, a_weight * psi_sq)
@@ -179,32 +171,26 @@ def lambda_min_normalized(acc):
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def tracking_error(acc, t=None):
+def tracking_error(acc):
     """Time-averaged squared state+input deviation from the reference run."""
-    t = acc.steps if t is None else t
-    if t < 1:
+    if acc.steps < 1:
         raise ValueError("tracking error needs t >= 1")
-    return acc.sum_track_sq / t
+    return acc.sum_track_sq / acc.steps
 
 
-def sign_regret(acc, t=None):
-    t = acc.steps if t is None else t
-    if t < 1:
+def sign_regret(acc):
+    if acc.steps < 1:
         raise ValueError("sign regret needs t >= 1")
-    return acc.sum_sign_mismatch / t
+    return acc.sum_sign_mismatch / acc.steps
 
 
 def prediction_regret(acc):
-    """Accumulated mu^{-1}-weighted squared prediction error (needs theta*)."""
-    if acc.theta_star is None:
-        raise GroundTruthRequired("prediction regret requires theta*")
+    """Accumulated mu^{-1}-weighted squared prediction error."""
     return acc.sum_pred_regret
 
 
 def lyapunov_value(acc):
     """V_t + sum a_tau ||psi_tau||^2, the quantity bounded along any run."""
-    if acc.theta_star is None:
-        raise GroundTruthRequired("Lyapunov diagnostic requires theta*")
     return acc.lyapunov_v + acc.sum_a_psi_sq
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import KW_ONLY, InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +37,7 @@ DIVERGENCE_CEILING = 1e9
 class RunAbort(RuntimeError):
     """Simulation aborted; carries the failing step and the partial record."""
 
-    def __init__(self, message, step, record=None):
+    def __init__(self, message, step, record):
         super().__init__(f"{message} (step {step})")
         self.step = step
         self.record = record
@@ -178,7 +178,7 @@ class RunRecord:
     m: int
     horizon: int
     acc: metrics.MetricAccumulator | None = None
-    steps_completed: int = 0
+    steps_completed: int = field(init=False, default=0)
     wall_time_s: float | None = field(init=False, default=None)  # of a completed run
     columns: InitVar[dict | None] = None
 
@@ -223,16 +223,15 @@ class RunRecord:
             out["empirical_gain_ratio"] = metrics.empirical_gain_ratio(self.acc)
             if self.acc.sum_sign_mismatch or self.acc.sum_track_sq:
                 out["sign_regret"] = metrics.sign_regret(self.acc)
-            out["prediction_regret"] = (
-                self.acc.sum_pred_regret if self.acc.theta_star is not None else None
-            )
+            out["prediction_regret"] = self.acc.sum_pred_regret
         return out
 
 
 @dataclass
 class RunSpec:
-    """One run of ``run_batch``: the arguments of run_closed_loop (``mech``
-    and ``probe`` set) or of run_open_loop_id (``input_policy`` set)."""
+    """The whole of one run: the arguments of run_closed_loop (``mech`` and
+    ``probe`` set) or of run_open_loop_id (``input_policy`` set), with the
+    horizon and the stride of the excitation eigenvalue (lambda_t)."""
 
     plant: PlantSpec
     pset: object
@@ -245,51 +244,45 @@ class RunSpec:
     delta: float = 0.5
     gamma: float = 4.0
     divergence_ceiling: float = DIVERGENCE_CEILING
+    _: KW_ONLY
+    horizon: int
+    eig_stride: int = 100
 
 
 def batch_key(spec):
-    """What the runs of one batch share: the mode, n, m and the kind of the
-    link, the parameter set, the policy and its lift, the probe distribution,
-    the noise and the input policy.  Their numeric values may differ."""
+    """What the runs of one batch share: the horizon, the eig stride, the
+    mode, n, m and the kind of the link, the parameter set, the policy and
+    its lift, the probe distribution, the noise and the input policy.  Their
+    numeric values may differ."""
     ip = spec.input_policy
     return (
-        spec.mech is not None, spec.plant.n, spec.plant.m, type(spec.plant.link),
-        type(spec.pset), type(spec.mech), getattr(spec.mech, "lift_kind", None),
-        getattr(spec.probe, "distribution", None), spec.noise.kind,
-        ip[0] if isinstance(ip, tuple) else ip,
+        spec.horizon, spec.eig_stride, spec.mech is not None, spec.plant.n, spec.plant.m,
+        type(spec.plant.link), type(spec.pset), type(spec.mech),
+        getattr(spec.mech, "lift_kind", None), getattr(spec.probe, "distribution", None),
+        spec.noise.kind, ip[0] if isinstance(ip, tuple) else ip,
     )
 
 
-def run_closed_loop(
-    plant, pset, mech, probe, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
-    eig_stride=100, divergence_ceiling=DIVERGENCE_CEILING,
-):
-    """Adaptive closed loop plus oracle reference on a shared noise stream."""
-    spec = RunSpec(
-        plant, pset, noise, seed, mech=mech, probe=probe, theta0=theta0, delta=delta,
-        gamma=gamma, divergence_ceiling=divergence_ceiling,
-    )
-    return _alone(spec, horizon, eig_stride)
+def run_closed_loop(plant, pset, mech, probe, noise, horizon, seed, **options):
+    """Adaptive closed loop plus oracle reference on a shared noise stream;
+    ``options`` are the other fields of RunSpec."""
+    spec = RunSpec(plant, pset, noise, seed, mech=mech, probe=probe, horizon=horizon, **options)
+    return _alone(spec)
 
 
-def run_open_loop_id(
-    plant, pset, input_policy, noise, horizon, seed, theta0=None, delta=0.5, gamma=4.0,
-    eig_stride=100, divergence_ceiling=DIVERGENCE_CEILING,
-):
-    """Identification-only run under an exogenous input policy.
+def run_open_loop_id(plant, pset, input_policy, noise, horizon, seed, **options):
+    """Identification-only run under an exogenous input policy; ``options``
+    are the other fields of RunSpec.
 
     ``input_policy``: "zero", ("iid_uniform", half_width), or
     ("state_feedback", K) with u = K x.  The estimator observes the loop but
     never closes it.
     """
-    spec = RunSpec(
-        plant, pset, noise, seed, input_policy=input_policy, theta0=theta0, delta=delta,
-        gamma=gamma, divergence_ceiling=divergence_ceiling,
-    )
-    return _alone(spec, horizon, eig_stride)
+    spec = RunSpec(plant, pset, noise, seed, input_policy=input_policy, horizon=horizon, **options)
+    return _alone(spec)
 
 
-def run_batch(specs, horizon, eig_stride=100):
+def run_batch(specs):
     """Advance the runs ``specs`` (RunSpec, one batch_key) in lockstep.
 
     Returns one entry per run, in order: its RunRecord, or the exception it
@@ -301,11 +294,11 @@ def run_batch(specs, horizon, eig_stride=100):
     """
     if len({batch_key(spec) for spec in specs}) > 1:
         raise ValueError("the runs of a batch must share batch_key")
-    return _run(specs, horizon, eig_stride)
+    return _run(specs)
 
 
-def _alone(spec, horizon, eig_stride):
-    (result,) = _run([spec], horizon, eig_stride)
+def _alone(spec):
+    (result,) = _run([spec])
     if isinstance(result, BaseException):
         raise result
     return result
@@ -444,11 +437,10 @@ def _stack_states(states):
         p_matrix=np.array([s.p_matrix for s in states]),
         r_accum=np.array([s.r_accum for s in states]), step=states[0].step,
         delta=np.array([s.delta for s in states]),
-        projection_count=np.array([s.projection_count for s in states]),
     )
 
 
-def _run(specs, horizon, eig_stride):
+def _run(specs):
     """The loop of both entry points and of run_batch; returns one record or
     exception per spec.
 
@@ -469,8 +461,9 @@ def _run(specs, horizon, eig_stride):
             results[i] = exc
     if not members:
         return results
-    n, m = members[0].spec.plant.n, members[0].spec.plant.m
-    has_ref = members[0].spec.mech is not None
+    head = members[0].spec
+    n, m, horizon, eig_stride = head.plant.n, head.plant.m, head.horizon, head.eig_stride
+    has_ref = head.mech is not None
     runs = len(members) if len(members) > 1 else None
     cols = _columns(n, m, horizon, runs)
     for pos, mb in enumerate(members):
@@ -527,7 +520,7 @@ def _run(specs, horizon, eig_stride):
         return tuple(None if d[0] is None else np.stack(d, axis=1) for d in zip(*per_run))
 
     if runs is None:
-        x, state = np.array(members[0].spec.plant.x0, dtype=float), members[0].state
+        x, state = np.array(head.plant.x0, dtype=float), members[0].state
     else:
         x = np.array([mb.spec.plant.x0 for mb in members], dtype=float)
         state = _stack_states([mb.state for mb in members])
@@ -550,7 +543,7 @@ def _run(specs, horizon, eig_stride):
         except Exception as exc:  # noqa: BLE001 - the run's own failure
             if runs is not None:
                 for mb in members:
-                    (results[mb.index],) = _run([mb.spec], horizon, eig_stride)
+                    (results[mb.index],) = _run([mb.spec])
                 return results
             (mb,) = members
             if isinstance(exc, _STEP_FAILURES):

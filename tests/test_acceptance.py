@@ -6,6 +6,7 @@ statistical criteria are currently red; the checks are implemented at face
 value and left failing rather than loosened.
 """
 
+import copy
 import json
 import math
 
@@ -100,19 +101,30 @@ def opinion_runs():
 
 
 @pytest.fixture(scope="module")
-def epidemic_run():
-    return cfgmod.build_run(_preset("epidemic_sigma5"))
+def epidemic_runs():
+    """The epidemic runs for sigma in {1, 5, 10}, five seeds each, in one
+    batch (the three presets share simulate.batch_key).  Keeps each run's
+    final parameter error by sigma, and the record of sigma = 5 at SEEDS[0],
+    the preset's own run, copied out of the batch's arrays."""
+    sigmas = (1, 5, 10)
+    cfgs = [_preset(f"epidemic_sigma{sig}", seed=seed) for sig in sigmas for seed in SEEDS]
+    recs = _build_batch(cfgs)
+    errors = {
+        sig: [float(rec.param_err[-1]) for rec in recs[i * len(SEEDS) : (i + 1) * len(SEEDS)]]
+        for i, sig in enumerate(sigmas)
+    }
+    return errors, copy.deepcopy(recs[sigmas.index(5) * len(SEEDS)])
 
 
 @pytest.fixture(scope="module")
-def sigma_sweep():
-    """Final parameter error for sigma in {1, 5, 10}, five seeds each, one
-    batch per sigma."""
-    out = {}
-    for sig in (1, 5, 10):
-        recs = _build_batch([_preset(f"epidemic_sigma{sig}", seed=seed) for seed in SEEDS])
-        out[sig] = [float(rec.param_err[-1]) for rec in recs]
-    return out
+def epidemic_run(epidemic_runs):
+    return epidemic_runs[1]
+
+
+@pytest.fixture(scope="module")
+def sigma_sweep(epidemic_runs):
+    """Final parameter error for sigma in {1, 5, 10}, five seeds each."""
+    return epidemic_runs[0]
 
 
 # ---------------------------------------------------------------------------

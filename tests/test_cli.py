@@ -529,7 +529,7 @@ def test_dare_singular_r_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", [
     {"A": [[1e200]], "Q": [[1.0]], "R": [[1.0]]},  # the first iterate overflows
-    {"A": [[1.0]], "Q": [[1.0]], "R": [[-1.0]]},  # R + P0 is singular
+    {"A": [[1.0]], "Q": [[-1.0]], "R": [[1.0]]},  # R + P0 is singular
 ], ids=["overflow", "singular"])
 def test_dare_non_finite_iterate_is_runtime_abort(tmp_path, capsys, spec):
     # the iteration stops at the first non-finite iterate, not after
@@ -555,8 +555,11 @@ _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
     ({"A": [[True]], "Q": [[1.0]], "R": [[True]]}, "A"),
     ({"A": [[0.5]], "Q": [[True]], "R": [[1.0]]}, "Q"),
     ({"A": _EYE2, "Q": _EYE2, "R": [[1.0, False], [False, 1.0]]}, "R"),
+    # R must be positive definite, as a run config's policy.R
+    ({"A": [[0.5]], "Q": [[1.0]], "R": [[-2.0]]}, "R"),
+    ({"A": [[0.9, 0.2], [-0.3, 0.7]], "Q": _EYE2, "R": [[1.0, 0.0], [0.0, -1.0]]}, "R"),
 ], ids=["A-not-square", "A-vector", "Q-3x3", "R-1x1", "A-nan", "Q-inf", "R-inf", "A-bool",
-        "Q-bool", "R-bool"])
+        "Q-bool", "R-bool", "R-negative", "R-indefinite"])
 def test_dare_bad_matrix_is_validation_error(tmp_path, capsys, spec, name):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(spec))

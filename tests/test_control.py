@@ -357,13 +357,6 @@ def test_replaced_riccati_feedback_starts_with_a_cold_cache():
     assert got.tobytes() == cold.tobytes()
 
 
-def test_policy_eval_rejects_outside_theta():
-    mech = control.PinningLeader(x_leader=1.0, pattern=np.array([1.0]))
-    pset = est.FrobeniusBall(1.0)
-    with pytest.raises(ValueError):
-        control.policy_eval(mech, np.full((2, 1), 5.0), np.zeros(1), pset=pset)
-
-
 # ---------------------------------------------------------------------------
 # probing signal
 

@@ -432,8 +432,8 @@ def test_link_eval_calls_per_batch_step(monkeypatch, input_policy):
         kw = dict(mech=_null_policy(1, 1), probe=control.ProbingSignal(decay_b=0.125, dim=1))
     else:
         kw = dict(input_policy=input_policy)
-    specs = [simulate.RunSpec(plant, pset, noise, seed, **kw) for seed in (5, 6, 7)]
-    results = simulate.run_batch(specs, 40)
+    specs = [simulate.RunSpec(plant, pset, noise, seed, horizon=40, **kw) for seed in (5, 6, 7)]
+    results = simulate.run_batch(specs)
     assert all(isinstance(rec, simulate.RunRecord) for rec in results)
     assert len(calls) == 40 + 2 * 3
 
@@ -644,10 +644,12 @@ def _replayed_projections(cfg, rec):
     x_{t+1}."""
     ro = cfgmod.validate_config(cfg)
     state = est.new_estimator(ro.theta0, ro.pset, ro.delta, ro.plant.link)
+    count = 0
     for t in range(rec.steps_completed):
         phi = np.concatenate([rec.x[t], rec.u[t]])
-        state, _ = est.estimator_step(state, phi, rec.x[t + 1], ro.plant.link, ro.pset)
-    return state.projection_count
+        state, diag = est.estimator_step(state, phi, rec.x[t + 1], ro.plant.link, ro.pset)
+        count += diag.projected
+    return count
 
 
 def test_summary_projections_are_the_estimator_projections():
@@ -660,12 +662,27 @@ def test_summary_projections_are_the_estimator_projections():
     ceiling, cross = _late_crossing_ceiling(solo, 5)
     ro = cfgmod.validate_config(cfgs[2])
     ro.divergence_ceiling = ceiling
-    (aborted,) = simulate.run_batch([ro], ro.horizon)
+    (aborted,) = simulate.run_batch([ro])
     assert aborted.step == cross
     runs.append((cfgs[2], aborted.record))
     for cfg, rec in runs:
         assert _replayed_projections(cfg, rec) == rec.summary()["projections"] > 0
     assert aborted.record.summary()["projections"] < solo.summary()["projections"]
+
+
+def test_build_run_honours_every_spec_field(tmp_path):
+    # build_run hands the engine every RunSpec field: with a lowered
+    # divergence ceiling, its run aborts where run_batch aborts the same
+    # spec, with the same bytes
+    ro = cfgmod.validate_config(_tight_block_cfg(400) | {"seed": 4})
+    ceiling, cross = _late_crossing_ceiling(cfgmod.build_run(ro), 60)
+    ro.divergence_ceiling = ceiling
+    (batched,) = simulate.run_batch([ro])
+    with pytest.raises(simulate.RunAbort) as alone:
+        cfgmod.build_run(ro)
+    assert alone.value.step == batched.step == cross
+    assert str(alone.value) == str(batched)
+    _assert_same_run(alone.value.record, batched.record, tmp_path)
 
 
 def test_batch_steps_advance_all_runs_at_once(monkeypatch):
@@ -692,9 +709,9 @@ def test_rerun_of_one_spec_gives_the_same_bytes(tmp_path):
     # a run leaves its spec's Riccati cache as it found it, so running the
     # same validated spec again gives the same bits
     ro = cfgmod.validate_config(_tight_block_cfg(300) | {"seed": 5})
-    (first,) = simulate.run_batch([ro], 300)
+    (first,) = simulate.run_batch([ro])
     first_bytes, first_summary = _record_bytes(first, tmp_path), first.summary()
-    (second,) = simulate.run_batch([ro], 300)
+    (second,) = simulate.run_batch([ro])
     assert _record_bytes(second, tmp_path) == first_bytes
     assert json.dumps(second.summary(), sort_keys=True) == json.dumps(
         first_summary, sort_keys=True
@@ -711,6 +728,7 @@ def _divergent_specs(ceilings):
         simulate.RunSpec(
             plant, est.FrobeniusBall(5.0, rho_eps=0.9), noise, seed, mech=_null_policy(2, 2),
             probe=control.ProbingSignal(decay_b=0.125, dim=2), divergence_ceiling=ceiling,
+            horizon=300,
         )
         for seed, ceiling in enumerate(ceilings)
     ]
@@ -724,7 +742,7 @@ def _divergent_specs(ceilings):
 def test_batch_run_that_aborts_leaves_as_alone(tmp_path, ceilings):
     # a ceiling of 300 or 400 is crossed inside the metrics block of steps
     # 101..200, 1e9 never
-    batched = simulate.run_batch(_divergent_specs(ceilings), 300)
+    batched = simulate.run_batch(_divergent_specs(ceilings))
     for spec, result in zip(_divergent_specs(ceilings), batched):
         try:
             solo = simulate.run_closed_loop(
@@ -770,9 +788,9 @@ def test_riccati_batch_run_that_aborts_late_leaves_as_alone(tmp_path):
             out[1].divergence_ceiling = ceiling
         return out
 
-    ceiling, cross = _late_crossing_ceiling(simulate.run_batch(specs()[1:2], horizon)[0], 60)
-    batched = simulate.run_batch(specs(ceiling), horizon)
-    solos = [simulate.run_batch([spec], horizon)[0] for spec in specs(ceiling)]
+    ceiling, cross = _late_crossing_ceiling(simulate.run_batch(specs()[1:2])[0], 60)
+    batched = simulate.run_batch(specs(ceiling))
+    solos = [simulate.run_batch([spec])[0] for spec in specs(ceiling)]
     assert isinstance(solos[1], simulate.RunAbort) and solos[1].step == cross
     for solo, result in zip(solos, batched):
         if isinstance(solo, simulate.RunAbort):
@@ -787,7 +805,7 @@ def test_batch_rejects_runs_of_different_kinds():
     specs = _divergent_specs([1e9, 1e9])
     specs[1].noise = simulate.NoiseSpec(kind="gaussian", n=2)
     with pytest.raises(ValueError, match="batch_key"):
-        simulate.run_batch(specs, 10)
+        simulate.run_batch(specs)
 
 
 # ---------------------------------------------------------------------------
