@@ -220,9 +220,9 @@ def _probe(cfg, raw_dim):
 
 def dare_matrices(path):
     """A, Q and R of a ``nadac dare`` input file, float arrays read as a
-    config's (_number): A square, Q and R of its shape and symmetric, and R
-    positive definite, as a run config's policy.R.  A ConfigError names the
-    first that is not."""
+    config's (_number): A square, Q and R of its shape and symmetric, Q
+    positive semidefinite and R positive definite, as a run config's
+    policy.Q and policy.R.  A ConfigError names the first that is not."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -234,6 +234,7 @@ def dare_matrices(path):
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ConfigError("A", f"expected a square matrix, got shape {A.shape}")
     Q, R = (_symmetric(spec, name, len(A), _REQUIRED) for name in ("Q", "R"))
+    _construct("Q", control.RiccatiFeedback, Q, np.eye(len(A)))  # with R = I only Q can fail
     _construct("R", control.RiccatiFeedback, Q, R)
     return A, Q, R
 

@@ -177,6 +177,10 @@ class RiccatiFeedback:
         self.R = np.asarray(self.R, dtype=float)
         if self.lift_kind not in ("direct", "quadratic_si"):
             raise ValueError(f"unknown lift kind {self.lift_kind!r}")
+        # relative to the largest |eigenvalue|, so a singular PSD Q passes
+        q_eig = np.linalg.eigvalsh(self.Q)
+        if q_eig[0] < -1e-12 * np.abs(q_eig).max():
+            raise ValueError("Q must be positive semidefinite")
         if np.any(np.linalg.eigvalsh(self.R) <= 0):
             raise ValueError("R must be positive definite")
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimator import run_norms
+
 __all__ = [
     "MetricAccumulator",
     "lambda_min_normalized",
-    "tracking_error",
     "sign_regret",
-    "prediction_regret",
     "empirical_gain_ratio",
     "eta_default",
 ]
@@ -28,16 +28,6 @@ __all__ = [
 def _sgn(x):
     # sgn(0) := 0 so the metric is deterministic at the (measure-zero) tie
     return np.sign(x)
-
-
-def _steps(a, ndim):
-    """``a`` as floats with a leading step axis: unchanged when it already has
-    one (more than ``ndim`` dimensions, the per-step rank), else a block of
-    one step.  None stays None."""
-    if a is None:
-        return None
-    a = np.asarray(a, dtype=float)
-    return a if a.ndim > ndim else a[None]
 
 
 def _dots(a, b):
@@ -69,11 +59,12 @@ def _norm_pow(a, p):
 
 @dataclass
 class MetricAccumulator:
-    """Per-run accumulator; update() absorbs steps in trajectory order."""
+    """Per-run accumulator of a run's constants (theta*, the link f and the
+    gain ratio's gamma); update() absorbs steps in trajectory order."""
 
-    n: int
-    m: int
-    theta_star: np.ndarray
+    theta_star: np.ndarray  # (n+m, n)
+    link: object
+    gamma: float
 
     steps: int = field(init=False, default=0)
     gram_normalized: np.ndarray = field(init=False)
@@ -88,79 +79,52 @@ class MetricAccumulator:
     lyapunov_v: float = field(init=False, default=float("nan"))
 
     def __post_init__(self):
-        dim = self.n + self.m
+        dim = self.theta_star.shape[0]
         self.gram_normalized = np.zeros((dim, dim))
         self.p_inv = np.eye(dim)
 
-    def update(
-        self,
-        phi,
-        x,
-        x_next,
-        v,
-        w,
-        diag,
-        link,
-        theta_hat=None,  # estimate used at this step (pre-update), for psi;
-        # diag.prediction, when set, is f(theta_hat^T phi) from the estimator
-        theta_hat_next=None,  # post-update estimate, for the Lyapunov value
-        x_star=None,
-        u=None,
-        u_star=None,
-        gamma=4.0,
-    ):
-        """Absorb K consecutive steps.  Each per-step argument carries a
-        leading step axis of length K, and the fields d_gain, mu_weight,
-        a_weight and prediction of ``diag`` are per-step arrays; without the
-        axis the call is one step.  Returns the Lyapunov value V_t and the
-        tracking sum after each step, two arrays of length K."""
-        phi = _steps(phi, 1)
-        x, x_next, v, w = (_steps(a, 1) for a in (x, x_next, v, w))
-        x_star, u, u_star = (_steps(a, 1) for a in (x_star, u, u_star))
-        theta_hat, theta_hat_next = (_steps(a, 2) for a in (theta_hat, theta_hat_next))
-        d_gain, mu, a_weight = (
-            _steps(a, 0) for a in (diag.d_gain, diag.mu_weight, diag.a_weight)
-        )
-        K = len(phi)
+    def update(self, x, u, v, w, x_star, u_star, d_t, mu_t, a_t, theta_hat, prediction):
+        """Absorb K consecutive steps as the run record holds them: x and
+        x_star hold K+1 states, theta_hat the K+1 estimates from before the
+        first update to after the last, and the rest (prediction is the
+        estimator's f(theta_hat^T phi)) K rows; x_star and u_star are None
+        without a reference.  Returns param_err, J_t and V_t after each
+        step, arrays of length K; J_t is NaN without a reference."""
+        K = len(u)
+        x, x_next = x[:-1], x[1:]
+        phi = np.concatenate([x, u], axis=1)
 
         phi_phi = phi[:, :, None] * phi[:, None, :]
         gram = _running(self.gram_normalized, phi_phi / (1.0 + _dots(phi, phi))[:, None, None])
         self.gram_normalized = gram[-1]
-        self.sum_v_pow_gamma = _total(self.sum_v_pow_gamma, _norm_pow(v, gamma))
-        self.sum_w_pow_gamma = _total(self.sum_w_pow_gamma, _norm_pow(w, gamma))
-        self.sum_xnext_pow_gamma = _total(self.sum_xnext_pow_gamma, _norm_pow(x_next, gamma))
+        self.sum_v_pow_gamma = _total(self.sum_v_pow_gamma, _norm_pow(v, self.gamma))
+        self.sum_w_pow_gamma = _total(self.sum_w_pow_gamma, _norm_pow(w, self.gamma))
+        self.sum_xnext_pow_gamma = _total(self.sum_xnext_pow_gamma, _norm_pow(x_next, self.gamma))
 
-        p_inv = _running(self.p_inv, (_pow(d_gain, 2) / mu)[:, None, None] * phi_phi)
+        p_inv = _running(self.p_inv, (_pow(d_t, 2) / mu_t)[:, None, None] * phi_phi)
         self.p_inv = p_inv[-1]
 
-        track = np.full(K, self.sum_track_sq)
+        j_t = np.full(K, np.nan)
         if x_star is not None:
-            dx = x - x_star
-            terms = _dots(dx, dx)[:, None]
-            if u is not None and u_star is not None:
-                du = u - u_star
-                terms = np.column_stack([terms, _dots(du, du)])
+            dx, du = x - x_star[:-1], u - u_star
             # the state term and then the input term of each step, in turn
-            track = _running(self.sum_track_sq, terms.ravel())[terms.shape[1] - 1 :: terms.shape[1]]
+            terms = np.column_stack([_dots(dx, dx), _dots(du, du)]).ravel()
+            track = _running(self.sum_track_sq, terms)[1::2]
             self.sum_track_sq = float(track[-1])
-            mismatch = np.abs(_sgn(x) - _sgn(x_star)).sum(axis=1)
+            j_t = track / np.arange(self.steps + 1, self.steps + K + 1)
+            mismatch = np.abs(_sgn(x) - _sgn(x_star[:-1])).sum(axis=1)
             self.sum_sign_mismatch = _total(self.sum_sign_mismatch, mismatch)
 
-        lyapunov = np.full(K, self.lyapunov_v)
-        if theta_hat is not None:
-            prediction = _steps(diag.prediction, 1)
-            if prediction is None:
-                prediction = link.eval(np.matvec(theta_hat.mT, phi))
-            psi = link.eval(np.matvec(self.theta_star.T, phi)) - prediction
-            psi_sq = _dots(psi, psi)
-            self.sum_pred_regret = _total(self.sum_pred_regret, psi_sq / mu)
-            self.sum_a_psi_sq = _total(self.sum_a_psi_sq, a_weight * psi_sq)
-            err = self.theta_star - (theta_hat_next if theta_hat_next is not None else theta_hat)
-            lyapunov = np.trace(err.transpose(0, 2, 1) @ p_inv @ err, axis1=1, axis2=2)
-            self.lyapunov_v = float(lyapunov[-1])
+        psi = self.link.eval(np.matvec(self.theta_star.T, phi)) - prediction
+        psi_sq = _dots(psi, psi)
+        self.sum_pred_regret = _total(self.sum_pred_regret, psi_sq / mu_t)
+        self.sum_a_psi_sq = _total(self.sum_a_psi_sq, a_t * psi_sq)
+        err = self.theta_star - theta_hat[1:]
+        v_lyap = np.trace(err.transpose(0, 2, 1) @ p_inv @ err, axis1=1, axis2=2)
+        self.lyapunov_v = float(v_lyap[-1])
 
         self.steps += K
-        return lyapunov, track
+        return run_norms(err, 2), j_t, v_lyap
 
 
 def lambda_min_normalized(acc):
@@ -171,27 +135,10 @@ def lambda_min_normalized(acc):
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def tracking_error(acc):
-    """Time-averaged squared state+input deviation from the reference run."""
-    if acc.steps < 1:
-        raise ValueError("tracking error needs t >= 1")
-    return acc.sum_track_sq / acc.steps
-
-
 def sign_regret(acc):
     if acc.steps < 1:
         raise ValueError("sign regret needs t >= 1")
     return acc.sum_sign_mismatch / acc.steps
-
-
-def prediction_regret(acc):
-    """Accumulated mu^{-1}-weighted squared prediction error."""
-    return acc.sum_pred_regret
-
-
-def lyapunov_value(acc):
-    """V_t + sum a_tau ||psi_tau||^2, the quantity bounded along any run."""
-    return acc.lyapunov_v + acc.sum_a_psi_sq
 
 
 def empirical_gain_ratio(acc):

@@ -125,11 +125,12 @@ def noise_sample(spec, rng, steps=None):
 
 
 def spawn_streams(seed):
-    """Four independent substreams off one root seed; toggling the probe or
-    test sampling never perturbs the plant noise realization."""
+    """The two substreams the loop draws from, off one root seed: "noise"
+    and "probe" (the probe or open-loop input); drawing probes never
+    perturbs the plant noise realization."""
     root = np.random.SeedSequence(seed)
-    names = ("noise", "probe", "policy", "test")
-    return dict(zip(names, (np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4))))
+    names = ("noise", "probe")
+    return dict(zip(names, (np.random.Generator(np.random.PCG64(s)) for s in root.spawn(2))))
 
 
 # Per-step columns of a run record: (attribute, CSV label, width, fill).  A
@@ -177,7 +178,7 @@ class RunRecord:
     n: int
     m: int
     horizon: int
-    acc: metrics.MetricAccumulator | None = None
+    acc: metrics.MetricAccumulator
     steps_completed: int = field(init=False, default=0)
     wall_time_s: float | None = field(init=False, default=None)  # of a completed run
     columns: InitVar[dict | None] = None
@@ -219,11 +220,10 @@ class RunRecord:
             "final_lambda_min": float(self.lambda_t[last]),
             "projections": int(np.count_nonzero(self.projected[: self.steps_completed])),
         }
-        if self.acc is not None:
-            out["empirical_gain_ratio"] = metrics.empirical_gain_ratio(self.acc)
-            if self.acc.sum_sign_mismatch or self.acc.sum_track_sq:
-                out["sign_regret"] = metrics.sign_regret(self.acc)
-            out["prediction_regret"] = self.acc.sum_pred_regret
+        out["empirical_gain_ratio"] = metrics.empirical_gain_ratio(self.acc)
+        if self.acc.sum_sign_mismatch or self.acc.sum_track_sq:
+            out["sign_regret"] = metrics.sign_regret(self.acc)
+        out["prediction_regret"] = self.acc.sum_pred_regret
         return out
 
 
@@ -340,7 +340,7 @@ class _Member:
         self.mech = spec.mech
         if isinstance(spec.mech, control.RiccatiFeedback):
             self.mech = replace(spec.mech)
-        self.acc = metrics.MetricAccumulator(n=n, m=m, theta_star=plant.theta_star)
+        self.acc = metrics.MetricAccumulator(plant.theta_star, plant.link, spec.gamma)
         self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
         self.rec = None
 
@@ -448,7 +448,7 @@ def _run(specs):
     steps: the loop buffers what the record does not hold (the estimator's
     prediction and theta_hat after each update) and hands a block to each
     run's accumulator when it ends, or before a failing step aborts the run;
-    the w and param_err columns are written then.
+    the w column and the metrics' param_err, J_t and V_t are written then.
     A step of a batch that raises gives the batch up: each of its runs is
     run alone from step 0, which is the reference, so every run's record or
     exception is the one it gives alone."""
@@ -481,31 +481,21 @@ def _run(specs):
     def absorb(mb, start, stop):
         """Hand steps start .. stop-1 of member ``mb`` to its metrics and log
         their rows."""
-        rec, acc = mb.rec, mb.acc
+        rec = mb.rec
         rows, k = slice(start, stop), stop - start
         rec.lambda_t[rows] = mb.lam
         if not k:
             return
         rec.w[rows] = view(w_block, mb)[:k]
-        run_thetas = view(thetas, mb)
-        rec.param_err[rows] = estimator.run_norms(
-            mb.spec.plant.theta_star - run_thetas[1 : k + 1], 2
+        states = slice(start, stop + 1)
+        x_star, u_star = (rec.x_star[states], rec.u_star[rows]) if has_ref else (None, None)
+        rec.param_err[rows], rec.j_t[rows], rec.v_lyap[rows] = mb.acc.update(
+            rec.x[states], rec.u[rows], rec.v[rows], rec.w[rows], x_star, u_star,
+            rec.d_t[rows], rec.mu_t[rows], rec.a_t[rows], view(thetas, mb)[: k + 1],
+            view(prediction, mb)[:k],
         )
-        diag = estimator.StepDiagnostics(
-            d_gain=rec.d_t[rows], g_bar=np.nan, a_weight=rec.a_t[rows],
-            mu_weight=rec.mu_t[rows], prediction=view(prediction, mb)[:k],
-        )
-        x_star, u_star = (rec.x_star[rows], rec.u_star[rows]) if has_ref else (None, None)
-        rec.v_lyap[rows], track = acc.update(
-            np.concatenate([rec.x[rows], rec.u[rows]], axis=1), rec.x[rows],
-            rec.x[start + 1 : stop + 1], rec.v[rows], rec.w[rows], diag, mb.spec.plant.link,
-            theta_hat=run_thetas[:k], theta_hat_next=run_thetas[1 : k + 1], x_star=x_star,
-            u=rec.u[rows], u_star=u_star, gamma=mb.spec.gamma,
-        )
-        if has_ref:
-            rec.j_t[rows] = track / np.arange(start + 1, stop + 1)
         if (stop - 1) % eig_stride == 0 or stop == horizon:
-            mb.lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(acc)
+            mb.lam = rec.lambda_t[stop - 1] = metrics.lambda_min_normalized(mb.acc)
 
     def block_end(first):
         # one past the block's last step: the next eig_stride step, the cap

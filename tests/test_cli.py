@@ -529,8 +529,7 @@ def test_dare_singular_r_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", [
     {"A": [[1e200]], "Q": [[1.0]], "R": [[1.0]]},  # the first iterate overflows
-    {"A": [[1.0]], "Q": [[-1.0]], "R": [[1.0]]},  # R + P0 is singular
-], ids=["overflow", "singular"])
+], ids=["overflow"])
 def test_dare_non_finite_iterate_is_runtime_abort(tmp_path, capsys, spec):
     # the iteration stops at the first non-finite iterate, not after
     # max_iter iterations of NaN, and without a traceback
@@ -558,8 +557,11 @@ _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
     # R must be positive definite, as a run config's policy.R
     ({"A": [[0.5]], "Q": [[1.0]], "R": [[-2.0]]}, "R"),
     ({"A": [[0.9, 0.2], [-0.3, 0.7]], "Q": _EYE2, "R": [[1.0, 0.0], [0.0, -1.0]]}, "R"),
+    # Q must be positive semidefinite, as a run config's policy.Q
+    ({"A": [[1.0]], "Q": [[-1.0]], "R": [[1.0]]}, "Q"),
+    ({"A": [[0.9, 0.2], [-0.3, 0.7]], "Q": [[-0.5, 0.0], [0.0, 1.0]], "R": _EYE2}, "Q"),
 ], ids=["A-not-square", "A-vector", "Q-3x3", "R-1x1", "A-nan", "Q-inf", "R-inf", "A-bool",
-        "Q-bool", "R-bool", "R-negative", "R-indefinite"])
+        "Q-bool", "R-bool", "R-negative", "R-indefinite", "Q-negative", "Q-indefinite"])
 def test_dare_bad_matrix_is_validation_error(tmp_path, capsys, spec, name):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(spec))
@@ -902,6 +904,30 @@ def test_non_symmetric_weight_is_validation_error(tmp_path, capsys, field, value
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"validation error: {field}: must be symmetric")
+
+
+def test_indefinite_q_is_validation_error(tmp_path, capsys):
+    # an indefinite Q once validated, spun the DARE to its iteration cap and
+    # exited 3 at step 0
+    cfg = _leaky_relu_cfg("closed_loop", horizon=3)
+    cfg["policy"]["Q"] = [[-0.5, 0.0], [0.0, 1.0]]
+    p = _write_cfg(tmp_path, cfg)
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: policy: Q must be positive semidefinite")
+
+
+@pytest.mark.parametrize("Q", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                         ids=["rank-one", "diagonal"])
+def test_singular_psd_q_validates(tmp_path, capsys, Q):
+    # the rule is positive semidefinite, up to rounding of the eigenvalues
+    cfg = _leaky_relu_cfg("closed_loop", horizon=3)
+    cfg["policy"]["Q"] = Q
+    assert cli.main(["validate", str(_write_cfg(tmp_path, cfg))]) == cli.EXIT_OK
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"A": [[0.9, 0.2], [-0.3, 0.7]], "Q": Q, "R": _EYE2}))
+    assert cli.main(["dare", str(p)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("name", ["Q", "R"])

@@ -442,7 +442,7 @@ def test_lyapunov_diagnostic_stays_bounded():
     T = 20_000
     streams = simulate.spawn_streams(ro.seed)
     state = est.new_estimator(ro.theta0, ro.pset, ro.delta, ro.plant.link)
-    acc = metrics.MetricAccumulator(n=ro.plant.n, m=ro.plant.m, theta_star=ro.plant.theta_star)
+    acc = metrics.MetricAccumulator(ro.plant.theta_star, ro.plant.link, ro.gamma)
     x = ro.plant.x0.copy()
     theta_ctrl = state.theta_hat.copy()
     series = []
@@ -454,9 +454,12 @@ def test_lyapunov_diagnostic_stays_bounded():
         phi = np.concatenate([x, u])
         theta_prev = state.theta_hat
         state_next, diag = est.estimator_step(state, phi, x_next, ro.plant.link, ro.pset)
-        acc.update(phi, x, x_next, v, w, diag, ro.plant.link,
-                   theta_hat=theta_prev, theta_hat_next=state_next.theta_hat)
-        series.append(metrics.lyapunov_value(acc))
+        _, _, v_lyap = acc.update(
+            np.array([x, x_next]), u[None], v[None], w[None], None, None,
+            np.array([diag.d_gain]), np.array([diag.mu_weight]), np.array([diag.a_weight]),
+            np.array([theta_prev, state_next.theta_hat]), diag.prediction[None],
+        )
+        series.append(float(v_lyap[0]) + acc.sum_a_psi_sq)
         theta_ctrl = theta_prev
         state = state_next
         x = x_next

@@ -108,7 +108,7 @@ def test_noise_spec_validation():
 
 def test_spawn_streams_are_independent_and_stable():
     streams = simulate.spawn_streams(42)
-    assert set(streams) == {"noise", "probe", "policy", "test"}
+    assert set(streams) == {"noise", "probe"}
     again = simulate.spawn_streams(42)
     a = streams["noise"].standard_normal(5)
     b = again["noise"].standard_normal(5)
@@ -117,6 +117,16 @@ def test_spawn_streams_are_independent_and_stable():
     streams2 = simulate.spawn_streams(42)
     streams2["probe"].standard_normal(1000)
     np.testing.assert_array_equal(a, streams2["noise"].standard_normal(5))
+
+
+@pytest.mark.parametrize("seed", [0, 5521, 20250824])
+def test_spawn_streams_are_the_first_two_children_of_the_seed(seed):
+    # child i of a SeedSequence depends only on i, so the two streams the
+    # loop draws from are those of the four the seed once spawned
+    streams = simulate.spawn_streams(seed)
+    for name, child in zip(("noise", "probe"), np.random.SeedSequence(seed).spawn(4)[:2]):
+        expect = np.random.Generator(np.random.PCG64(child))
+        assert np.array_equal(streams[name].random(64), expect.random(64)), name
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +491,7 @@ def _reference_csv(rec, stride=1):
 
 def _projected_record():
     rng = np.random.default_rng(17)
-    rec = simulate.RunRecord(n=2, m=3, horizon=11)
+    rec = simulate.RunRecord(n=2, m=3, horizon=11, acc=None)  # the CSV reads no metrics
     for attr, _, _, _ in simulate.COLUMNS:
         arr = getattr(rec, attr)
         if arr.dtype == bool:
@@ -508,7 +518,7 @@ def _truncated_record():
 
 
 def _empty_record():
-    return simulate.RunRecord(n=2, m=2, horizon=5)  # aborted at step 0
+    return simulate.RunRecord(n=2, m=2, horizon=5, acc=None)  # aborted at step 0
 
 
 @pytest.mark.parametrize("make_record, stride", [
