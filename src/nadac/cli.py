@@ -36,9 +36,7 @@ def _out_dir(output_dir, override):
     return Path(override or os.environ.get("NADAC_OUT") or output_dir)
 
 
-def _write_artifacts(cfg, ro, rec, out):
-    out.mkdir(parents=True, exist_ok=True)
-    rec.write_csv(out / "run.csv", stride=ro.log_stride)
+def _write_manifest(cfg, ro, rec, out):
     manifest = {
         "config": cfg,
         "seed": ro.seed,
@@ -55,15 +53,21 @@ def cmd_run(args):
     ro = cfgmod.validate_config(cfg)
     out = _out_dir(ro.output_dir, args.out)
     try:
-        rec = cfgmod.build_run(ro)
-    except simulate.RunAbort as exc:
-        if exc.record is not None:
-            out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
+        writer = simulate.CsvWriter(out / "run.csv", ro.plant.n, ro.plant.m, ro.log_stride)
+    except OSError as exc:
+        raise cfgmod.ConfigError("output directory", f"cannot write {out}: {exc.strerror}") from None
+    with writer:
+        ro.csv_writer = writer
+        try:
+            rec = cfgmod.build_run(ro)
+        except simulate.RunAbort as exc:
             exc.record.write_csv(out / "run_truncated.csv")
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+            print(f"runtime abort: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        manifest = _write_manifest(cfg, ro, rec, out)
+        writer.commit(rec.steps_completed)
 
-    manifest = _write_artifacts(cfg, ro, rec, out)
     s = manifest["summary"]
     print(
         f"ok: steps={s['steps']} param_err={s['final_param_err']:.6g} "

@@ -27,8 +27,8 @@ import numpy as np
 from . import control, estimator, maps, metrics
 
 __all__ = [
-    "PlantSpec", "NoiseSpec", "RunRecord", "RunAbort", "RunSpec", "plant_step", "noise_sample",
-    "spawn_streams", "run_closed_loop", "run_open_loop_id", "run_batch", "batch_key",
+    "PlantSpec", "NoiseSpec", "RunRecord", "RunAbort", "RunSpec", "CsvWriter", "plant_step",
+    "noise_sample", "spawn_streams", "run_closed_loop", "run_open_loop_id", "run_batch", "batch_key",
 ]
 
 DIVERGENCE_CEILING = 1e9
@@ -168,6 +168,37 @@ def _columns(n, m, horizon, runs=None):
     return out
 
 
+def csv_header(n, m):
+    """The CSV header of a run with n states and m inputs: "t", then one
+    field per entry of COLUMNS (x0, x1, ... for a column of width n)."""
+    dims = {"n": n, "m": m}
+    cols = ["t"]
+    for _, label, width, _ in COLUMNS:
+        if width is None:
+            cols.append(label)
+        else:
+            cols += [f"{label}{i}" for i in range(dims[width])]
+    return cols
+
+
+def _csv_table(rec, start, stop):
+    """Rows start .. stop-1 of a record as one float table, the CSV fields
+    after t in order; the flag column, last in COLUMNS, reads 0.0 or 1.0."""
+    return np.column_stack([getattr(rec, attr)[start:stop] for attr, *_ in COLUMNS])
+
+
+def _csv_rows(table, first, stride):
+    """The CSV lines of a table of rows (_csv_table) whose first row is step
+    ``first``, keeping the steps that are multiples of ``stride``.  repr of
+    a Python float round-trips; the flag prints as 0 or 1."""
+    skip = -first % stride
+    steps = range(first + skip, first + len(table), stride)
+    return "".join(
+        f"{t},{','.join(map(repr, row[:-1]))},{'1' if row[-1] else '0'}\n"
+        for t, row in zip(steps, table[skip::stride].tolist())
+    )
+
+
 @dataclass
 class RunRecord:
     """Full per-step log of one simulation plus its wall time: one array per
@@ -190,26 +221,14 @@ class RunRecord:
             setattr(self, attr, columns[attr])
 
     def csv_header(self):
-        cols = ["t"]
-        for _, label, width, _ in COLUMNS:
-            if width is None:
-                cols.append(label)
-            else:
-                cols += [f"{label}{i}" for i in range(getattr(self, width))]
-        return cols
+        return csv_header(self.n, self.m)
 
     def write_csv(self, path, stride=1):
-        T = self.steps_completed
-        # the float columns as one table, then the flag column as 0/1; repr
-        # of a Python float round-trips
-        *value_columns, (flag_attr, *_) = COLUMNS
-        floats = np.column_stack([getattr(self, attr)[:T] for attr, *_ in value_columns])
-        flags = getattr(self, flag_attr)
         with open(path, "w") as fh:
             fh.write(",".join(self.csv_header()) + "\n")
-            for t in range(0, T, stride):
-                row = ",".join(map(repr, floats[t].tolist()))
-                fh.write(f"{t},{row},{'1' if flags[t] else '0'}\n")
+            for start in range(0, self.steps_completed, METRIC_BLOCK):
+                stop = min(start + METRIC_BLOCK, self.steps_completed)
+                fh.write(_csv_rows(_csv_table(self, start, stop), start, stride))
 
     def summary(self):
         last = self.steps_completed - 1
@@ -227,11 +246,136 @@ class RunRecord:
         return out
 
 
+class CsvWriter:
+    """A run's CSV file, formatted beside the loop by one forked child.
+
+    The loop hands it each block of final rows (``send``) over a pipe, and
+    the child appends their lines to a temporary file in the file's
+    directory.  ``commit`` reports a completed run and waits for the child,
+    which then renames the temporary file to ``path``; ``close`` without a
+    commit, or the parent's death, leaves the child at the end of its pipe,
+    and it deletes the temporary file.  Use it as a context manager, so that
+    the child is reaped on every way out.  The temporary file is opened
+    before the fork, so an OSError for the directory is raised before any
+    row.  The child never calls into BLAS: the fork does not copy the BLAS
+    threads."""
+
+    def __init__(self, path, n, m, stride):
+        import os
+
+        path = os.fspath(path)
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            for f in (fd, rfd, wfd):
+                os.close(f)
+            os.unlink(tmp)
+            raise RuntimeError(f"cannot start the CSV writer: {exc}") from exc
+        if pid == 0:
+            os.close(wfd)
+            _csv_child(rfd, fd, tmp, path, csv_header(n, m), stride)
+        os.close(rfd)
+        os.close(fd)
+        self.pid, self.status = pid, None
+        self._pipe = open(wfd, "wb")
+
+    def send(self, rec, start, stop):
+        """Hand the child rows start .. stop-1 of ``rec``, which are final."""
+        self._pipe.write(_block_head(start, stop))
+        self._pipe.write(_csv_table(rec, start, stop))
+        self._pipe.flush()
+
+    def commit(self, rows):
+        """Report a completed run of ``rows`` steps, wait for the child and
+        raise an OSError if it did not write the file whole."""
+        self._pipe.write(_block_head(-1, rows))
+        self.close()
+        if self.status != 0:
+            raise OSError(f"the CSV writer failed (wait status {self.status})")
+
+    def close(self):
+        """End the pipe and reap the child; a second call does nothing."""
+        import os
+
+        if self.status is None:
+            try:
+                self._pipe.close()
+            except BrokenPipeError:
+                pass  # the child is gone; its status tells
+            self.status = os.waitpid(self.pid, 0)[1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+def _block_head(start, stop):
+    """What precedes a block on the writer's pipe; start -1 commits."""
+    return start.to_bytes(8, "little", signed=True) + stop.to_bytes(8, "little", signed=True)
+
+
+def _csv_child(rfd, fd, tmp, path, header, stride):
+    """The writer's child: formats the blocks read from ``rfd`` into the
+    open temporary file ``fd`` and renames it to ``path`` on a commit that
+    follows the rows 0 .. rows-1 in order.  Never returns."""
+    import gc
+    import os
+    import signal
+
+    # a signal to the process group ends the parent, and the end of the pipe
+    # then tells the child; no collection runs the parent's finalizers
+    for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+        signal.signal(sig, signal.SIG_IGN)
+    gc.disable()
+    ncols = len(header) - 1
+    done = False
+    try:
+        with open(rfd, "rb") as pipe, open(fd, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            rows = 0
+            while True:
+                head = pipe.read(16)
+                if len(head) < 16:
+                    break  # the end of the pipe before a commit: no file
+                start = int.from_bytes(head[:8], "little", signed=True)
+                stop = int.from_bytes(head[8:], "little", signed=True)
+                if start < 0:
+                    done = stop == rows
+                    break
+                size = 8 * ncols * (stop - start)
+                data = pipe.read(size)
+                if start != rows or len(data) < size:
+                    break
+                fh.write(_csv_rows(np.frombuffer(data).reshape(-1, ncols), start, stride))
+                rows = stop
+        if done:
+            os.replace(tmp, path)
+    except Exception as exc:  # noqa: BLE001 - reported, then the exit status
+        done = False
+        os.write(2, f"nadac: cannot write {path}: {exc}\n".encode())
+    finally:
+        if not done:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        os._exit(0 if done else 1)
+
+
 @dataclass
 class RunSpec:
     """The whole of one run: the arguments of run_closed_loop (``mech`` and
     ``probe`` set) or of run_open_loop_id (``input_policy`` set), with the
-    horizon and the stride of the excitation eigenvalue (lambda_t)."""
+    horizon and the stride of the excitation eigenvalue (lambda_t).  A
+    ``csv_writer`` (CsvWriter) is sent each block of rows as soon as it is
+    final; only a run alone takes one."""
 
     plant: PlantSpec
     pset: object
@@ -247,6 +391,7 @@ class RunSpec:
     _: KW_ONLY
     horizon: int
     eig_stride: int = 100
+    csv_writer: CsvWriter | None = None
 
 
 def batch_key(spec):
@@ -294,6 +439,9 @@ def run_batch(specs):
     """
     if len({batch_key(spec) for spec in specs}) > 1:
         raise ValueError("the runs of a batch must share batch_key")
+    if any(spec.csv_writer is not None for spec in specs):
+        # a batch that gives up reruns its runs from step 0
+        raise ValueError("the runs of a batch take no csv_writer")
     return _run(specs)
 
 
@@ -465,6 +613,7 @@ def _run(specs):
     n, m, horizon, eig_stride = head.plant.n, head.plant.m, head.horizon, head.eig_stride
     has_ref = head.mech is not None
     runs = len(members) if len(members) > 1 else None
+    writer = head.csv_writer
     cols = _columns(n, m, horizon, runs)
     for pos, mb in enumerate(members):
         mb.pos = pos if runs else None
@@ -561,6 +710,8 @@ def _run(specs):
         if t + 1 == stop:
             for mb in members:
                 absorb(mb, start, stop)
+            if writer is not None:
+                writer.send(members[0].rec, start, stop)
             thetas[0] = thetas[stop - start]
             start, stop = stop, block_end(stop)
             if start < horizon:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nadac import cli, config as cfgmod, control, estimator
+from nadac import cli, config as cfgmod, control, estimator, simulate
 
 DATA = Path(__file__).parent / "data"
 
@@ -937,3 +937,130 @@ def test_dare_non_symmetric_weight_is_validation_error(tmp_path, capsys, name):
     p.write_text(json.dumps(spec))
     assert cli.main(["dare", str(p)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"validation error: {name}: must be symmetric")
+
+
+# ---------------------------------------------------------------------------
+# run.csv: formatted by a forked writer while the loop runs
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """The CSV writers that nadac starts in a test, recorded as they start."""
+    started = []
+
+    class Recorded(simulate.CsvWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(simulate, "CsvWriter", Recorded)
+    return started
+
+
+def _assert_reaped(writers):
+    # waitpid(-1) would also see multiprocessing's resource tracker, which a
+    # spawn-context sweep test leaves running as a child of this process
+    for writer in writers:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(writer.pid, os.WNOHANG)
+
+
+def _capture_record(monkeypatch):
+    """The records that cmd_run's build_run returns, appended as they come."""
+    records, real = [], cfgmod.build_run
+
+    def keep(cfg):
+        records.append(real(cfg))
+        return records[-1]
+
+    monkeypatch.setattr(cfgmod, "build_run", keep)
+    return records
+
+
+@pytest.mark.parametrize("eig_stride", [100, 1000])
+@pytest.mark.parametrize("horizon", [1, 100, 101, 300])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+def test_streamed_csv_equals_write_csv(tmp_path, monkeypatch, writers, mode, stride, horizon,
+                                       eig_stride):
+    # the blocks end mid-way, on an eig_stride step, at the METRIC_BLOCK cap
+    # (eig stride 1000) and at the horizon
+    cfg = _opinion_cfg(horizon) if mode == "closed_loop" else _open_loop_iid_cfg()
+    cfg.update(horizon=horizon, log_stride=stride)
+    cfg["metrics"]["eig_stride"] = eig_stride
+    records = _capture_record(monkeypatch)
+    out = tmp_path / "o"
+    assert cli.main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(out)]) == cli.EXIT_OK
+    assert len(writers) == 1
+    _assert_reaped(writers)
+    assert sorted(os.listdir(out)) == ["run.csv", "run_manifest.json"]
+    (rec,) = records
+    rec.write_csv(tmp_path / "ref.csv", stride=stride)
+    assert (out / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len((out / "run.csv").read_text().splitlines()) == 1 + -(-horizon // stride)
+
+
+def test_aborted_run_writes_no_run_csv(tmp_path, capsys, writers):
+    # exit 3 leaves run_truncated.csv beside an earlier run.csv, which is
+    # left as it was, and no temporary file
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "run.csv").write_bytes(b"an earlier run\n")
+    code = cli.main(["run", str(_write_cfg(tmp_path, _divergent_cfg())), "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    assert "runtime abort" in capsys.readouterr().err
+    assert len(writers) == 1
+    _assert_reaped(writers)
+    assert sorted(os.listdir(out)) == ["run.csv", "run_truncated.csv"]
+    assert (out / "run.csv").read_bytes() == b"an earlier run\n"
+
+
+@pytest.mark.parametrize("error", [RuntimeError("not a step failure"), KeyboardInterrupt()],
+                         ids=["exception", "interrupt"])
+def test_exception_inside_the_run_reaps_the_writer(tmp_path, monkeypatch, writers, error):
+    # the run fails after the writer has been sent its first blocks
+    real, calls = estimator.estimator_step, []
+
+    def fail_at_step_150(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 150:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "estimator_step", fail_at_step_150)
+    out = tmp_path / "o"
+    with pytest.raises(type(error)):
+        cli.main(["run", str(_write_cfg(tmp_path, _opinion_cfg(300))), "--out", str(out)])
+    assert len(writers) == 1
+    _assert_reaped(writers)
+    assert os.listdir(out) == []
+
+
+def test_batch_takes_no_csv_writer(tmp_path):
+    # a batch that gives up reruns its runs from step 0, which would stream
+    # their rows twice
+    ro = cfgmod.validate_config(_opinion_cfg(10))
+    with simulate.CsvWriter(tmp_path / "run.csv", ro.plant.n, ro.plant.m, 1) as writer:
+        ro.csv_writer = writer
+        with pytest.raises(ValueError, match="csv_writer"):
+            simulate.run_batch([ro, ro])
+    _assert_reaped([writer])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "a-file"])
+def test_unwritable_output_dir_exits_2_before_the_run(tmp_path, monkeypatch, capsys, writers,
+                                                      where):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o" if where == "under-a-file" else tmp_path / "file"
+
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cfgmod, "build_run", no_run)
+    code = cli.main(["run", str(_write_cfg(tmp_path, _opinion_cfg(5000))), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: output directory: ") and str(out) in err
+    assert writers == []
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
