@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -1064,3 +1065,18 @@ def test_unwritable_output_dir_exits_2_before_the_run(tmp_path, monkeypatch, cap
     assert err.startswith("validation error: output directory: ") and str(out) in err
     assert writers == []
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs this process may run on")
+def test_writer_child_leaves_the_parent_cpu(tmp_path):
+    # left to the scheduler, the child ran on the loop's CPU and slowed it
+    allowed = os.sched_getaffinity(0)
+    with simulate.CsvWriter(tmp_path / "run.csv", 1, 1, 1) as writer:
+        deadline = time.monotonic() + 10
+        while os.sched_getaffinity(writer.pid) == allowed:
+            assert time.monotonic() < deadline, "the child kept every CPU"
+            time.sleep(0.001)
+        child = os.sched_getaffinity(writer.pid)
+    assert len(child) == len(allowed) - 1 and child < allowed
+    assert os.listdir(tmp_path) == []
