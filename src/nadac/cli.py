@@ -48,6 +48,11 @@ def _write_manifest(cfg, ro, rec, out):
     return manifest
 
 
+def _cannot_write(out, exc):
+    """The ConfigError for an OSError on the output directory ``out``."""
+    return cfgmod.ConfigError("output directory", f"cannot write {out}: {exc.strerror}")
+
+
 def cmd_run(args):
     cfg = cfgmod.load_config(args.config)
     ro = cfgmod.validate_config(cfg)
@@ -56,17 +61,18 @@ def cmd_run(args):
         out.mkdir(parents=True, exist_ok=True)
         writer = simulate.CsvWriter(out / "run.csv", ro.plant.n, ro.plant.m, ro.log_stride)
     except OSError as exc:
-        raise cfgmod.ConfigError("output directory", f"cannot write {out}: {exc.strerror}") from None
+        raise _cannot_write(out, exc) from None
     with writer:
         ro.csv_writer = writer
         try:
             rec = cfgmod.build_run(ro)
-        except simulate.RunAbort as exc:
-            exc.record.write_csv(out / "run_truncated.csv")
+            writer.commit(rec.steps_completed)
+        except (simulate.RunAbort, OSError) as exc:  # an OSError is the writer's: no CSV
+            if isinstance(exc, simulate.RunAbort):
+                exc.record.write_csv(out / "run_truncated.csv")
             print(f"runtime abort: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        manifest = _write_manifest(cfg, ro, rec, out)
-        writer.commit(rec.steps_completed)
+    manifest = _write_manifest(cfg, ro, rec, out)
 
     s = manifest["summary"]
     print(
@@ -91,21 +97,16 @@ def _apply_axis(cfg, param, value):
 
 
 def _sweep_one(batch):
-    """Worker entry: run a batch of sweep tasks (config, tag) in lockstep;
-    returns one (tag, summary, error) per task, in order."""
+    """Worker entry: run a batch of validated sweep tasks (RunObjects) in
+    lockstep; returns one (summary, error) per task, in order."""
     try:
-        results = cfgmod.build_batch([cfg for cfg, _ in batch])
+        results = simulate.run_batch(batch)
     except Exception as exc:  # noqa: BLE001 - reported per task
         results = [exc] * len(batch)
-    out = []
-    for (_, tag), result in zip(batch, results):
-        try:
-            if isinstance(result, Exception):
-                raise result
-            out.append((tag, result.summary(), None))
-        except Exception as exc:  # noqa: BLE001
-            out.append((tag, None, f"{type(exc).__name__}: {exc}"))
-    return out
+    return [
+        (None, f"{type(r).__name__}: {r}") if isinstance(r, Exception) else (r.summary(), None)
+        for r in results
+    ]
 
 
 def _batches(keys, workers):
@@ -132,17 +133,20 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
     be "seed"."""
     if param == "seed":
         raise cfgmod.ConfigError("--param", "the seed is swept by --seeds, not --param")
-    tasks = []
-    for val in values:
-        for seed in seeds:
-            c = copy.deepcopy(cfg)
-            _apply_axis(c, param, val)
-            c["seed"] = int(seed)
-            tasks.append((c, (val, int(seed))))
-    # fail fast before spawning workers
-    keys = [simulate.batch_key(cfgmod.validate_config(c)) for c, _ in tasks]
-    positions = _batches(keys, workers or os.cpu_count() or 1)
-    batches = [[tasks[i] for i in batch] for batch in positions]
+    tags = [(val, int(seed)) for val in values for seed in seeds]
+    runs = []
+    for val, seed in tags:
+        c = copy.deepcopy(cfg)
+        _apply_axis(c, param, val)
+        c["seed"] = seed
+        runs.append(cfgmod.validate_config(c))  # fail fast before any task runs
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(out, exc) from None
+    positions = _batches([simulate.batch_key(ro) for ro in runs], workers or os.cpu_count() or 1)
+    batches = [[runs[i] for i in batch] for batch in positions]
 
     rows, failures = [], []
     if workers == 1:
@@ -153,11 +157,11 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_one, batches))
-    results = [None] * len(tasks)
+    results = [None] * len(runs)
     for batch, batch_results in zip(positions, done):
         for i, result in zip(batch, batch_results):
             results[i] = result
-    for tag, summary, err in results:
+    for tag, (summary, err) in zip(tags, results):
         if err is not None:
             failures.append((tag, err))
         else:
@@ -170,7 +174,6 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
                 }
             )
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.csv", "w") as fh:
             fh.write("value,seed,final_param_err,final_J\n")
             for r in rows:

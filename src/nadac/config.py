@@ -16,7 +16,7 @@ import numpy as np
 from . import control, estimator, maps, metrics, simulate
 
 __all__ = [
-    "ConfigError", "validate_config", "build_run", "build_batch", "load_config",
+    "ConfigError", "validate_config", "build_run", "load_config",
     "RunObjects", "output_dir", "dare_matrices",
 ]
 
@@ -348,24 +348,6 @@ def build_run(cfg):
     spec = {f.name: getattr(ro, f.name) for f in fields(simulate.RunSpec)}
     run = simulate.run_closed_loop if ro.mech is not None else simulate.run_open_loop_id
     return run(**spec)
-
-
-def build_batch(cfgs):
-    """Validate configs of one simulate.batch_key and execute them in
-    lockstep (simulate.run_batch).  Returns one entry per config, in order:
-    its RunRecord, or the exception it raises alone (ConfigError, RunAbort)."""
-    results = [None] * len(cfgs)
-    runs = []
-    for i, cfg in enumerate(cfgs):
-        try:
-            runs.append((i, validate_config(cfg)))
-        except ConfigError as exc:
-            results[i] = exc
-    if runs:
-        done = simulate.run_batch([ro for _, ro in runs])
-        for (i, _), result in zip(runs, done):
-            results[i] = result
-    return results
 
 
 def set_field(cfg, dotted, value):

@@ -26,7 +26,6 @@ __all__ = [
     "LeakyRelu",
     "GaussianSurvival",
     "SmoothedClamp",
-    "smoothed_clamp_value",
     "all_finite",
     "stacked",
     "EnvelopeContractError",
@@ -240,20 +239,11 @@ class GaussianSurvival(LinkFunction):
         return _INV_SQRT_2PI
 
 
-def smoothed_clamp_value(N, sigma, z):
-    """E[clamp(z + eta, 0, N)] for eta ~ N(0, sigma^2), in closed form.
-
-    Equals N - z*G(-z) - (N-z)*G(N-z) + sigma^2*(g(-z) - g(N-z)) with G, g
-    the cdf/pdf of N(0, sigma^2).  Vectorized over z.
-    """
-    if N <= 0 or sigma <= 0:
-        raise ValueError("smoothed clamp requires N > 0 and sigma > 0")
-    return _clamp_mean(N, sigma, sigma**2, _check_finite(z))
-
-
 def _clamp_mean(N, sigma, sigma_sq, z):
-    """smoothed_clamp_value on a finite float array; N, sigma and sigma_sq
-    (sigma**2 as a Python float power) may be (R, 1) columns of a batch."""
+    """E[clamp(z + eta, 0, N)] for eta ~ N(0, sigma^2), in closed form, on a
+    finite float array z: N - z*G(-z) - (N-z)*G(N-z) + sigma^2*(g(-z) - g(N-z))
+    with G, g the cdf/pdf of N(0, sigma^2).  N, sigma and sigma_sq (sigma**2
+    as a Python float power) may be (R, 1) columns of a batch."""
     n_mz = N - z
     # both standardized endpoints in one array, so that each of ndtr and exp
     # runs once; squaring -z/sigma gives exactly (z/sigma)^2

@@ -76,7 +76,6 @@ class MetricAccumulator:
     sum_v_pow_gamma: float = field(init=False, default=0.0)
     sum_w_pow_gamma: float = field(init=False, default=0.0)
     sum_xnext_pow_gamma: float = field(init=False, default=0.0)
-    lyapunov_v: float = field(init=False, default=float("nan"))
 
     def __post_init__(self):
         dim = self.theta_star.shape[0]
@@ -121,7 +120,6 @@ class MetricAccumulator:
         self.sum_a_psi_sq = _total(self.sum_a_psi_sq, a_t * psi_sq)
         err = self.theta_star - theta_hat[1:]
         v_lyap = np.trace(err.transpose(0, 2, 1) @ p_inv @ err, axis1=1, axis2=2)
-        self.lyapunov_v = float(v_lyap[-1])
 
         self.steps += K
         return run_norms(err, 2), j_t, v_lyap

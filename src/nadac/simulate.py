@@ -220,12 +220,9 @@ class RunRecord:
         for attr, *_ in COLUMNS:
             setattr(self, attr, columns[attr])
 
-    def csv_header(self):
-        return csv_header(self.n, self.m)
-
     def write_csv(self, path, stride=1):
         with open(path, "w") as fh:
-            fh.write(",".join(self.csv_header()) + "\n")
+            fh.write(",".join(csv_header(self.n, self.m)) + "\n")
             for start in range(0, self.steps_completed, METRIC_BLOCK):
                 stop = min(start + METRIC_BLOCK, self.steps_completed)
                 fh.write(_csv_rows(_csv_table(self, start, stop), start, stride))
@@ -254,48 +251,58 @@ class CsvWriter:
     directory.  ``commit`` reports a completed run and waits for the child,
     which then renames the temporary file to ``path``; ``close`` without a
     commit, or the parent's death, leaves the child at the end of its pipe,
-    and it deletes the temporary file.  Use it as a context manager, so that
-    the child is reaped on every way out.  The temporary file is opened
-    before the fork, so an OSError for the directory is raised before any
-    row.  The child never calls into BLAS: the fork does not copy the BLAS
-    threads."""
+    and it deletes the temporary file.  A child that cannot write the file
+    deletes it too and sends back its reason: ``error`` is then the OSError
+    "cannot write PATH: REASON", which the next ``send`` or the ``commit``
+    raises.  Use it as a context manager, so that the child is reaped on
+    every way out.  The temporary file is
+    opened before the fork, so an OSError for the directory is raised before
+    any row.  The child never calls into BLAS: the fork does not copy the
+    BLAS threads."""
 
     def __init__(self, path, n, m, stride):
         import os
 
-        path = os.fspath(path)
+        self.path = path = os.fspath(path)
         head, name = os.path.split(path)
         tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         rfd, wfd = os.pipe()
+        erfd, ewfd = os.pipe()  # the child's reason, should it fail
         try:
             pid = os.fork()
         except OSError as exc:
-            for f in (fd, rfd, wfd):
+            for f in (fd, rfd, wfd, erfd, ewfd):
                 os.close(f)
             os.unlink(tmp)
             raise RuntimeError(f"cannot start the CSV writer: {exc}") from exc
         if pid == 0:
             os.close(wfd)
-            _csv_child(rfd, fd, tmp, path, csv_header(n, m), stride)
-        os.close(rfd)
-        os.close(fd)
-        self.pid, self.status = pid, None
+            os.close(erfd)
+            _csv_child(rfd, fd, ewfd, tmp, path, csv_header(n, m), stride)
+        for f in (rfd, fd, ewfd):
+            os.close(f)
+        self.pid, self.status, self.error = pid, None, None
         self._pipe = open(wfd, "wb")
+        self._reasons = erfd
 
     def send(self, rec, start, stop):
         """Hand the child rows start .. stop-1 of ``rec``, which are final."""
-        self._pipe.write(_block_head(start, stop))
-        self._pipe.write(_csv_table(rec, start, stop))
-        self._pipe.flush()
+        try:
+            self._pipe.write(_block_head(start, stop))
+            self._pipe.write(_csv_table(rec, start, stop))
+            self._pipe.flush()
+        except BrokenPipeError:
+            self.close()
+            raise self.error from None
 
     def commit(self, rows):
         """Report a completed run of ``rows`` steps, wait for the child and
-        raise an OSError if it did not write the file whole."""
+        raise its OSError if it did not write the file whole."""
         self._pipe.write(_block_head(-1, rows))
         self.close()
-        if self.status != 0:
-            raise OSError(f"the CSV writer failed (wait status {self.status})")
+        if self.error:
+            raise self.error
 
     def close(self):
         """End the pipe and reap the child; a second call does nothing."""
@@ -307,6 +314,10 @@ class CsvWriter:
             except BrokenPipeError:
                 pass  # the child is gone; its status tells
             self.status = os.waitpid(self.pid, 0)[1]
+            with open(self._reasons, "rb") as fh:
+                reason = fh.read().decode() or f"the CSV writer failed (wait status {self.status})"
+            if self.status:
+                self.error = OSError(f"cannot write {self.path}: {reason}")
 
     def __enter__(self):
         return self
@@ -339,10 +350,10 @@ def _leave_parent_cpu():
         pass
 
 
-def _csv_child(rfd, fd, tmp, path, header, stride):
-    """The writer's child: formats the blocks read from ``rfd`` into the
-    open temporary file ``fd`` and renames it to ``path`` on a commit that
-    follows the rows 0 .. rows-1 in order.  Never returns."""
+def _csv_child(rfd, fd, ewfd, tmp, path, header, stride):
+    """The writer's child (never returns): formats the blocks from ``rfd``
+    into the temporary file ``fd`` and renames it to ``path`` on a commit
+    after rows 0 .. rows-1 in order; writes why it cannot to ``ewfd``."""
     import gc
     import os
     import signal
@@ -378,7 +389,7 @@ def _csv_child(rfd, fd, tmp, path, header, stride):
             os.replace(tmp, path)
     except Exception as exc:  # noqa: BLE001 - reported, then the exit status
         done = False
-        os.write(2, f"nadac: cannot write {path}: {exc}\n".encode())
+        os.write(ewfd, str(getattr(exc, "strerror", None) or exc).encode())
     finally:
         if not done:
             try:

@@ -84,9 +84,9 @@ def openloop_run():
 
 
 def _build_batch(cfgs):
-    """cfgmod.build_batch, raising the first run's exception as build_run
-    would; every run gives the same record as alone."""
-    recs = cfgmod.build_batch(cfgs)
+    """simulate.run_batch of the validated configs, raising the first run's
+    exception as build_run would; every run gives the same record as alone."""
+    recs = simulate.run_batch([cfgmod.validate_config(c) for c in cfgs])
     for rec in recs:
         if isinstance(rec, Exception):
             raise rec
@@ -412,7 +412,7 @@ def test_criterion_11_smoothed_clamp_monte_carlo():
             s2[i] += (c * c).sum()
     mean = s1 / n_samp
     se = np.sqrt((s2 / n_samp - mean**2) / n_samp)
-    exact = maps.smoothed_clamp_value(N, sigma, zs)
+    exact = maps.SmoothedClamp(N=N, sigma=sigma).eval(zs)
     dev = np.abs(exact - mean) / np.maximum(se, 1e-300)
     ok = bool(np.all(dev <= 3.0))
     record_criterion(

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, sweeps, reproducibility."""
 
+import errno
 import functools
 import json
 import multiprocessing
@@ -776,15 +777,16 @@ def test_sweep_rows_equal_solo_runs_in_order(tmp_path, workers):
 
 
 def test_sweep_task_runs_in_a_spawned_worker():
-    # a spawned worker imports nadac afresh; validating the task's config
-    # binds the smoothed clamp's Gaussian cdf there
+    # a spawned worker imports nadac afresh and unpickles the task's
+    # RunObjects, which skips SmoothedClamp.__post_init__: the run's first
+    # link call binds the smoothed clamp's Gaussian cdf there
     cfg = _preset_sweep_cfg(horizon=50)
     cfg["seed"] = 7
-    batch = [(cfg, (5.0, 7))]
+    batch = [cfgmod.validate_config(cfg)]
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=ctx) as pool:
-        (tag, summary, err), = pool.submit(cli._sweep_one, batch).result()
-    assert (tag, err) == ((5.0, 7), None)
+        (summary, err), = pool.submit(cli._sweep_one, batch).result()
+    assert err is None
     want = cfgmod.build_run(cfg).summary()
     assert json.dumps(summary, sort_keys=True) == json.dumps(want, sort_keys=True)
 
@@ -849,10 +851,10 @@ def test_sweep_batches_split_tasks_near_evenly():
     assert max(sizes) - min(sizes) <= 1
 
 
-def test_build_batch_rejects_configs_of_different_horizons():
+def test_run_batch_rejects_configs_of_different_horizons():
     short, long = _opinion_cfg(horizon=50), _opinion_cfg(horizon=60)
     with pytest.raises(ValueError, match="batch_key"):
-        cfgmod.build_batch([short, long])
+        simulate.run_batch([cfgmod.validate_config(c) for c in (short, long)])
 
 
 # ---------------------------------------------------------------------------
@@ -1065,6 +1067,97 @@ def test_unwritable_output_dir_exits_2_before_the_run(tmp_path, monkeypatch, cap
     assert err.startswith("validation error: output directory: ") and str(out) in err
     assert writers == []
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+def _full_disk(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("case", ["run-csv-is-a-directory", "child-fails-mid-run"])
+def test_run_csv_the_writer_cannot_finish_is_runtime_abort(tmp_path, monkeypatch, capsys,
+                                                           writers, case):
+    # either the child formats every row and then cannot rename its
+    # temporary file, or it cannot format its first block (as on a full
+    # disk) and the loop learns it at its next send or at the commit: exit 3
+    # with one line, the earlier run.csv and manifest left as they were, and
+    # no temporary file
+    out = tmp_path / "o"
+    out.mkdir()
+    if case == "run-csv-is-a-directory":
+        (out / "run.csv").mkdir()
+        reason = "Is a directory"
+    else:
+        (out / "run.csv").write_text("an earlier run\n")
+        monkeypatch.setattr(simulate, "_csv_rows", _full_disk)
+        reason = os.strerror(errno.ENOSPC)
+    (out / "run_manifest.json").write_text('{"earlier": true}')
+    code = cli.main(["run", str(_write_cfg(tmp_path, _opinion_cfg(3000))), "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"runtime abort: cannot write {out / 'run.csv'}: {reason}\n"
+    assert len(writers) == 1
+    _assert_reaped(writers)
+    assert sorted(os.listdir(out)) == ["run.csv", "run_manifest.json"]
+    if case == "run-csv-is-a-directory":
+        assert os.listdir(out / "run.csv") == []
+    else:
+        assert (out / "run.csv").read_text() == "an earlier run\n"
+    assert (out / "run_manifest.json").read_text() == '{"earlier": true}'
+
+
+def test_send_after_the_child_failed_raises_its_reason(tmp_path, monkeypatch):
+    # the child is gone when the loop sends its second block: the send
+    # reaps it and raises the reason it sent back
+    monkeypatch.setattr(simulate, "_csv_rows", _full_disk)
+    ro = cfgmod.validate_config(_opinion_cfg(10))
+    rec = cfgmod.build_run(ro)
+    with simulate.CsvWriter(tmp_path / "run.csv", ro.plant.n, ro.plant.m, 1) as writer:
+        writer.send(rec, 0, 5)
+        os.waitid(os.P_PID, writer.pid, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(OSError) as info:
+            writer.send(rec, 5, 10)
+        reason = os.strerror(errno.ENOSPC)
+        assert str(info.value) == f"cannot write {tmp_path / 'run.csv'}: {reason}"
+        assert info.value is writer.error
+    _assert_reaped([writer])
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_out_under_a_file_exits_2_before_any_task(tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+
+    def no_task(batch):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "_sweep_one", no_task)
+    argv = ["sweep", str(_write_cfg(tmp_path, _preset_sweep_cfg())), "--param", "sigma",
+            "--values", "1", "5", "--seeds", "3", "4", "--workers", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation error: output directory: cannot write {out}: Not a directory\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+def test_sweep_validates_each_task_once(tmp_path, monkeypatch, capsys):
+    # the parent validates each task and its workers run those RunObjects
+    calls, real = [], cfgmod.validate_config
+
+    def counting(cfg):
+        calls.append(cfg["seed"])
+        return real(cfg)
+
+    monkeypatch.setattr(cfgmod, "validate_config", counting)
+    argv = ["sweep", str(_write_cfg(tmp_path, _preset_sweep_cfg(horizon=50))), "--param",
+            "sigma", "--values", "1", "5", "10", "--seeds", "3", "4", "--workers", "1",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert calls == [3, 4] * 3
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -42,13 +42,13 @@ def test_smoothed_clamp_zero_noise_limit():
 
 def test_smoothed_clamp_midpoint_symmetry():
     # the clamp is symmetric about N/2, so the mean at z = N/2 is exact
-    assert maps.smoothed_clamp_value(10.0, 1.0, 5.0) == pytest.approx(5.0, abs=1e-12)
-    assert maps.smoothed_clamp_value(10.0, 5.0, 5.0) == pytest.approx(5.0, abs=1e-12)
+    assert maps.SmoothedClamp(N=10.0, sigma=1.0).eval(5.0) == pytest.approx(5.0, abs=1e-12)
+    assert maps.SmoothedClamp(N=10.0, sigma=5.0).eval(5.0) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_smoothed_clamp_range():
     z = np.linspace(-30, 40, 201)
-    vals = maps.smoothed_clamp_value(10.0, 5.0, z)
+    vals = maps.SmoothedClamp(N=10.0, sigma=5.0).eval(z)
     assert np.all(vals > 0.0)
     assert np.all(vals < 10.0)
 
@@ -58,10 +58,11 @@ def test_smoothed_clamp_monte_carlo():
     rng = np.random.default_rng(7)
     n_samp = 1_000_000
     eta = rng.standard_normal(n_samp)
+    link = maps.SmoothedClamp(N=10.0, sigma=5.0)
     for z in np.arange(-10.0, 21.0, 1.0):
         samp = np.clip(z + 5.0 * eta, 0.0, 10.0)
         mc, se = samp.mean(), samp.std(ddof=1) / np.sqrt(n_samp)
-        exact = maps.smoothed_clamp_value(10.0, 5.0, z)
+        exact = link.eval(z)
         assert abs(exact - mc) <= 4.0 * se + 1e-12, f"z={z}: {exact} vs {mc} +- {se}"
 
 
@@ -150,7 +151,7 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         maps.LeakyRelu(dim=1, slope=1.5)
     with pytest.raises(ValueError):
-        maps.smoothed_clamp_value(10.0, -1.0, 0.0)
+        maps.SmoothedClamp(N=10.0, sigma=-1.0).eval(0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,9 +162,10 @@ def test_invalid_inputs():
 )
 def test_smoothed_clamp_between_hard_clamp_bounds(z, sigma, n_cap):
     # smoothing can move the value only within [0, N], and monotonically in z
-    v = maps.smoothed_clamp_value(n_cap, sigma, z)
+    link = maps.SmoothedClamp(N=n_cap, sigma=sigma)
+    v = link.eval(z)
     assert 0.0 <= v <= n_cap  # strict in exact arithmetic, closed in floats
-    assert maps.smoothed_clamp_value(n_cap, sigma, z + 0.5) >= v - 1e-12
+    assert link.eval(z + 0.5) >= v - 1e-12
 
 
 @pytest.mark.parametrize("links", [
@@ -235,9 +237,9 @@ def test_gaussian_cdf_links_evaluate_in_a_spawned_process():
     links = [maps.SmoothedClamp(dim=7, N=10.0, sigma=2.0), maps.GaussianSurvival(dim=7)]
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         got = [pool.submit(type(f).eval, f, z) for f in links]
-        got.append(pool.submit(maps.smoothed_clamp_value, 10.0, 2.0, z))
+        got.append(pool.submit(maps.SmoothedClamp(N=10.0, sigma=2.0).eval, z))
         got = [g.result() for g in got]
-    want = [f.eval(z) for f in links] + [maps.smoothed_clamp_value(10.0, 2.0, z)]
+    want = [f.eval(z) for f in links] + [maps.SmoothedClamp(N=10.0, sigma=2.0).eval(z)]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 

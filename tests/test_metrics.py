@@ -120,12 +120,12 @@ def test_lyapunov_p_inv_tracks_independent_recursion():
     # p_inv accumulates (d^2/mu) phi phi^T on top of the identity
     acc = _acc(n=1, m=1, theta_star=np.array([[1.0], [0.0]]))
     phi = np.array([3.0, 0.0])
-    _feed(acc, phi, theta_hat=np.zeros((2, 1)), d=0.5, mu=2.0)
+    _, _, v_lyap = _feed(acc, phi, theta_hat=np.zeros((2, 1)), d=0.5, mu=2.0)
     expect = np.eye(2)
     expect[0, 0] += (0.25 / 2.0) * 9.0
     np.testing.assert_allclose(acc.p_inv, expect)
     # V = tr(err^T P^{-1} err) with err = theta* - theta_hat
-    assert acc.lyapunov_v == pytest.approx(expect[0, 0] * 1.0)
+    assert v_lyap[-1] == pytest.approx(expect[0, 0] * 1.0)
 
 
 def _reference_step(acc, x, x_next, u, v, w, x_star, u_star, d, mu, a, theta_hat_next,
@@ -154,8 +154,7 @@ def _reference_step(acc, x, x_next, u, v, w, x_star, u_star, d, mu, a, theta_hat
     acc.sum_pred_regret += psi_sq / mu
     acc.sum_a_psi_sq += a * psi_sq
     err = acc.theta_star - theta_hat_next
-    acc.lyapunov_v = float((err.T @ acc.p_inv @ err).trace())
-    return est.frobenius_norm(err), j_t, acc.lyapunov_v
+    return est.frobenius_norm(err), j_t, float((err.T @ acc.p_inv @ err).trace())
 
 
 def test_blocks_absorb_exactly_as_single_steps():

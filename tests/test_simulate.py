@@ -459,7 +459,7 @@ def test_csv_header_order_and_write(tmp_path):
                control.ProbingSignal(decay_b=0.0, dim=2),
                simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1),
                20, 0)
-    assert rec.csv_header() == [
+    assert simulate.csv_header(rec.n, rec.m) == [
         "t", "x0", "x1", "u0", "u1", "v0", "v1", "w0", "w1",
         "xstar0", "xstar1", "ustar0", "ustar1",
         "param_err", "J_t", "lambda_t", "V_t", "d_t", "mu_t", "a_t", "projected",
@@ -476,7 +476,7 @@ def test_csv_header_order_and_write(tmp_path):
 
 def _reference_csv(rec, stride=1):
     # plain writer: repr of every float, flags as 0/1, one row per stride
-    lines = [",".join(rec.csv_header())]
+    lines = [",".join(simulate.csv_header(rec.n, rec.m))]
     for t in range(0, rec.steps_completed, stride):
         row = [repr(t)]
         for attr, _, _, _ in simulate.COLUMNS:
@@ -642,7 +642,7 @@ def test_batch_runs_match_their_solo_runs(tmp_path, name):
     if name == "open-loop-iid":
         for seed, c in enumerate(cfgs):
             c["seed"] = seed
-    batched = cfgmod.build_batch(cfgs)
+    batched = simulate.run_batch([cfgmod.validate_config(c) for c in cfgs])
     for cfg, rec in zip(cfgs, batched):
         _assert_same_run(cfgmod.build_run(cfg), rec, tmp_path)
     if name == "tight-block-projects":
@@ -666,7 +666,8 @@ def test_summary_projections_are_the_estimator_projections():
     # the summary counts the record's projected column, over the completed
     # steps of a truncated record too
     cfgs = BATCHES["tight-block-projects"]()
-    runs = [(cfgs[0], cfgmod.build_run(cfgs[0]))] + list(zip(cfgs, cfgmod.build_batch(cfgs)))
+    batched = simulate.run_batch([cfgmod.validate_config(c) for c in cfgs])
+    runs = [(cfgs[0], cfgmod.build_run(cfgs[0]))] + list(zip(cfgs, batched))
     # seed 11 projects from step 5 on, and its state norm peaks anew at step 14
     solo = cfgmod.build_run(cfgs[2])
     ceiling, cross = _late_crossing_ceiling(solo, 5)
@@ -710,7 +711,7 @@ def test_batch_steps_advance_all_runs_at_once(monkeypatch):
         calls.clear()
         loops.clear()
         cfgs = BATCHES[name]()
-        cfgmod.build_batch(cfgs)
+        simulate.run_batch([cfgmod.validate_config(c) for c in cfgs])
         assert len(calls) == cfgs[0]["horizon"], name
         assert len(loops) == 1, name
 
@@ -921,7 +922,7 @@ def test_reference_solves_its_dare_once_per_run(monkeypatch):
     cfgs = _variants(_live_riccati_cfg(horizon), seed=[6, 7, 8])
     for batch in ([cfgs[0]], cfgs):
         a_blocks.clear()
-        results = cfgmod.build_batch(batch)
+        results = simulate.run_batch([cfgmod.validate_config(c) for c in batch])
         assert all(isinstance(rec, simulate.RunRecord) for rec in results)
         a_star = np.array(batch[0]["plant"]["theta_star"])[:2].T
         reference = [a for a in a_blocks if np.array_equal(a, a_star)]
@@ -951,7 +952,7 @@ def test_reference_dare_failure_aborts_at_step_0():
     # in a batch, the run gets the abort it gets alone and the other its record
     stable = copy.deepcopy(cfg)
     stable["plant"]["theta_star"] = [[0.5], [1.0]]
-    aborted, rec = cfgmod.build_batch([cfg, stable])
+    aborted, rec = simulate.run_batch([cfgmod.validate_config(c) for c in (cfg, stable)])
     assert isinstance(aborted, simulate.RunAbort)
     assert (str(aborted), aborted.step) == (str(info.value), 0)
     assert rec.steps_completed == 50
