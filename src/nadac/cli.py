@@ -1,7 +1,8 @@
 """Command-line front end: run, sweep, dare, validate.
 
 Exit codes: 0 ok, 2 validation error, 3 runtime abort, 4 partial sweep
-failure.  NADAC_OUT overrides the output directory.
+failure; main maps every failure to its exit and one stderr line.
+NADAC_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -57,21 +58,24 @@ def cmd_run(args):
     cfg = cfgmod.load_config(args.config)
     ro = cfgmod.validate_config(cfg)
     out = _out_dir(ro.output_dir, args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     try:
         out.mkdir(parents=True, exist_ok=True)
         writer = simulate.CsvWriter(out / "run.csv", ro.plant.n, ro.plant.m, ro.log_stride)
+    except ChildProcessError:  # no writer started: a runtime abort that leaves nothing
+        for d in made:
+            d.rmdir()
+        raise
     except OSError as exc:
         raise _cannot_write(out, exc) from None
     with writer:
         ro.csv_writer = writer
         try:
             rec = cfgmod.build_run(ro)
-            writer.commit(rec.steps_completed)
-        except (simulate.RunAbort, OSError) as exc:  # an OSError is the writer's: no CSV
-            if isinstance(exc, simulate.RunAbort):
-                exc.record.write_csv(out / "run_truncated.csv")
-            print(f"runtime abort: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+        except simulate.RunAbort as exc:
+            exc.record.write_csv(out / "run_truncated.csv")
+            raise
+        writer.commit(rec.steps_completed)
     manifest = _write_manifest(cfg, ro, rec, out)
 
     s = manifest["summary"]
@@ -130,7 +134,8 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
     """Cross product of axis values and seeds; returns (rows, failures).
     Each worker advances one batch of tasks in lockstep; rows and failures
     keep the task order.  The seeds are the seed axis, so ``param`` may not
-    be "seed"."""
+    be "seed".  ``out``, the directory the caller writes to, is made before
+    the first task."""
     if param == "seed":
         raise cfgmod.ConfigError("--param", "the seed is swept by --seeds, not --param")
     tags = [(val, int(seed)) for val in values for seed in seeds]
@@ -173,13 +178,6 @@ def run_sweep(cfg, param, values, seeds, workers=None, out=None):
                     "final_J": summary["final_tracking_error"],
                 }
             )
-    if out is not None:
-        with open(out / "sweep.csv", "w") as fh:
-            fh.write("value,seed,final_param_err,final_J\n")
-            for r in rows:
-                fh.write(
-                    f"{r['value']},{r['seed']},{r['final_param_err']!r},{r['final_J']!r}\n"
-                )
     return rows, failures
 
 
@@ -201,10 +199,8 @@ def cmd_sweep(args):
     if args.workers is not None and args.workers < 1:
         raise cfgmod.ConfigError("--workers", f"must be >= 1, got {args.workers}")
     cfg = cfgmod.load_config(args.config)
-    rows, failures = run_sweep(
-        cfg, args.param, values, seeds, workers=args.workers,
-        out=_out_dir(cfgmod.output_dir(cfg), args.out),
-    )
+    out = _out_dir(cfgmod.output_dir(cfg), args.out)
+    rows, failures = run_sweep(cfg, args.param, values, seeds, workers=args.workers, out=out)
     for r in rows:
         print(
             f"value={r['value']} seed={r['seed']} "
@@ -212,16 +208,17 @@ def cmd_sweep(args):
         )
     for tag, err in failures:
         print(f"failed: value={tag[0]} seed={tag[1]}: {err}", file=sys.stderr)
+    # written after the rows are out, so a file that cannot be written loses none
+    with open(out / "sweep.csv", "w") as fh:
+        fh.write("value,seed,final_param_err,final_J\n")
+        for r in rows:
+            fh.write(f"{r['value']},{r['seed']},{r['final_param_err']!r},{r['final_J']!r}\n")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_dare(args):
     A, Q, R = cfgmod.dare_matrices(args.matrices)
-    try:
-        P = control.solve_dare(A, Q, R)
-    except control.DareError as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    P = control.solve_dare(A, Q, R)
     print("P =")
     for row in P:
         print("  " + "  ".join(f"{z:.17g}" for z in row))
@@ -267,6 +264,11 @@ def main(argv=None):
     except cfgmod.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (simulate.RunAbort, control.DareError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"cannot write {exc.filename}: {exc.strerror}"
+        print(f"runtime abort: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -156,10 +156,10 @@ _PARAMETER_SETS = {
 }
 
 
-def _link(cfg, n):
+def _link(cfg):
     cls, params = _LINKS[_kind(cfg, "plant.link.kind", _LINKS, _REQUIRED)]
     kwargs = {key: _number(cfg, f"plant.link.{key}", _REQUIRED) for key in params}
-    return _construct("plant.link", cls, dim=n, **kwargs)
+    return _construct("plant.link", cls, **kwargs)
 
 
 def _parameter_set(cfg):
@@ -183,16 +183,15 @@ def _policy(cfg, n, m):
         x_leader = _number(cfg, "policy.x_leader", _REQUIRED)
         pattern = _array(cfg, "policy.pattern", (m,), np.ones(m))
         gain = _section(cfg, "policy.gain", {})
+        # a constant gain kappa0 is the affine gain with c1 = 0 and c2 = kappa0
         if _kind(gain, "policy.gain.kind", ("constant", "affine_norm"), "constant") == "constant":
-            return control.PinningLeader(
-                x_leader, pattern, kappa0=_number(gain, "policy.gain.kappa0", 1.0)
-            )
-        c1 = _number(gain, "policy.gain.c1", _REQUIRED)
-        if c1 <= 0:
-            raise ConfigError("policy.gain.c1", "must be positive")
-        return control.PinningLeader(
-            x_leader, pattern, affine_c1=c1, affine_c2=_number(gain, "policy.gain.c2", _REQUIRED)
-        )
+            c1, c2 = 0.0, _number(gain, "policy.gain.kappa0", 1.0)
+        else:
+            c1 = _number(gain, "policy.gain.c1", _REQUIRED)
+            if c1 <= 0:
+                raise ConfigError("policy.gain.c1", "must be positive")
+            c2 = _number(gain, "policy.gain.c2", _REQUIRED)
+        return control.PinningLeader(x_leader, pattern, c1, c2)
     lift = _kind(cfg, "policy.lift", ("direct", "quadratic_si"), "direct")
     # the DARE has B = I, so the feedback before the lift has n entries
     raw_dim = m - 3 if lift == "quadratic_si" else m
@@ -208,14 +207,16 @@ def _policy(cfg, n, m):
 
 
 def _probe(cfg, raw_dim):
-    return _construct(
-        "probe", control.ProbingSignal, decay_b=_number(cfg, "probe.b", 0.0), dim=raw_dim,
-        distribution=_kind(
-            cfg, "probe.distribution", ("uniform_cube", "scaled_uniform"), "uniform_cube"
-        ),
-        half_width=_nonnegative(cfg, "probe.half_width", 1.0),
-        bound_eps=_nonnegative(cfg, "probe.bound_eps", None),
-    )
+    """The probe's one form: "scaled_uniform" is uniform on [-sqrt(3),
+    sqrt(3)], of identity covariance, and a bound_eps of 0 switches it off."""
+    b = _number(cfg, "probe.b", 0.0)
+    kind = _kind(cfg, "probe.distribution", ("uniform_cube", "scaled_uniform"), "uniform_cube")
+    width = _nonnegative(cfg, "probe.half_width", 1.0)
+    if kind == "scaled_uniform":
+        width = float(np.sqrt(3.0))
+    if _nonnegative(cfg, "probe.bound_eps", None) == 0.0:
+        width = 0.0
+    return _construct("probe", control.ProbingSignal, b, raw_dim, width)
 
 
 def dare_matrices(path):
@@ -267,7 +268,7 @@ def validate_config(cfg):
         raise ConfigError("plant.n", "must be >= 1")
     if m < 1:
         raise ConfigError("plant.m", "must be >= 1")
-    link = _link(_section(plant_cfg, "plant.link", _REQUIRED), n)
+    link = _link(_section(plant_cfg, "plant.link", _REQUIRED))
     theta_star = _array(plant_cfg, "plant.theta_star", (n + m, n), _REQUIRED)
     x0 = _array(plant_cfg, "plant.x0", (n,), np.zeros(n))
 

@@ -32,11 +32,6 @@ __all__ = [
 class DareError(RuntimeError):
     """Fixed-point Riccati iteration failed to converge."""
 
-    def __init__(self, message, last_p=None, residual=None):
-        super().__init__(message)
-        self.last_p = last_p
-        self.residual = residual
-
 
 def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
@@ -58,7 +53,7 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
     Plain iteration from P0 = Q (or a warm start); returns symmetric PSD P
     with sup-norm residual <= tol.  A non-finite iterate (one that overflows,
     or a singular R + P) ends the iteration at once, with a DareError naming
-    it and carrying the last finite iterate.
+    it and its residual.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -91,16 +86,11 @@ def solve_dare(A, Q, R, tol=1e-12, max_iter=100_000, p0=None):
             if res <= tol:
                 return nxt
             if not math.isfinite(res):
-                msg = f"DARE iterate non-finite at iteration {k} (residual {res:.3e})"
-                raise DareError(msg, last_p=P, residual=res)
+                raise DareError(f"DARE iterate non-finite at iteration {k} (residual {res:.3e})")
             P = nxt
             at_p = a_t.dot(P)
             p_a = at_p.T
-    raise DareError(
-        f"DARE iteration exceeded {max_iter} iterations (residual {res:.3e})",
-        last_p=P,
-        residual=res,
-    )
+    raise DareError(f"DARE iteration exceeded {max_iter} iterations (residual {res:.3e})")
 
 
 def dare_residual(P, A, Q, R):
@@ -119,31 +109,29 @@ def _a_block(theta, n):
 
 @dataclass
 class PinningLeader:
-    """State-independent pinning input: kappa(theta) * x_L on a fixed pattern.
-
-    Gain families: constant kappa0, or affine in the parameter norm
-    kappa(theta) = c1 * ||theta||_F + c2.
+    """State-independent pinning input: kappa(theta) * x_L on a fixed pattern,
+    with the gain kappa(theta) = c1 * ||theta||_F + c2 affine in the
+    parameter norm; c1 = 0 makes it the constant c2.
     """
 
     x_leader: float
     pattern: np.ndarray  # length m, e.g. e1
-    kappa0: float = 1.0
-    affine_c1: float = 0.0  # kappa = affine_c1 * ||theta||_F + affine_c2 when c1 > 0
-    affine_c2: float = 0.0
+    c1: float = 0.0
+    c2: float = 1.0
 
     def __post_init__(self):
         self.pattern = np.asarray(self.pattern, dtype=float)
-        if not self.affine_c1 >= 0.0 or (self.affine_c1 == 0.0 and self.affine_c2 != 0.0):
-            raise ValueError("an affine gain needs affine_c1 > 0 (or both constants zero)")
+        if not (self.c1 >= 0.0 and math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ValueError("a pinning gain needs a finite c1 >= 0 and a finite c2")
 
     @property
     def raw_dim(self):
         return self.pattern.size
 
     def kappa(self, theta):
-        if self.affine_c1 > 0.0:
-            return self.affine_c1 * float(np.linalg.norm(theta)) + self.affine_c2
-        return self.kappa0
+        if self.c1 == 0.0:
+            return self.c2
+        return self.c1 * float(np.linalg.norm(theta)) + self.c2
 
     def raw_eval(self, theta, x):
         return self.kappa(theta) * self.x_leader * self.pattern
@@ -298,36 +286,19 @@ def frozen_policy(mech, theta):
 
 @dataclass
 class ProbingSignal:
-    """v_t = (t+1)^{-decay_b} * eps_t; eps bounded, zero mean, i.i.d.
-
-    Distributions: "uniform_cube" is uniform on [-h, h] per coordinate (the
-    experimental choice, covariance h^2/3 * I); "scaled_uniform" is uniform
-    on [-sqrt(3), sqrt(3)], giving exactly identity covariance.
-    """
+    """v_t = (t+1)^{-decay_b} * eps_t, eps i.i.d. uniform on [-h, h] per
+    coordinate (zero mean, covariance h^2/3 * I; h = sqrt(3) gives the
+    identity).  A half width h of 0 switches the probe off: no draws."""
 
     decay_b: float
     dim: int
-    distribution: str = "uniform_cube"
     half_width: float = 1.0
-    bound_eps: float | None = None
 
     def __post_init__(self):
         if not self.decay_b >= 0:  # NaN too
             raise ValueError("decay exponent must be >= 0")
-        if self.distribution not in ("uniform_cube", "scaled_uniform"):
-            raise ValueError(f"unknown probe distribution {self.distribution!r}")
-        for name in ("half_width", "bound_eps"):
-            width = getattr(self, name)
-            if width is not None and not width >= 0:  # NaN too
-                raise ValueError(f"probe {name} must be >= 0")
-        if self.bound_eps is None:
-            self.bound_eps = (
-                self.half_width if self.distribution == "uniform_cube" else np.sqrt(3.0)
-            )
-
-    @property
-    def enabled(self):
-        return self.bound_eps > 0.0
+        if not self.half_width >= 0:  # NaN too
+            raise ValueError("probe half_width must be >= 0")
 
 
 def probe_sample(sig, t, rng, steps=None):
@@ -335,10 +306,9 @@ def probe_sample(sig, t, rng, steps=None):
     draw v_t .. v_{t+steps-1} at once, one row per step: the same values and
     the same use of the stream as ``steps`` single draws."""
     shape = sig.dim if steps is None else (steps, sig.dim)
-    if not sig.enabled:
+    if sig.half_width == 0.0:
         return np.zeros(shape)
-    h = sig.half_width if sig.distribution == "uniform_cube" else np.sqrt(3.0)
-    eps = rng.uniform(-h, h, size=shape)
+    eps = rng.uniform(-sig.half_width, sig.half_width, size=shape)
     if steps is None:
         return (t + 1.0) ** (-sig.decay_b) * eps
     return np.array([[(s + 1.0) ** (-sig.decay_b)] for s in range(t, t + steps)]) * eps

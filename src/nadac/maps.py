@@ -88,7 +88,7 @@ def stacked(objs, trailing=0):
     for f in dataclasses.fields(first):
         vals = [getattr(obj, f.name) for obj in objs]
         if any(v != vals[0] for v in vals):
-            if f.name == "dim" or not all(isinstance(v, (int, float)) for v in vals):
+            if not all(isinstance(v, (int, float)) for v in vals):
                 raise ValueError(f"the runs of a batch must share {type(first).__name__}.{f.name}")
             object.__setattr__(batch, f.name, np.array(vals).reshape((-1,) + (1,) * trailing))
     object.__setattr__(batch, "runs", tuple(objs))
@@ -108,13 +108,7 @@ def _floor_alpha(a):
 class LinkFunction:
     """Base class; immutable, safe to share across concurrent runs."""
 
-    dim: int = 1
-
     bounded = False
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
 
     def eval(self, z):
         raise NotImplementedError
@@ -155,7 +149,6 @@ class ScaledTanh(LinkFunction):
     bounded = True
 
     def __post_init__(self):
-        super().__post_init__()
         if self.a <= 0:
             raise ValueError("scale a must be positive")
 
@@ -198,7 +191,6 @@ class LeakyRelu(LinkFunction):
     bounded = False
 
     def __post_init__(self):
-        super().__post_init__()
         if not 0.0 < self.slope < 1.0:
             raise ValueError("leaky-ReLU slope must lie in (0, 1)")
 
@@ -223,7 +215,6 @@ class GaussianSurvival(LinkFunction):
     bounded = True
 
     def __post_init__(self):
-        super().__post_init__()
         ndtr(0.0)  # binds scipy's ndtr while the config is validated
 
     def eval(self, z):
@@ -272,7 +263,6 @@ class SmoothedClamp(LinkFunction):
     bounded = True
 
     def __post_init__(self):
-        super().__post_init__()
         if self.N <= 0 or self.sigma <= 0:
             raise ValueError("SmoothedClamp requires N > 0 and sigma > 0")
         object.__setattr__(self, "sigma_sq", self.sigma**2)

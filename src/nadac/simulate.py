@@ -35,11 +35,11 @@ DIVERGENCE_CEILING = 1e9
 
 
 class RunAbort(RuntimeError):
-    """Simulation aborted; carries the failing step and the partial record."""
+    """Simulation aborted; carries the partial record, whose steps_completed
+    is the failing step."""
 
-    def __init__(self, message, step, record):
-        super().__init__(f"{message} (step {step})")
-        self.step = step
+    def __init__(self, message, record):
+        super().__init__(f"{message} (step {record.steps_completed})")
         self.record = record
 
 
@@ -255,10 +255,10 @@ class CsvWriter:
     deletes it too and sends back its reason: ``error`` is then the OSError
     "cannot write PATH: REASON", which the next ``send`` or the ``commit``
     raises.  Use it as a context manager, so that the child is reaped on
-    every way out.  The temporary file is
-    opened before the fork, so an OSError for the directory is raised before
-    any row.  The child never calls into BLAS: the fork does not copy the
-    BLAS threads."""
+    every way out.  The temporary file is opened before the fork, so an
+    OSError for the directory is raised before any row; a fork that fails
+    raises a ChildProcessError and leaves no file.  The child never calls
+    into BLAS: the fork does not copy the BLAS threads."""
 
     def __init__(self, path, n, m, stride):
         import os
@@ -275,7 +275,7 @@ class CsvWriter:
             for f in (fd, rfd, wfd, erfd, ewfd):
                 os.close(f)
             os.unlink(tmp)
-            raise RuntimeError(f"cannot start the CSV writer: {exc}") from exc
+            raise ChildProcessError(f"cannot start the CSV writer: {exc.strerror}") from exc
         if pid == 0:
             os.close(wfd)
             os.close(erfd)
@@ -427,14 +427,14 @@ class RunSpec:
 def batch_key(spec):
     """What the runs of one batch share: the horizon, the eig stride, the
     mode, n, m and the kind of the link, the parameter set, the policy and
-    its lift, the probe distribution, the noise and the input policy.  Their
-    numeric values may differ."""
+    its lift, the noise and the input policy.  Their numeric values may
+    differ."""
     ip = spec.input_policy
     return (
         spec.horizon, spec.eig_stride, spec.mech is not None, spec.plant.n, spec.plant.m,
         type(spec.plant.link), type(spec.pset), type(spec.mech),
-        getattr(spec.mech, "lift_kind", None), getattr(spec.probe, "distribution", None),
-        spec.noise.kind, ip[0] if isinstance(ip, tuple) else ip,
+        getattr(spec.mech, "lift_kind", None), spec.noise.kind,
+        ip[0] if isinstance(ip, tuple) else ip,
     )
 
 
@@ -719,7 +719,7 @@ def _run(specs):
             if isinstance(exc, _STEP_FAILURES):
                 absorb(mb, start, t)
                 mb.rec.steps_completed = t
-                exc, cause = RunAbort(str(exc), t, mb.rec), exc
+                exc, cause = RunAbort(str(exc), mb.rec), exc
                 exc.__cause__ = cause
             results[mb.index] = exc
             return results

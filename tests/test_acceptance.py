@@ -132,7 +132,7 @@ def sigma_sweep(epidemic_runs):
 
 
 def test_criterion_01_transcription_equivalence():
-    link = maps.LeakyRelu(dim=1, slope=0.3)
+    link = maps.LeakyRelu(slope=0.3)
     pset = est.FrobeniusBall(10.0, rho_eps=0.5)
     theta_star = np.array([[0.8], [0.5]])
     rng = np.random.default_rng(12345)

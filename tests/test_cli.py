@@ -579,11 +579,11 @@ def test_sweep_shorthand_sigma_and_partial_failure(tmp_path, capsys):
     with open(cli.preset_path("epidemic_sigma1")) as fh:
         cfg = json.load(fh)
     cfg["horizon"] = 50
-    rows, failures = cli.run_sweep(cfg, "sigma", [1.0, 5.0], [0, 1], workers=1,
-                                   out=tmp_path)
-    assert not failures
-    assert len(rows) == 4
-    assert (tmp_path / "sweep.csv").read_text().startswith("value,seed,")
+    argv = ["sweep", str(_write_cfg(tmp_path, cfg)), "--param", "sigma", "--values", "1", "5",
+            "--seeds", "0", "1", "--workers", "1", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_OK  # no task failed
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert (tmp_path / "o" / "sweep.csv").read_text().startswith("value,seed,")
     # the shorthand must move the link sigma, not just the noise
     c2 = json.loads(json.dumps(cfg))
     cli._apply_axis(c2, "sigma", 5.0)
@@ -762,18 +762,18 @@ def _solo_summary(cfg, param, value, seed):
 def test_sweep_rows_equal_solo_runs_in_order(tmp_path, workers):
     cfg = _preset_sweep_cfg()
     values, seeds = [1.0, 5.0, 10.0], [31, 32]
-    rows, failures = cli.run_sweep(cfg, "sigma", values, seeds, workers=workers, out=tmp_path)
-    assert not failures
-    assert [(r["value"], r["seed"]) for r in rows] == [(v, s) for v in values for s in seeds]
-    for r in rows:
-        summary, _ = _solo_summary(cfg, "sigma", r["value"], r["seed"])
-        assert (r["final_param_err"], r["final_J"]) == (
-            summary["final_param_err"], summary["final_tracking_error"]
-        )
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[1:] == [
-        f"{r['value']},{r['seed']},{r['final_param_err']!r},{r['final_J']!r}" for r in rows
-    ]
+    argv = ["sweep", str(_write_cfg(tmp_path, cfg)), "--param", "sigma", "--values", "1", "5",
+            "10", "--seeds", "31", "32", "--workers", str(workers), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_OK
+    # repr of a float round-trips, so the rows equal the solo runs bit for bit
+    want = []
+    for v in values:
+        for s in seeds:
+            summary, _ = _solo_summary(cfg, "sigma", v, s)
+            err, J = summary["final_param_err"], summary["final_tracking_error"]
+            want.append(f"{v},{s},{err!r},{J!r}")
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert lines == ["value,seed,final_param_err,final_J"] + want
 
 
 def test_sweep_task_runs_in_a_spawned_worker():
@@ -1141,6 +1141,73 @@ def test_sweep_out_under_a_file_exits_2_before_any_task(tmp_path, monkeypatch, c
         f"validation error: output directory: cannot write {out}: Not a directory\n"
     )
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+def _write_case(name, tmp_path):
+    """The argv of a command that writes the file ``name`` into tmp_path/o."""
+    out = str(tmp_path / "o")
+    if name == "sweep.csv":
+        cfg = _write_cfg(tmp_path, _preset_sweep_cfg(horizon=200))
+        return ["sweep", str(cfg), "--param", "sigma", "--values", "1", "5", "--seeds", "3",
+                "--workers", "1", "--out", out]
+    cfg = _divergent_cfg() if name == "run_truncated.csv" else _opinion_cfg(horizon=200)
+    return ["run", str(_write_cfg(tmp_path, cfg)), "--out", out]
+
+
+@pytest.mark.parametrize("name, stdout_lines, left", [
+    ("run.csv", 0, ["run.csv"]),
+    ("run_manifest.json", 0, ["run.csv", "run_manifest.json"]),
+    ("run_truncated.csv", 0, ["run_truncated.csv"]),
+    ("sweep.csv", 2, ["sweep.csv"]),
+], ids=["run.csv", "run_manifest.json", "run_truncated.csv", "sweep.csv"])
+def test_a_file_that_cannot_be_written_is_runtime_abort(tmp_path, capsys, writers, name,
+                                                        stdout_lines, left):
+    # a directory in the file's place: exit 3 with one line and no
+    # traceback, after the rows a sweep prints; the files left are the
+    # directory and what the command wrote before it, and no temporary file
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert cli.main(_write_case(name, tmp_path)) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == stdout_lines
+    assert captured.err == f"runtime abort: cannot write {tmp_path / 'o' / name}: Is a directory\n"
+    _assert_reaped(writers)
+    assert sorted(os.listdir(tmp_path / "o")) == left
+    assert os.listdir(tmp_path / "o" / name) == []
+    if name == "run_manifest.json":
+        assert len((tmp_path / "o" / "run.csv").read_text().splitlines()) == 201
+
+
+@pytest.mark.parametrize("out", ["new", "existing"])
+def test_a_writer_that_cannot_fork_is_runtime_abort(tmp_path, monkeypatch, capsys, writers,
+                                                    out):
+    # the fork fails (as when the process limit is reached): exit 3 with
+    # one line, before any step; the directories the command made are gone
+    # and a directory that was there is left as it was
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cfgmod, "build_run", no_run)
+    target = tmp_path / "a" / "o"
+    if out == "existing":
+        target.mkdir(parents=True)
+        (target / "run.csv").write_text("an earlier run\n")
+    code = cli.main(["run", str(_write_cfg(tmp_path, _opinion_cfg())), "--out", str(target)])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"runtime abort: cannot start the CSV writer: {os.strerror(errno.EAGAIN)}\n"
+    )
+    assert writers == []
+    if out == "new":
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    else:
+        assert os.listdir(target) == ["run.csv"]
+        assert (target / "run.csv").read_text() == "an earlier run\n"
 
 
 def test_sweep_validates_each_task_once(tmp_path, monkeypatch, capsys):

@@ -65,15 +65,15 @@ def _open_loop(input_policy):
 _PATTERN = [1.0, 0.0]
 _CASES = [
     # every link kind
-    ("identity", _set("plant.link", {"kind": "identity"}), "plant.link", maps.Identity(dim=2)),
+    ("identity", _set("plant.link", {"kind": "identity"}), "plant.link", maps.Identity()),
     ("scaled_tanh", _set("plant.link", {"kind": "scaled_tanh", "a": 2.0}), "plant.link",
-     maps.ScaledTanh(dim=2, a=2.0)),
-    ("sigmoid", _set("plant.link", {"kind": "sigmoid"}), "plant.link", maps.Sigmoid(dim=2)),
-    ("leaky_relu", _unchanged, "plant.link", maps.LeakyRelu(dim=2, slope=0.3)),
+     maps.ScaledTanh(a=2.0)),
+    ("sigmoid", _set("plant.link", {"kind": "sigmoid"}), "plant.link", maps.Sigmoid()),
+    ("leaky_relu", _unchanged, "plant.link", maps.LeakyRelu(slope=0.3)),
     ("gaussian_survival", _set("plant.link", {"kind": "gaussian_survival"}), "plant.link",
-     maps.GaussianSurvival(dim=2)),
+     maps.GaussianSurvival()),
     ("smoothed_clamp", _set("plant.link", {"kind": "smoothed_clamp", "N": 10, "sigma": 5.0}),
-     "plant.link", maps.SmoothedClamp(dim=2, N=10.0, sigma=5.0)),
+     "plant.link", maps.SmoothedClamp(N=10.0, sigma=5.0)),
     # both parameter sets; rho_eps defaults to 0.5
     ("frobenius_ball", _unchanged, "pset", estimator.FrobeniusBall(5.0, 0.5)),
     ("block_operator_balls",
@@ -84,13 +84,13 @@ _CASES = [
     ("pinning-constant",
      _set("policy", {"kind": "pinning_leader", "x_leader": 1.63, "pattern": _PATTERN,
                      "gain": {"kind": "constant", "kappa0": 0.7}}),
-     "mech", control.PinningLeader(1.63, np.array(_PATTERN), kappa0=0.7)),
+     "mech", control.PinningLeader(1.63, np.array(_PATTERN), c1=0.0, c2=0.7)),
     ("pinning-defaults", _set("policy", {"kind": "pinning_leader", "x_leader": 1}),
      "mech", control.PinningLeader(1.0, np.ones(2))),
     ("pinning-affine",
      _set("policy", {"kind": "pinning_leader", "x_leader": 1.63, "pattern": _PATTERN,
                      "gain": {"kind": "affine_norm", "c1": 0.5, "c2": 0.2}}),
-     "mech", control.PinningLeader(1.63, np.array(_PATTERN), affine_c1=0.5, affine_c2=0.2)),
+     "mech", control.PinningLeader(1.63, np.array(_PATTERN), c1=0.5, c2=0.2)),
     # Riccati feedback: direct lift (given weights, and the identity by
     # default) and the quadratic lift of the epidemic preset
     ("riccati-direct", _unchanged, "mech",
@@ -99,16 +99,20 @@ _CASES = [
      control.RiccatiFeedback(np.eye(2), np.eye(2))),
     ("riccati-quadratic_si", lambda cfg: _epidemic(), "mech",
      control.RiccatiFeedback(np.eye(2), np.eye(2), lift_kind="quadratic_si")),
-    # the probe: bound_eps derived from its distribution, given, or 0 with
-    # no probe section
+    # the probe's one form: the uniform cube's half width, sqrt(3) for the
+    # scaled uniform; a nonzero bound_eps leaves it, a zero one (or no probe
+    # section) makes it 0
     ("probe-uniform_cube", _unchanged, "probe",
      control.ProbingSignal(0.125, 2, half_width=0.5)),
     ("probe-scaled_uniform", _set("probe", {"b": 0.2, "distribution": "scaled_uniform"}),
-     "probe", control.ProbingSignal(0.2, 2, distribution="scaled_uniform")),
+     "probe", control.ProbingSignal(0.2, 2, half_width=float(np.sqrt(3.0)))),
     ("probe-bound_eps", _set("probe", {"b": 0.1, "bound_eps": 0.3}), "probe",
-     control.ProbingSignal(0.1, 2, bound_eps=0.3)),
+     control.ProbingSignal(0.1, 2)),
+    ("probe-bound_eps-zero",
+     _set("probe", {"b": 0.1, "distribution": "scaled_uniform", "bound_eps": 0}), "probe",
+     control.ProbingSignal(0.1, 2, half_width=0.0)),
     ("probe-absent", _set("probe", None), "probe",
-     control.ProbingSignal(0.0, 2, bound_eps=0.0)),
+     control.ProbingSignal(0.0, 2, half_width=0.0)),
     # all three noise kinds
     ("uniform_cube", _unchanged, "noise",
      simulate.NoiseSpec("uniform_cube", 2, half_width=0.1)),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nadac import estimator as est
 from nadac import maps, metrics
 
-IDENT = maps.Identity(dim=1)
+IDENT = maps.Identity()
 
 
 def _scalar_system(radius=2.0):
@@ -109,7 +109,7 @@ def test_block_membership_matches_svd_reference(shrunk):
 
 def test_new_estimator_shapes_and_defaults():
     pset = est.FrobeniusBall(5.0)
-    state = est.new_estimator(np.zeros((6, 4)), pset, 0.5, maps.Identity(dim=4))
+    state = est.new_estimator(np.zeros((6, 4)), pset, 0.5, maps.Identity())
     np.testing.assert_array_equal(state.p_matrix, np.eye(6))
     assert state.r_accum == 1.0
     assert state.step == 0
@@ -119,13 +119,13 @@ def test_new_estimator_boundary_accepted_outside_rejected():
     pset = est.FrobeniusBall(5.0)
     boundary = np.zeros((3, 2))
     boundary[0, 0] = 5.0
-    est.new_estimator(boundary, pset, 0.5, maps.Identity(dim=2))  # closed set
+    est.new_estimator(boundary, pset, 0.5, maps.Identity())  # closed set
     outside = boundary.copy()
     outside[0, 0] = 5.01
     with pytest.raises(ValueError):
-        est.new_estimator(outside, pset, 0.5, maps.Identity(dim=2))
+        est.new_estimator(outside, pset, 0.5, maps.Identity())
     with pytest.raises(ValueError):
-        est.new_estimator(np.zeros((3, 2)), pset, -0.1, maps.Identity(dim=2))
+        est.new_estimator(np.zeros((3, 2)), pset, -0.1, maps.Identity())
 
 
 def test_frobenius_ball_rejects_nan_radius():
@@ -143,7 +143,7 @@ def test_block_balls_reject_nan_radius(radii):
 
 def test_new_estimator_rejects_nan_delta():
     with pytest.raises(ValueError, match="delta must be positive"):
-        est.new_estimator(np.zeros((3, 2)), est.FrobeniusBall(5.0), np.nan, maps.Identity(dim=2))
+        est.new_estimator(np.zeros((3, 2)), est.FrobeniusBall(5.0), np.nan, maps.Identity())
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_step_weights_zero_regressor():
 def test_step_weight_orderings(seed):
     rng = np.random.default_rng(seed)
     pset = est.FrobeniusBall(3.0)
-    f = maps.ScaledTanh(dim=2, a=2.0)
+    f = maps.ScaledTanh(a=2.0)
     state = est.new_estimator(rng.uniform(-1, 1, (3, 2)), pset, 0.5, f)
     diag = est.step_weights(state, rng.uniform(-2, 2, 3), f, pset)
     assert 0.0 < diag.a_weight <= 1.0 / diag.mu_weight + 1e-15
@@ -271,7 +271,7 @@ def test_estimator_step_is_expression_form_bit_for_bit(n, m):
     # a learning run (leaky ReLU, d_t = 0.15) against the recursion written
     # with @: the single-run step forms its products with ndarray.dot, to
     # the same bits
-    link = maps.LeakyRelu(dim=n, slope=0.3)
+    link = maps.LeakyRelu(slope=0.3)
     pset = est.FrobeniusBall(50.0)
     rng = np.random.default_rng(7 * n + m)
     theta_star = 0.3 * rng.standard_normal((n + m, n))
@@ -532,7 +532,7 @@ def _step_alone_and_batched(state, phi, x_next, f, pset, given=False):
 def test_single_step_is_batch_of_one_while_learning():
     # 50 steps of a leaky-ReLU plant whose estimate learns (d_t = 0.15)
     n, m = 2, 2
-    link = maps.LeakyRelu(dim=n, slope=0.3)
+    link = maps.LeakyRelu(slope=0.3)
     pset = est.FrobeniusBall(50.0)
     rng = np.random.default_rng(31)
     theta_star = 0.3 * rng.standard_normal((n + m, n))
@@ -549,7 +549,7 @@ def test_single_step_is_batch_of_one_while_learning():
 
 def test_single_step_is_batch_of_one_for_zero_regressor():
     pset = est.FrobeniusBall(2.0)
-    link = maps.ScaledTanh(dim=2, a=2.0)
+    link = maps.ScaledTanh(a=2.0)
     state = est.new_estimator(np.full((4, 2), 0.25), pset, 0.5, link)
     nxt, _ = _step_alone_and_batched(state, np.zeros(4), np.array([0.4, -0.1]), link, pset)
     np.testing.assert_array_equal(nxt.theta_hat, state.theta_hat)
@@ -558,7 +558,7 @@ def test_single_step_is_batch_of_one_for_zero_regressor():
 @pytest.mark.parametrize("pset", [est.FrobeniusBall(0.3), est.BlockOperatorBalls(0.3, 0.2)],
                          ids=["frobenius", "blocks"])
 def test_single_step_is_batch_of_one_when_projecting(pset):
-    link = maps.Identity(dim=2)
+    link = maps.Identity()
     state = est.new_estimator(np.full((4, 2), 0.01), pset, 0.5, link)
     phi = np.array([1.0, -2.0, 0.5, 1.5])
     nxt, diag = _step_alone_and_batched(state, phi, np.array([4.0, -3.0]), link, pset)
@@ -568,9 +568,9 @@ def test_single_step_is_batch_of_one_when_projecting(pset):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_single_step_is_batch_of_one_for_non_finite_regressor(bad):
     pset = est.FrobeniusBall(2.0)
-    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, maps.Identity(dim=2))
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, maps.Identity())
     phi = np.array([0.5, bad, 0.0, 1.0])
-    exc = _step_alone_and_batched(state, phi, np.zeros(2), maps.Identity(dim=2), pset)
+    exc = _step_alone_and_batched(state, phi, np.zeros(2), maps.Identity(), pset)
     assert isinstance(exc, ValueError) and str(exc) == "regressor must be finite"
 
 
@@ -578,7 +578,7 @@ def test_single_step_is_batch_of_one_when_energy_overflows():
     # a finite phi whose phi.phi overflows: r and the radius become inf, and
     # the envelope's radius check raises
     pset = est.FrobeniusBall(2.0)
-    link = maps.LeakyRelu(dim=2, slope=0.3)
+    link = maps.LeakyRelu(slope=0.3)
     state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, link)
     with np.errstate(over="ignore"):
         exc = _step_alone_and_batched(
@@ -601,7 +601,7 @@ def test_single_step_is_batch_of_one_in_extended_precision(monkeypatch, phi, res
     monkeypatch.setattr(
         est, "_extended_weights", lambda *args: calls.append(args) or extended(*args)
     )
-    link = maps.ScaledTanh(dim=2, a=1e-17)
+    link = maps.ScaledTanh(a=1e-17)
     pset = est.FrobeniusBall(1e-30)
     state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, link)
     out = _step_alone_and_batched(state, phi, np.zeros(2), link, pset)
@@ -657,7 +657,7 @@ def test_ball_support_from_regressor_energy_is_support_value(d):
     # a single run's step takes the ball's support from the phi.phi it
     # absorbs into r; it must give the bits of support_value
     rng = np.random.default_rng(700 + d)
-    f = maps.ScaledTanh(dim=1, a=2.0)
+    f = maps.ScaledTanh(a=2.0)
     for _ in range(50):
         radius = rng.uniform(0.5, 20.0)
         phi = rng.standard_normal(d) * rng.uniform(1e-3, 1e3)

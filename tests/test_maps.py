@@ -10,32 +10,40 @@ from hypothesis import strategies as st
 
 from nadac import maps
 
-ALL_LINKS = [
-    maps.Identity(dim=2),
-    maps.ScaledTanh(dim=4, a=2.0),
-    maps.Sigmoid(dim=3),
-    maps.LeakyRelu(dim=2, slope=0.3),
-    maps.GaussianSurvival(dim=2),
-    maps.SmoothedClamp(dim=2, N=10.0, sigma=1.0),
-    maps.SmoothedClamp(dim=2, N=10.0, sigma=5.0),
+# each link with the size of the vectors its tests draw: links act
+# elementwise, so any size will do
+SIZED_LINKS = [
+    (maps.Identity(), 2),
+    (maps.ScaledTanh(a=2.0), 4),
+    (maps.Sigmoid(), 3),
+    (maps.LeakyRelu(slope=0.3), 2),
+    (maps.GaussianSurvival(), 2),
+    (maps.SmoothedClamp(N=10.0, sigma=1.0), 2),
+    (maps.SmoothedClamp(N=10.0, sigma=5.0), 2),
 ]
 
-BOUNDED_LINKS = [f for f in ALL_LINKS if f.bounded]
+ALL_LINKS = [f for f, _ in SIZED_LINKS]
+BOUNDED_LINKS = [(f, n) for f, n in SIZED_LINKS if f.bounded]
+
+
+def _link_id(case):
+    f = case[0]
+    return type(f).__name__ + str(getattr(f, "sigma", ""))
 
 
 def test_identity_eval():
-    f = maps.Identity(dim=2)
+    f = maps.Identity()
     np.testing.assert_array_equal(f.eval(np.array([3.0, -1.0])), [3.0, -1.0])
 
 
 def test_scaled_tanh_zero():
-    f = maps.ScaledTanh(dim=4, a=2.0)
+    f = maps.ScaledTanh(a=2.0)
     np.testing.assert_array_equal(f.eval(np.zeros(4)), np.zeros(4))
 
 
 def test_smoothed_clamp_zero_noise_limit():
     # sigma -> 0 degenerates to the hard clamp onto [0, N]
-    f = maps.SmoothedClamp(dim=3, N=10.0, sigma=1e-8)
+    f = maps.SmoothedClamp(N=10.0, sigma=1e-8)
     out = f.eval(np.array([-5.0, 4.0, 12.0]))
     np.testing.assert_allclose(out, [0.0, 4.0, 10.0], atol=1e-7)
 
@@ -67,15 +75,15 @@ def test_smoothed_clamp_monte_carlo():
 
 
 def test_alpha_env_closed_forms():
-    assert maps.ScaledTanh(dim=1, a=2.0).alpha_env(0.0) == pytest.approx(2.0)
-    f = maps.LeakyRelu(dim=1, slope=0.3)
+    assert maps.ScaledTanh(a=2.0).alpha_env(0.0) == pytest.approx(2.0)
+    f = maps.LeakyRelu(slope=0.3)
     for c in (0.0, 1.0, 50.0):
         assert f.alpha_env(c) == pytest.approx(0.3)
         assert f.beta_env(c) == pytest.approx(1.0)
-    g = maps.Sigmoid(dim=1)
+    g = maps.Sigmoid()
     for c in (0.0, 2.0, 10.0):
         assert g.beta_env(c) == pytest.approx(0.25)
-    h = maps.GaussianSurvival(dim=1)
+    h = maps.GaussianSurvival()
     assert h.beta_env(3.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi))
     assert h.alpha_env(2.0) == pytest.approx(np.exp(-2.0) / np.sqrt(2 * np.pi))
 
@@ -104,17 +112,18 @@ def test_envelope_monotonicity(f):
     assert all(a <= b + 1e-15 for a, b in zip(alphas, betas))
 
 
-@pytest.mark.parametrize("f", ALL_LINKS, ids=lambda f: type(f).__name__ + str(getattr(f, "sigma", "")))
+@pytest.mark.parametrize("case", SIZED_LINKS, ids=_link_id)
 @pytest.mark.parametrize("c", [0.5, 1.0, 5.0, 20.0])
-def test_envelope_soundness_random_pairs(f, c):
+def test_envelope_soundness_random_pairs(case, c):
     # increment inequalities behind the envelopes:
     #   (x-y)^T (f(x)-f(y)) >= alpha(c) ||x-y||^2
     #   ||f(x)-f(y)|| <= beta(c) ||x-y||
-    rng = np.random.default_rng(int(c * 100) + f.dim)
+    f, n = case
+    rng = np.random.default_rng(int(c * 100) + n)
     lo, hi = f.alpha_env(c), f.beta_env(c)
     for _ in range(2_500):
-        x = rng.uniform(-1, 1, f.dim)
-        y = rng.uniform(-1, 1, f.dim)
+        x = rng.uniform(-1, 1, n)
+        y = rng.uniform(-1, 1, n)
         x *= c / max(np.linalg.norm(x), 1.0)
         y *= c / max(np.linalg.norm(y), 1.0)
         dz = x - y
@@ -123,33 +132,34 @@ def test_envelope_soundness_random_pairs(f, c):
         assert np.linalg.norm(dfv) <= hi * np.linalg.norm(dz) + 1e-9
 
 
-@pytest.mark.parametrize("f", BOUNDED_LINKS, ids=lambda f: type(f).__name__ + str(getattr(f, "sigma", "")))
-def test_bounded_links_keep_positive_modulus_on_their_range(f):
+@pytest.mark.parametrize("case", BOUNDED_LINKS, ids=_link_id)
+def test_bounded_links_keep_positive_modulus_on_their_range(case):
     # the modulus evaluated at the output magnitude stays bounded away from
     # zero: saturation of the output does not degenerate the envelopes
+    f, n = case
     for z in np.linspace(-50, 50, 41):
-        r = float(np.linalg.norm(f.eval(np.full(f.dim, z))))
+        r = float(np.linalg.norm(f.eval(np.full(n, z))))
         assert f.alpha_env(r) > 0.0
         assert np.isfinite(f.beta_env(r))
 
 
 def test_huge_radius_clamps_not_raises():
-    f = maps.ScaledTanh(dim=1, a=2.0)
+    f = maps.ScaledTanh(a=2.0)
     assert f.alpha_env(500.0) >= 1e-300
-    g = maps.SmoothedClamp(dim=1, N=10.0, sigma=5.0)
+    g = maps.SmoothedClamp(N=10.0, sigma=5.0)
     assert g.alpha_env(5_000.0) >= 1e-300  # true value underflows a double
 
 
 def test_invalid_inputs():
-    f = maps.ScaledTanh(dim=1, a=2.0)
+    f = maps.ScaledTanh(a=2.0)
     with pytest.raises(ValueError):
         f.alpha_env(-1.0)
     with pytest.raises(ValueError):
         f.eval(np.array([np.nan]))
     with pytest.raises(ValueError):
-        maps.ScaledTanh(dim=1, a=-1.0)
+        maps.ScaledTanh(a=-1.0)
     with pytest.raises(ValueError):
-        maps.LeakyRelu(dim=1, slope=1.5)
+        maps.LeakyRelu(slope=1.5)
     with pytest.raises(ValueError):
         maps.SmoothedClamp(N=10.0, sigma=-1.0).eval(0.0)
 
@@ -169,10 +179,10 @@ def test_smoothed_clamp_between_hard_clamp_bounds(z, sigma, n_cap):
 
 
 @pytest.mark.parametrize("links", [
-    [maps.SmoothedClamp(dim=2, N=10.0, sigma=s) for s in (1.0, 5.0, 10.0)],
-    [maps.ScaledTanh(dim=2, a=a) for a in (0.5, 2.0)],
-    [maps.LeakyRelu(dim=2, slope=s) for s in (0.1, 0.3, 0.3)],
-    [maps.Sigmoid(dim=2)] * 3,
+    [maps.SmoothedClamp(N=10.0, sigma=s) for s in (1.0, 5.0, 10.0)],
+    [maps.ScaledTanh(a=a) for a in (0.5, 2.0)],
+    [maps.LeakyRelu(slope=s) for s in (0.1, 0.3, 0.3)],
+    [maps.Sigmoid()] * 3,
 ], ids=["smoothed_clamp", "scaled_tanh", "leaky_relu", "shared"])
 def test_stacked_link_evaluates_each_run_as_alone(links):
     batch = maps.stacked(links, 1)
@@ -186,14 +196,15 @@ def test_stacked_link_evaluates_each_run_as_alone(links):
         assert batch.N == 10.0 and batch.sigma.shape == (3, 1)
 
 
+# the links of R = 3 runs, with the size of the vectors the tests draw
 STACKED_CALLS = {
     **{type(f).__name__ + (f"_sigma{f.sigma:g}" if isinstance(f, maps.SmoothedClamp) else ""):
-       [f] * 3 for f in ALL_LINKS},
-    "ScaledTanh_per_run": [maps.ScaledTanh(dim=2, a=a) for a in (0.5, 2.0, 2.0)],
-    "LeakyRelu_per_run": [maps.LeakyRelu(dim=2, slope=s) for s in (0.1, 0.3, 0.5)],
-    "SmoothedClamp_per_run_sigma": [
-        maps.SmoothedClamp(dim=2, N=10.0, sigma=s) for s in (1.0, 5.0, 10.0)
-    ],
+       ([f] * 3, n) for f, n in SIZED_LINKS},
+    "ScaledTanh_per_run": ([maps.ScaledTanh(a=a) for a in (0.5, 2.0, 2.0)], 2),
+    "LeakyRelu_per_run": ([maps.LeakyRelu(slope=s) for s in (0.1, 0.3, 0.5)], 2),
+    "SmoothedClamp_per_run_sigma": (
+        [maps.SmoothedClamp(N=10.0, sigma=s) for s in (1.0, 5.0, 10.0)], 2
+    ),
 }
 
 
@@ -204,8 +215,7 @@ def test_stacked_call_is_separate_calls_bit_for_bit(name, rows):
     # with the estimator's prediction stacked after them, in one call: each
     # row must get the bits of its own call, alone (rows, n) and in a batch
     # (rows, R, n) with the link's per-run parameters stacked along R
-    links = STACKED_CALLS[name]
-    n = links[0].dim
+    links, n = STACKED_CALLS[name]
     rng = np.random.default_rng(rows)
     z = rng.uniform(-30.0, 30.0, (rows, len(links), n))
     z[0, 0, 0], z[-1, -1, -1] = 0.0, -0.0
@@ -225,16 +235,14 @@ def test_stacked_call_is_separate_calls_bit_for_bit(name, rows):
 
 def test_stacked_rejects_runs_of_different_kinds():
     with pytest.raises(ValueError):
-        maps.stacked([maps.Sigmoid(dim=2), maps.Identity(dim=2)])
-    with pytest.raises(ValueError):
-        maps.stacked([maps.Sigmoid(dim=2), maps.Sigmoid(dim=3)])
+        maps.stacked([maps.Sigmoid(), maps.Identity()])
 
 
 def test_gaussian_cdf_links_evaluate_in_a_spawned_process():
     # a spawned process imports nadac afresh, and unpickling a link skips its
     # __post_init__: the first Gaussian cdf it takes imports scipy itself
     z = np.linspace(-8.0, 18.0, 7)
-    links = [maps.SmoothedClamp(dim=7, N=10.0, sigma=2.0), maps.GaussianSurvival(dim=7)]
+    links = [maps.SmoothedClamp(N=10.0, sigma=2.0), maps.GaussianSurvival()]
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         got = [pool.submit(type(f).eval, f, z) for f in links]
         got.append(pool.submit(maps.SmoothedClamp(N=10.0, sigma=2.0).eval, z))
@@ -249,7 +257,7 @@ def test_smoothed_clamp_envelopes_match_each_bound(sigma):
     # one pair of endpoint derivatives and the stored peak give both bounds,
     # bit for bit as each bound from its own derivative evaluations; c = 1e3
     # drives the alpha bound to its floor
-    f = maps.SmoothedClamp(dim=2, N=10.0, sigma=sigma)
+    f = maps.SmoothedClamp(N=10.0, sigma=sigma)
     half = 0.5 * f.N
     for c in (0.0, 0.25 * f.N, np.nextafter(half, 0.0), half, f.N, 10.0 * f.N, 1e3):
         ends = [f._deriv(-c), f._deriv(c)]
@@ -262,8 +270,8 @@ def test_smoothed_clamp_envelopes_match_each_bound(sigma):
 
 
 @pytest.mark.parametrize("f", [
-    maps.Identity(dim=2), maps.ScaledTanh(dim=1, a=2.0), maps.Sigmoid(dim=1),
-    maps.LeakyRelu(dim=2, slope=0.3), maps.GaussianSurvival(dim=1),
+    maps.Identity(), maps.ScaledTanh(a=2.0), maps.Sigmoid(),
+    maps.LeakyRelu(slope=0.3), maps.GaussianSurvival(),
 ], ids=lambda f: type(f).__name__)
 def test_links_without_override_take_both_envelopes(f):
     assert type(f).envelopes is maps.LinkFunction.envelopes
@@ -275,8 +283,7 @@ def test_links_without_override_take_both_envelopes(f):
 def test_end_to_end_call_is_separate_calls_bit_for_bit(name):
     # a single run without a reference hands the link its plant row and its
     # prediction's input end to end, as one vector of 2n entries
-    link = STACKED_CALLS[name][0]
-    n = link.dim
+    (link, *_), n = STACKED_CALLS[name]
     rng = np.random.default_rng(len(name))
     for _ in range(20):
         y, z = rng.uniform(-30.0, 30.0, n), rng.uniform(-30.0, 30.0, n)

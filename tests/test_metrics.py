@@ -9,7 +9,7 @@ from nadac import estimator as est, maps, metrics
 def _acc(n=1, m=1, theta_star=None):
     if theta_star is None:
         theta_star = np.zeros((n + m, n))
-    return metrics.MetricAccumulator(theta_star, maps.Identity(dim=n), 4.0)
+    return metrics.MetricAccumulator(theta_star, maps.Identity(), 4.0)
 
 
 def _feed(acc, phi, x_next=None, v=None, w=None, x_star=None, u_star=None,
@@ -165,7 +165,7 @@ def test_blocks_absorb_exactly_as_single_steps():
     rng = np.random.default_rng(3)
     n, m, T = 3, 2, 600
     theta_star = rng.standard_normal((n + m, n))
-    link = maps.ScaledTanh(dim=n)
+    link = maps.ScaledTanh()
     x, u = rng.standard_normal((T + 1, n)), rng.standard_normal((T, m))
     # the record's layout: x, x_star and theta_hat hold T+1 rows, the rest T
     rec = {

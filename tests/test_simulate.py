@@ -14,7 +14,7 @@ from nadac import control, estimator as est, maps, simulate
 def _identity_plant(a_gain=0.5, n=2):
     theta = np.vstack([(a_gain * np.eye(n)).T, np.eye(n).T])
     return simulate.PlantSpec(
-        theta_star=theta, link=maps.Identity(dim=n), n=n, m=n, x0=np.zeros(n)
+        theta_star=theta, link=maps.Identity(), n=n, m=n, x0=np.zeros(n)
     )
 
 
@@ -24,7 +24,7 @@ def _identity_plant(a_gain=0.5, n=2):
 
 def test_plant_step_pure_noise():
     plant = simulate.PlantSpec(
-        theta_star=np.zeros((4, 2)), link=maps.Identity(dim=2), n=2, m=2, x0=np.zeros(2)
+        theta_star=np.zeros((4, 2)), link=maps.Identity(), n=2, m=2, x0=np.zeros(2)
     )
     w = np.array([0.3, -0.2])
     np.testing.assert_array_equal(
@@ -35,7 +35,7 @@ def test_plant_step_pure_noise():
 def test_plant_step_tanh_equilibrium_at_zero():
     theta = np.zeros((5, 4))
     plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.ScaledTanh(dim=4, a=2.0), n=4, m=1, x0=np.zeros(4)
+        theta_star=theta, link=maps.ScaledTanh(a=2.0), n=4, m=1, x0=np.zeros(4)
     )
     out = simulate.plant_step(plant, np.zeros(4), np.zeros(1), np.zeros(4))
     np.testing.assert_array_equal(out, np.zeros(4))
@@ -43,7 +43,7 @@ def test_plant_step_tanh_equilibrium_at_zero():
 
 @pytest.mark.parametrize("stack", [None, 2], ids=["alone", "with_reference"])
 def test_plant_step_with_prediction_is_two_calls_bit_for_bit(stack):
-    link = maps.SmoothedClamp(dim=2, N=10.0, sigma=5.0)
+    link = maps.SmoothedClamp(N=10.0, sigma=5.0)
     theta = np.array([[0.9, 0.1], [-0.2, 0.7], [1.0, 0.0], [0.3, -1.0]])
     plant = simulate.PlantSpec(theta_star=theta, link=link, n=2, m=2, x0=np.zeros(2))
     rng = np.random.default_rng(3)
@@ -62,7 +62,7 @@ def test_plant_step_smoothed_clamp_midpoint():
     b = np.array([[-0.3, 0.0, -0.15, -1.0, 0.0], [0.0, -0.3, -0.15, 0.0, -1.0]])
     theta = np.vstack([a.T, b.T])
     plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.SmoothedClamp(dim=2, N=10.0, sigma=1.0),
+        theta_star=theta, link=maps.SmoothedClamp(N=10.0, sigma=1.0),
         n=2, m=5, x0=np.zeros(2),
     )
     x = np.array([10.0, 10.0])
@@ -147,7 +147,7 @@ def test_certainty_equivalence_zero_noise_tracks_exactly():
     plant = _identity_plant(a_gain=0.5)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
     mech = control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2))
-    probe = control.ProbingSignal(decay_b=0.125, dim=2, bound_eps=0.0)
+    probe = control.ProbingSignal(decay_b=0.125, dim=2, half_width=0.0)
     noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.0)
     plant = simulate.PlantSpec(
         theta_star=plant.theta_star, link=plant.link, n=2, m=2, x0=np.array([1.0, -2.0])
@@ -186,7 +186,7 @@ def test_probe_toggle_keeps_noise_realization():
     on = _run(plant, pset, _null_policy(2, 2),
               control.ProbingSignal(decay_b=0.0, dim=2), noise, 50, 3)
     off = _run(plant, pset, _null_policy(2, 2),
-               control.ProbingSignal(decay_b=0.0, dim=2, bound_eps=0.0), noise, 50, 3)
+               control.ProbingSignal(decay_b=0.0, dim=2, half_width=0.0), noise, 50, 3)
     np.testing.assert_array_equal(on.w, off.w)
     assert not np.allclose(on.x, off.x)
 
@@ -213,11 +213,10 @@ def test_divergence_guard_aborts_with_partial_record():
     noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.0)
     with pytest.raises(simulate.RunAbort) as exc:
         _run(plant, pset, _null_policy(2, 2),
-             control.ProbingSignal(decay_b=0.0, dim=2, bound_eps=0.0),
+             control.ProbingSignal(decay_b=0.0, dim=2, half_width=0.0),
              noise, 500, 0, divergence_ceiling=1e3)
-    assert 0 < exc.value.step < 500
-    assert exc.value.record is not None
-    assert exc.value.record.steps_completed == exc.value.step
+    assert 0 < exc.value.record.steps_completed < 500
+    assert str(exc.value).endswith(f"(step {exc.value.record.steps_completed})")
 
 
 def test_abort_mid_block_keeps_the_rows_before_it(monkeypatch):
@@ -241,7 +240,7 @@ def test_abort_mid_block_keeps_the_rows_before_it(monkeypatch):
     with pytest.raises(simulate.RunAbort) as exc:
         _run(plant, pset, _null_policy(2, 2), probe, noise, 300, 11)
     rec = exc.value.record
-    assert exc.value.step == rec.steps_completed == 150
+    assert rec.steps_completed == 150 and str(exc.value).endswith("(step 150)")
     assert rec.acc.steps == 150
     for attr in ("lambda_t", "v_lyap", "j_t"):
         assert np.array_equal(getattr(rec, attr)[:150], getattr(full, attr)[:150]), attr
@@ -260,7 +259,7 @@ def test_theta_star_must_fit_the_shrunken_set():
 def test_gaussian_noise_rejected_with_bounded_link():
     theta = np.zeros((5, 4))
     plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.ScaledTanh(dim=4, a=2.0), n=4, m=1, x0=np.zeros(4)
+        theta_star=theta, link=maps.ScaledTanh(a=2.0), n=4, m=1, x0=np.zeros(4)
     )
     pset = est.FrobeniusBall(5.0)
     noise = simulate.NoiseSpec(kind="gaussian", n=4, sigma=1.0)
@@ -302,7 +301,7 @@ def test_open_loop_zero_input_stays_bounded():
     theta = np.zeros((5, 4))
     theta[:4] = (0.7 * np.eye(4)).T
     plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.ScaledTanh(dim=4, a=2.0), n=4, m=1,
+        theta_star=theta, link=maps.ScaledTanh(a=2.0), n=4, m=1,
         x0=np.array([1.0, 1.0, -1.0, -1.0]),
     )
     pset = est.FrobeniusBall(5.0)
@@ -314,7 +313,7 @@ def test_open_loop_zero_input_stays_bounded():
 def test_open_loop_excitation_grows_lambda_linearly():
     theta_star = np.array([[0.5], [0.3]])
     plant = simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(dim=1), n=1, m=1, x0=np.zeros(1)
+        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.zeros(1)
     )
     pset = est.FrobeniusBall(2.0)
     noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
@@ -328,7 +327,7 @@ def test_open_loop_rank_deficient_input_stalls_lambda_but_settles():
     # x0 = 0, zero noise, zero input: the regressor never leaves {0}
     theta_star = np.array([[0.5], [0.3]])
     plant = simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(dim=1), n=1, m=1, x0=np.zeros(1)
+        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.zeros(1)
     )
     pset = est.FrobeniusBall(2.0)
     noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.0)
@@ -340,7 +339,7 @@ def test_open_loop_rank_deficient_input_stalls_lambda_but_settles():
 def test_open_loop_state_feedback_policy():
     theta_star = np.array([[0.5], [0.3]])
     plant = simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(dim=1), n=1, m=1, x0=np.array([1.0])
+        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.array([1.0])
     )
     pset = est.FrobeniusBall(2.0)
     noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
@@ -352,7 +351,7 @@ def test_open_loop_state_feedback_policy():
 def _identification_plant():
     theta_star = np.array([[0.5], [0.3]])
     return simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(dim=1), n=1, m=1, x0=np.array([1.0])
+        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.array([1.0])
     )
 
 
@@ -506,7 +505,7 @@ def _projected_record():
 
 def _truncated_record():
     plant = simulate.PlantSpec(
-        theta_star=_identity_plant(a_gain=2.0).theta_star, link=maps.Identity(dim=2),
+        theta_star=_identity_plant(a_gain=2.0).theta_star, link=maps.Identity(),
         n=2, m=2, x0=np.array([1.0, 1.0]),
     )
     noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1)
@@ -674,7 +673,7 @@ def test_summary_projections_are_the_estimator_projections():
     ro = cfgmod.validate_config(cfgs[2])
     ro.divergence_ceiling = ceiling
     (aborted,) = simulate.run_batch([ro])
-    assert aborted.step == cross
+    assert aborted.record.steps_completed == cross
     runs.append((cfgs[2], aborted.record))
     for cfg, rec in runs:
         assert _replayed_projections(cfg, rec) == rec.summary()["projections"] > 0
@@ -691,7 +690,7 @@ def test_build_run_honours_every_spec_field(tmp_path):
     (batched,) = simulate.run_batch([ro])
     with pytest.raises(simulate.RunAbort) as alone:
         cfgmod.build_run(ro)
-    assert alone.value.step == batched.step == cross
+    assert alone.value.record.steps_completed == batched.record.steps_completed == cross
     assert str(alone.value) == str(batched)
     _assert_same_run(alone.value.record, batched.record, tmp_path)
 
@@ -731,7 +730,7 @@ def test_rerun_of_one_spec_gives_the_same_bytes(tmp_path):
 
 def _divergent_specs(ceilings):
     plant = simulate.PlantSpec(
-        theta_star=_identity_plant(a_gain=1.05).theta_star, link=maps.Identity(dim=2),
+        theta_star=_identity_plant(a_gain=1.05).theta_star, link=maps.Identity(),
         n=2, m=2, x0=np.array([1.0, 1.0]),
     )
     noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
@@ -764,9 +763,9 @@ def test_batch_run_that_aborts_leaves_as_alone(tmp_path, ceilings):
             solo = exc
         if isinstance(solo, simulate.RunAbort):
             assert isinstance(result, simulate.RunAbort)
-            assert 101 < solo.step < 200
-            assert (str(result), result.step) == (str(solo), solo.step)
-            assert result.record.acc.steps == solo.record.acc.steps == solo.step
+            assert 101 < solo.record.steps_completed < 200
+            assert str(result) == str(solo)
+            assert result.record.acc.steps == solo.record.acc.steps == solo.record.steps_completed
             for attr in ("lambda_t", "v_lyap", "j_t", "x", "u", "d_t"):
                 assert np.array_equal(
                     getattr(result.record, attr), getattr(solo.record, attr), equal_nan=True
@@ -802,11 +801,11 @@ def test_riccati_batch_run_that_aborts_late_leaves_as_alone(tmp_path):
     ceiling, cross = _late_crossing_ceiling(simulate.run_batch(specs()[1:2])[0], 60)
     batched = simulate.run_batch(specs(ceiling))
     solos = [simulate.run_batch([spec])[0] for spec in specs(ceiling)]
-    assert isinstance(solos[1], simulate.RunAbort) and solos[1].step == cross
+    assert isinstance(solos[1], simulate.RunAbort) and solos[1].record.steps_completed == cross
     for solo, result in zip(solos, batched):
         if isinstance(solo, simulate.RunAbort):
             assert isinstance(result, simulate.RunAbort)
-            assert (str(result), result.step) == (str(solo), solo.step)
+            assert str(result) == str(solo)
             _assert_same_run(solo.record, result.record, tmp_path)
         else:
             _assert_same_run(solo, result, tmp_path)
@@ -846,16 +845,16 @@ REFERENCE_CASES = {
         lambda mech, k: dataclasses.replace(mech, R=mech.R + k),
     ),
     "pinning-constant": lambda: (
-        control.PinningLeader(x_leader=1.63, pattern=np.array([1.0, 0.0]), kappa0=0.7),
+        control.PinningLeader(x_leader=1.63, pattern=np.array([1.0, 0.0]), c2=0.7),
         np.array([[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]]),
-        lambda mech, k: dataclasses.replace(mech, kappa0=mech.kappa0 + k),
+        lambda mech, k: dataclasses.replace(mech, c2=mech.c2 + k),
     ),
     "pinning-affine": lambda: (
         control.PinningLeader(
-            x_leader=2.0, pattern=np.array([1.0, 0.5]), affine_c1=0.5, affine_c2=1.0
+            x_leader=2.0, pattern=np.array([1.0, 0.5]), c1=0.5, c2=1.0
         ),
         np.array([[0.6, 0.2], [0.3, 0.5], [-1.0, 0.0], [0.0, -1.0]]),
-        lambda mech, k: dataclasses.replace(mech, affine_c1=mech.affine_c1 + 0.25 * k),
+        lambda mech, k: dataclasses.replace(mech, c1=mech.c1 + 0.25 * k),
     ),
 }
 
@@ -947,14 +946,14 @@ def test_reference_dare_failure_aborts_at_step_0():
     cfg = _overflowing_reference_cfg()
     with pytest.raises(simulate.RunAbort) as info:
         cfgmod.build_run(cfg)
-    assert info.value.step == 0 and "DARE" in str(info.value)
+    assert str(info.value).endswith("(step 0)") and "DARE" in str(info.value)
     assert info.value.record.steps_completed == 0
     # in a batch, the run gets the abort it gets alone and the other its record
     stable = copy.deepcopy(cfg)
     stable["plant"]["theta_star"] = [[0.5], [1.0]]
     aborted, rec = simulate.run_batch([cfgmod.validate_config(c) for c in (cfg, stable)])
     assert isinstance(aborted, simulate.RunAbort)
-    assert (str(aborted), aborted.step) == (str(info.value), 0)
+    assert str(aborted) == str(info.value)
     assert rec.steps_completed == 50
 
 
@@ -974,7 +973,7 @@ def test_plant_step_keeps_positive_zero_for_scalar_state(with_prediction):
     # with n = 1, A < 0 and x = 0, np.matvec gives +0.0 where ndarray.dot
     # gives -0.0; with a -0.0 draw of w the state's sign would show it
     plant = simulate.PlantSpec(
-        theta_star=np.array([[-0.5], [-0.3]]), link=maps.Identity(dim=1), n=1, m=1,
+        theta_star=np.array([[-0.5], [-0.3]]), link=maps.Identity(), n=1, m=1,
         x0=np.zeros(1),
     )
     x, u, w = np.zeros(1), np.zeros(1), np.array([-0.0])
