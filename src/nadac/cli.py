@@ -73,7 +73,10 @@ def cmd_run(args):
         try:
             rec = cfgmod.build_run(ro)
         except simulate.RunAbort as exc:
-            exc.record.write_csv(out / "run_truncated.csv")
+            try:
+                exc.record.write_csv(out / "run_truncated.csv")
+            except OSError as err:  # one line that gives both reasons
+                raise OSError(f"{exc}; cannot write {err.filename}: {err.strerror}") from None
             raise
         writer.commit(rec.steps_completed)
     manifest = _write_manifest(cfg, ro, rec, out)

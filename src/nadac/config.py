@@ -168,10 +168,10 @@ def _parameter_set(cfg):
     return _construct("parameter_set", cls, *args, _number(cfg, "parameter_set.rho_eps", 0.5))
 
 
-def _noise(cfg, n):
+def _noise(cfg):
     kind = _kind(cfg, "noise.kind", ("uniform_cube", "truncated_gaussian", "gaussian"), _REQUIRED)
     return _construct(
-        "noise", simulate.NoiseSpec, kind=kind, n=n,
+        "noise", simulate.NoiseSpec, kind=kind,
         half_width=_nonnegative(cfg, "noise.half_width", 0.1),
         sigma=_nonnegative(cfg, "noise.sigma", 1.0), trunc=_nonnegative(cfg, "noise.trunc", np.inf),
     )
@@ -206,7 +206,7 @@ def _policy(cfg, n, m):
     return _construct("policy", control.RiccatiFeedback, Q, R, lift_kind=lift)
 
 
-def _probe(cfg, raw_dim):
+def _probe(cfg):
     """The probe's one form: "scaled_uniform" is uniform on [-sqrt(3),
     sqrt(3)], of identity covariance, and a bound_eps of 0 switches it off."""
     b = _number(cfg, "probe.b", 0.0)
@@ -216,7 +216,7 @@ def _probe(cfg, raw_dim):
         width = float(np.sqrt(3.0))
     if _nonnegative(cfg, "probe.bound_eps", None) == 0.0:
         width = 0.0
-    return _construct("probe", control.ProbingSignal, b, raw_dim, width)
+    return _construct("probe", control.ProbingSignal, b, width)
 
 
 def dare_matrices(path):
@@ -286,24 +286,24 @@ def validate_config(cfg):
     if not pset.contains(theta0):
         raise ConfigError("estimator.theta0", "must lie in the parameter set")
 
-    noise = _noise(_section(cfg, "noise", _REQUIRED), n)
+    noise = _noise(_section(cfg, "noise", _REQUIRED))
     if link.bounded and not noise.bounded:
         raise ConfigError("noise.kind", "Gaussian noise is not allowed with bounded links")
 
-    mech = None
-    probe = None
-    input_policy = None
+    mech = input_gain = None
     if mode == "closed_loop":
         mech = _policy(_section(cfg, "policy", _REQUIRED), n, m)
-        probe = _probe(_section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0}), mech.raw_dim)
+        probe = _probe(_section(cfg, "probe", {"b": 0.0, "bound_eps": 0.0}))
     else:
+        # the open-loop input: a probe of decay 0, plus K x for state feedback
         ip_cfg = _section(cfg, "input_policy", {})
-        kinds = ("zero", "iid_uniform", "state_feedback")
-        input_policy = _kind(ip_cfg, "input_policy.kind", kinds, "zero")
-        if input_policy == "iid_uniform":
-            input_policy = (input_policy, _nonnegative(ip_cfg, "input_policy.half_width", 1.0))
-        elif input_policy == "state_feedback":
-            input_policy = (input_policy, _array(ip_cfg, "input_policy.K", (m, n), _REQUIRED))
+        kind = _kind(ip_cfg, "input_policy.kind", ("zero", "iid_uniform", "state_feedback"), "zero")
+        width = 0.0
+        if kind == "iid_uniform":
+            width = _nonnegative(ip_cfg, "input_policy.half_width", 1.0)
+        elif kind == "state_feedback":
+            input_gain = _array(ip_cfg, "input_policy.K", (m, n), _REQUIRED)
+        probe = control.ProbingSignal(0.0, width)
 
     met_cfg = _section(cfg, "metrics", {})
     gamma = _number(met_cfg, "metrics.gamma", 4.0)
@@ -335,8 +335,8 @@ def validate_config(cfg):
         raise ConfigError("seed", "must be >= 0")
 
     return RunObjects(
-        simulate.PlantSpec(theta_star=theta_star, link=link, n=n, m=m, x0=x0),
-        pset, noise, seed, mech=mech, probe=probe, input_policy=input_policy, theta0=theta0,
+        simulate.PlantSpec(theta_star=theta_star, link=link, x0=x0),
+        pset, noise, seed, probe, mech=mech, input_gain=input_gain, theta0=theta0,
         delta=delta, gamma=gamma, horizon=horizon, eig_stride=eig_stride,
         log_stride=log_stride, output_dir=output_dir(cfg),
     )

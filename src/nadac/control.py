@@ -288,10 +288,10 @@ def frozen_policy(mech, theta):
 class ProbingSignal:
     """v_t = (t+1)^{-decay_b} * eps_t, eps i.i.d. uniform on [-h, h] per
     coordinate (zero mean, covariance h^2/3 * I; h = sqrt(3) gives the
-    identity).  A half width h of 0 switches the probe off: no draws."""
+    identity).  A half width h of 0 switches the probe off: no draws.  With
+    decay_b = 0 it is i.i.d., the open-loop input of identification."""
 
     decay_b: float
-    dim: int
     half_width: float = 1.0
 
     def __post_init__(self):
@@ -301,17 +301,17 @@ class ProbingSignal:
             raise ValueError("probe half_width must be >= 0")
 
 
-def probe_sample(sig, t, rng, steps=None):
-    """Draw v_t; deterministic given the generator state.  With ``steps``,
-    draw v_t .. v_{t+steps-1} at once, one row per step: the same values and
-    the same use of the stream as ``steps`` single draws."""
-    shape = sig.dim if steps is None else (steps, sig.dim)
+def probe_sample(sig, t, rng, shape):
+    """Draw v_t of ``shape``, the mechanism's raw_dim; deterministic given
+    the generator state.  A shape (steps, raw_dim) draws v_t ..
+    v_{t+steps-1} at once, one row per step: the same values and the same
+    use of the stream as that many single draws."""
     if sig.half_width == 0.0:
         return np.zeros(shape)
     eps = rng.uniform(-sig.half_width, sig.half_width, size=shape)
-    if steps is None:
+    if eps.ndim == 1:
         return (t + 1.0) ** (-sig.decay_b) * eps
-    return np.array([[(s + 1.0) ** (-sig.decay_b)] for s in range(t, t + steps)]) * eps
+    return np.array([[(s + 1.0) ** (-sig.decay_b)] for s in range(t, t + len(eps))]) * eps
 
 
 def adaptive_input(mech, theta_hat_prev, x, v_raw):

@@ -246,7 +246,6 @@ class EstimatorState:
     theta_hat: np.ndarray  # (n+m, n)
     p_matrix: np.ndarray  # (n+m, n+m), symmetric PD
     r_accum: float  # 1 + sum ||phi||^2
-    step: int
     delta: float
 
     @property
@@ -284,7 +283,6 @@ def new_estimator(theta0, pset, delta, f):
         theta_hat=theta0.copy(),
         p_matrix=np.eye(dim),
         r_accum=1.0,
-        step=0,
         delta=float(delta),
     )
 
@@ -363,7 +361,7 @@ def step_weights(state, phi, f, pset, z=None):
     return StepDiagnostics(d_gain=d, g_bar=g_bar, a_weight=a, mu_weight=mu, quad=quad, z=z)
 
 
-def _extended_weights(phi, p_matrix, r_accum, delta, d, g_bar, step):
+def _extended_weights(phi, p_matrix, r_accum, delta, d, g_bar):
     """(a_t, mu_t) of one run re-derived in extended precision, for a
     contraction factor a d^2 quad >= 1, which is impossible in exact
     arithmetic: a (mu + d^2 quad) = 1.  Raises NumericalAbort when the
@@ -375,7 +373,7 @@ def _extended_weights(phi, p_matrix, r_accum, delta, d, g_bar, step):
     a_l = 1.0 / (mu_l + np.longdouble(d) ** 2 * quad_l)
     contraction = float(a_l * np.longdouble(d) ** 2 * quad_l)
     if contraction >= 1.0:
-        raise NumericalAbort(f"covariance contraction factor {contraction} >= 1 at step {step}")
+        raise NumericalAbort(f"covariance contraction factor {contraction} >= 1")
     return float(a_l), float(mu_l)
 
 
@@ -392,7 +390,7 @@ def _step_one(st, diag, phi, x_next, f, pset, prediction):
     numpy calls."""
     d, a, mu, quad = diag.d_gain, diag.a_weight, diag.mu_weight, diag.quad
     if a * d * d * quad >= 1.0:
-        a, mu = _extended_weights(phi, st.p_matrix, st.r_accum, st.delta, d, diag.g_bar, st.step)
+        a, mu = _extended_weights(phi, st.p_matrix, st.r_accum, st.delta, d, diag.g_bar)
         diag.a_weight, diag.mu_weight = a, mu
     p_phi = st.p_matrix.dot(phi)
     p_next = st.p_matrix - (a * d * d) * np.multiply.outer(p_phi, p_phi)
@@ -403,14 +401,13 @@ def _step_one(st, diag, phi, x_next, f, pset, prediction):
     update = np.multiply.outer(p_next.dot(phi), x_next - prediction)
     candidate = st.theta_hat + (d / mu) * update
     if not all_finite(candidate):
-        raise NumericalAbort(f"non-finite parameter update at step {st.step}")
+        raise NumericalAbort("non-finite parameter update")
     if pset.contains(candidate):
         st.theta_hat = candidate
     else:
         st.theta_hat = _project(candidate, p_next, pset)
         diag.projected = True
     st.p_matrix = p_next
-    st.step += 1
     return st, diag
 
 
@@ -443,7 +440,6 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
         theta_hat=state.theta_hat,
         p_matrix=state.p_matrix,
         r_accum=state.r_accum,
-        step=state.step,
         delta=state.delta,
     )
     diag = step_weights(st, phi, f, pset, z)
@@ -455,7 +451,7 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     if np.maximum.reduce(contraction) >= 1.0:
         for r in np.flatnonzero(contraction >= 1.0):
             a[r], mu[r] = _extended_weights(
-                phi[r], st.p_matrix[r], st.r_accum[r], st.delta[r], d[r], diag.g_bar[r], st.step
+                phi[r], st.p_matrix[r], st.r_accum[r], st.delta[r], d[r], diag.g_bar[r]
             )
 
     gain, step = (a * d * d)[:, None, None], (d / mu)[:, None, None]
@@ -468,7 +464,7 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
     update = np.matvec(p_next, phi)[:, :, None] * residual[:, None, :]
     candidate = st.theta_hat + step * update
     if not all_finite(candidate):
-        raise NumericalAbort(f"non-finite parameter update at step {st.step}")
+        raise NumericalAbort("non-finite parameter update")
 
     inside = pset.contains(candidate)
     diag.projected = ~inside
@@ -478,5 +474,4 @@ def estimator_step(state, phi, x_next, f, pset, z=None, prediction=None):
             candidate[r] = _project(candidate[r], p_next[r], sets[r])
     st.theta_hat = candidate
     st.p_matrix = p_next
-    st.step += 1
     return st, diag

@@ -2,7 +2,7 @@
 
 A closed-loop run co-simulates the adaptive loop and the oracle reference
 trajectory on a shared noise stream; an open-loop identification run drives
-the plant with an exogenous input and has no reference.  Both advance the
+the plant with its probe as the input and has no reference.  Both advance the
 estimator once per step.  Step order at time t: input -> reference ->
 noise -> plant (one link call for both trajectories and the estimator's
 prediction) -> estimator update; the controller always sees the estimate
@@ -45,11 +45,19 @@ class RunAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class PlantSpec:
-    theta_star: np.ndarray  # (n+m, n)
+    """n and m are read off theta_star (n+m, n), after a batch's run axis."""
+
+    theta_star: np.ndarray
     link: object
-    n: int
-    m: int
     x0: np.ndarray
+
+    @property
+    def n(self):
+        return self.theta_star.shape[-1]
+
+    @property
+    def m(self):
+        return self.theta_star.shape[-2] - self.theta_star.shape[-1]
 
     @cached_property
     def a_matrix(self):
@@ -93,7 +101,6 @@ class NoiseSpec:
     """
 
     kind: str
-    n: int
     half_width: float = 0.1
     sigma: float = 1.0
     trunc: float = np.inf
@@ -112,10 +119,10 @@ class NoiseSpec:
         return self.kind != "gaussian"
 
 
-def noise_sample(spec, rng, steps=None):
-    """Draw w; with ``steps``, that many draws at once, one row per step,
-    with the same values and the same use of the stream as single draws."""
-    shape = spec.n if steps is None else (steps, spec.n)
+def noise_sample(spec, rng, shape):
+    """Draw w of ``shape``: n for one step, or (steps, n) for that many steps
+    at once, one row per step, with the same values and the same use of the
+    stream as single draws."""
     if spec.kind == "uniform_cube":
         return rng.uniform(-spec.half_width, spec.half_width, size=shape)
     w = rng.standard_normal(shape) * spec.sigma
@@ -126,7 +133,7 @@ def noise_sample(spec, rng, steps=None):
 
 def spawn_streams(seed):
     """The two substreams the loop draws from, off one root seed: "noise"
-    and "probe" (the probe or open-loop input); drawing probes never
+    and "probe" (the probe, which is the open-loop input); drawing probes never
     perturbs the plant noise realization."""
     root = np.random.SeedSequence(seed)
     names = ("noise", "probe")
@@ -401,9 +408,9 @@ def _csv_child(rfd, fd, ewfd, tmp, path, header, stride):
 
 @dataclass
 class RunSpec:
-    """The whole of one run: the arguments of run_closed_loop (``mech`` and
-    ``probe`` set) or of run_open_loop_id (``input_policy`` set), with the
-    horizon and the stride of the excitation eigenvalue (lambda_t).  A
+    """The whole of one run: the arguments of run_closed_loop (``mech`` set)
+    or of run_open_loop_id (``input_gain`` K or None), with the horizon and
+    the stride of the excitation eigenvalue (lambda_t).  A
     ``csv_writer`` (CsvWriter) is sent each block of rows as soon as it is
     final; only a run alone takes one."""
 
@@ -411,9 +418,9 @@ class RunSpec:
     pset: object
     noise: NoiseSpec
     seed: int
+    probe: control.ProbingSignal
     mech: object = None
-    probe: object = None
-    input_policy: object = None
+    input_gain: object = None
     theta0: object = None
     delta: float = 0.5
     gamma: float = 4.0
@@ -425,35 +432,32 @@ class RunSpec:
 
 
 def batch_key(spec):
-    """What the runs of one batch share: the horizon, the eig stride, the
-    mode, n, m and the kind of the link, the parameter set, the policy and
-    its lift, the noise and the input policy.  Their numeric values may
-    differ."""
-    ip = spec.input_policy
+    """What the runs of one batch share: the horizon, the eig stride, n, m
+    and the kind of the link, the parameter set, the policy (None in open
+    loop) and its lift, the noise, and whether an input gain is set.  Their
+    numeric values may differ."""
     return (
-        spec.horizon, spec.eig_stride, spec.mech is not None, spec.plant.n, spec.plant.m,
-        type(spec.plant.link), type(spec.pset), type(spec.mech),
-        getattr(spec.mech, "lift_kind", None), spec.noise.kind,
-        ip[0] if isinstance(ip, tuple) else ip,
+        spec.horizon, spec.eig_stride, spec.plant.n, spec.plant.m, type(spec.plant.link),
+        type(spec.pset), type(spec.mech), getattr(spec.mech, "lift_kind", None),
+        spec.noise.kind, spec.input_gain is None,
     )
 
 
 def run_closed_loop(plant, pset, mech, probe, noise, horizon, seed, **options):
     """Adaptive closed loop plus oracle reference on a shared noise stream;
     ``options`` are the other fields of RunSpec."""
-    spec = RunSpec(plant, pset, noise, seed, mech=mech, probe=probe, horizon=horizon, **options)
+    spec = RunSpec(plant, pset, noise, seed, probe, mech=mech, horizon=horizon, **options)
     return _alone(spec)
 
 
-def run_open_loop_id(plant, pset, input_policy, noise, horizon, seed, **options):
-    """Identification-only run under an exogenous input policy; ``options``
-    are the other fields of RunSpec.
-
-    ``input_policy``: "zero", ("iid_uniform", half_width), or
-    ("state_feedback", K) with u = K x.  The estimator observes the loop but
-    never closes it.
+def run_open_loop_id(plant, pset, probe, noise, horizon, seed, **options):
+    """Identification-only run whose input is the probe, u_t = v_t, or with
+    an ``input_gain`` K among ``options`` u_t = K x_t + v_t; ``options`` are
+    the other fields of RunSpec.  A probe of decay 0 is i.i.d. uniform, and
+    one of half width 0 is the zero input.  The estimator observes the loop
+    but never closes it.
     """
-    spec = RunSpec(plant, pset, noise, seed, input_policy=input_policy, horizon=horizon, **options)
+    spec = RunSpec(plant, pset, noise, seed, probe, horizon=horizon, **options)
     return _alone(spec)
 
 
@@ -498,14 +502,9 @@ class _Member:
     ``pos`` is its index along the batch's run axis, None without one."""
 
     def __init__(self, index, spec):
-        plant, ip = spec.plant, spec.input_policy
-        if spec.mech is not None:
-            if not spec.pset.contains(plant.theta_star, shrunk=True):
-                raise ValueError("theta_star must lie strictly inside the shrunken set")
-        elif ip != "zero" and not (
-            isinstance(ip, tuple) and ip[0] in ("iid_uniform", "state_feedback")
-        ):
-            raise ValueError(f"unknown input policy {ip!r}")
+        plant = spec.plant
+        if spec.mech is not None and not spec.pset.contains(plant.theta_star, shrunk=True):
+            raise ValueError("theta_star must lie strictly inside the shrunken set")
         if not spec.noise.bounded and plant.link.bounded:
             raise ValueError("bounded links require almost-surely bounded noise")
         n, m = plant.n, plant.m
@@ -521,17 +520,16 @@ class _Member:
         self.acc = metrics.MetricAccumulator(plant.theta_star, plant.link, spec.gamma)
         self.index, self.spec, self.lam, self.pos = index, spec, 0.0, None
         self.rec = None
+        self.probe_dim = m if spec.mech is None else spec.mech.raw_dim
 
     def draws(self, start, k):
-        """The probe (or open-loop input) and noise draws of steps start ..
-        start+k-1, one row per step."""
-        spec, ip = self.spec, self.spec.input_policy
-        v = None
-        if spec.mech is not None:
-            v = control.probe_sample(spec.probe, start, self.rng_probe, steps=k)
-        elif isinstance(ip, tuple) and ip[0] == "iid_uniform":
-            v = self.rng_probe.uniform(-ip[1], ip[1], size=(k, spec.plant.m))
-        return v, noise_sample(spec.noise, self.rng_noise, steps=k)
+        """The probe and noise draws of steps start .. start+k-1, one row per
+        step."""
+        spec = self.spec
+        return (
+            control.probe_sample(spec.probe, start, self.rng_probe, (k, self.probe_dim)),
+            noise_sample(spec.noise, self.rng_noise, (k, spec.plant.n)),
+        )
 
 
 class _Loop:
@@ -547,8 +545,7 @@ class _Loop:
         if self.batched:
             self.plant = PlantSpec(
                 theta_star=np.array([s.plant.theta_star for s in specs]),
-                link=maps.stacked([s.plant.link for s in specs], 1),
-                n=first.plant.n, m=first.plant.m, x0=None,
+                link=maps.stacked([s.plant.link for s in specs], 1), x0=None,
             )
             self.pset = maps.stacked([s.pset for s in specs])
             self.mech = self.ref_mech = None  # open loop
@@ -562,23 +559,20 @@ class _Loop:
             self.mech, self.ref_mech = mb.mech, first.mech
         self.reference = None
         self.zero = np.zeros((len(specs), first.plant.m) if self.batched else first.plant.m)
-        ip = first.input_policy
-        self.input_kind = ip[0] if isinstance(ip, tuple) else ip
-        if self.input_kind == "state_feedback":
-            gains = [np.asarray(s.input_policy[1]) for s in specs]
-            self.gain = np.array(gains) if self.batched else gains[0]
+        self.gain = first.input_gain
+        if self.gain is not None and self.batched:
+            self.gain = np.array([s.input_gain for s in specs])
 
-    def step(self, t, x, x_star, theta_ctrl, state, v_draw, w):
-        """Step t from the state before it and the step's draws; returns
-        (u, v, u_star, x_next, x_star_next, state_next, diag)."""
+    def step(self, x, x_star, theta_ctrl, state, v_draw, w):
+        """A step from the state before it and the step's draws; returns
+        (u, v, u_star, x_next, x_star_next, state_next, diag).  In open loop
+        the probe draw is the input (plus K x with a gain), and v is 0."""
         if self.mech is not None:
             u, v = control.adaptive_input(self.mech, theta_ctrl, x, v_draw)
-        elif self.input_kind == "iid_uniform":
+        elif self.gain is None:
             u, v = v_draw, self.zero
-        elif self.input_kind == "state_feedback":
-            u, v = np.matvec(self.gain, x), self.zero
         else:
-            u, v = self.zero, self.zero
+            u, v = np.matvec(self.gain, x) + v_draw, self.zero
         plant = self.plant
         # the estimator's prediction f(theta_hat^T phi) rides the plant's call
         phi = np.concatenate([x, u], axis=-1)
@@ -613,7 +607,7 @@ def _stack_states(states):
     return estimator.EstimatorState(
         theta_hat=np.array([s.theta_hat for s in states]),
         p_matrix=np.array([s.p_matrix for s in states]),
-        r_accum=np.array([s.r_accum for s in states]), step=states[0].step,
+        r_accum=np.array([s.r_accum for s in states]),
         delta=np.array([s.delta for s in states]),
     )
 
@@ -687,7 +681,7 @@ def _run(specs):
         per_run = [mb.draws(start, stop - start) for mb in members]
         if runs is None:
             return per_run[0]
-        return tuple(None if d[0] is None else np.stack(d, axis=1) for d in zip(*per_run))
+        return tuple(np.stack(d, axis=1) for d in zip(*per_run))
 
     if runs is None:
         x, state = np.array(head.plant.x0, dtype=float), members[0].state
@@ -708,7 +702,7 @@ def _run(specs):
         j = t - start
         try:
             u, v, u_star, x_next, x_star_next, state_next, diag = loop.step(
-                t, x, x_star, theta_ctrl, state, None if v_block is None else v_block[j], w_block[j]
+                x, x_star, theta_ctrl, state, v_block[j], w_block[j]
             )
         except Exception as exc:  # noqa: BLE001 - the run's own failure
             if runs is not None:

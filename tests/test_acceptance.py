@@ -58,7 +58,7 @@ def openloop_run():
     lam_idx, lam_val, r_val = [], [], []
     for t in range(T):
         u = rng_input.uniform(-1.0, 1.0, size=m)
-        w = simulate.noise_sample(ro.noise, rng_noise)
+        w = simulate.noise_sample(ro.noise, rng_noise, n)
         x_next = simulate.plant_step(plant, x, u, w)
         phi = np.concatenate([x, u])
         psi = plant.link.eval(plant.theta_star.T @ phi) - plant.link.eval(
@@ -265,7 +265,7 @@ def test_criterion_04_self_convergence_zero_input():
     max_change = 0.0
     for t in range(T):
         u = np.zeros(m)
-        w = simulate.noise_sample(ro.noise, rng_noise)
+        w = simulate.noise_sample(ro.noise, rng_noise, n)
         x_next = simulate.plant_step(plant, x, u, w)
         prev = state.theta_hat
         state, _ = est.estimator_step(

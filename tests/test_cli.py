@@ -1164,12 +1164,18 @@ def test_a_file_that_cannot_be_written_is_runtime_abort(tmp_path, capsys, writer
                                                         stdout_lines, left):
     # a directory in the file's place: exit 3 with one line and no
     # traceback, after the rows a sweep prints; the files left are the
-    # directory and what the command wrote before it, and no temporary file
+    # directory and what the command wrote before it, and no temporary file.
+    # An aborted run's line gives why it aborted before the file
     (tmp_path / "o" / name).mkdir(parents=True)
     assert cli.main(_write_case(name, tmp_path)) == cli.EXIT_RUNTIME
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == stdout_lines
-    assert captured.err == f"runtime abort: cannot write {tmp_path / 'o' / name}: Is a directory\n"
+    why = ""
+    if name == "run_truncated.csv":
+        why = "state norm 1.127e+09 exceeded the divergence ceiling (step 28); "
+    assert captured.err == (
+        f"runtime abort: {why}cannot write {tmp_path / 'o' / name}: Is a directory\n"
+    )
     _assert_reaped(writers)
     assert sorted(os.listdir(tmp_path / "o")) == left
     assert os.listdir(tmp_path / "o" / name) == []

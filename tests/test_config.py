@@ -103,30 +103,30 @@ _CASES = [
     # scaled uniform; a nonzero bound_eps leaves it, a zero one (or no probe
     # section) makes it 0
     ("probe-uniform_cube", _unchanged, "probe",
-     control.ProbingSignal(0.125, 2, half_width=0.5)),
+     control.ProbingSignal(0.125, half_width=0.5)),
     ("probe-scaled_uniform", _set("probe", {"b": 0.2, "distribution": "scaled_uniform"}),
-     "probe", control.ProbingSignal(0.2, 2, half_width=float(np.sqrt(3.0)))),
+     "probe", control.ProbingSignal(0.2, half_width=float(np.sqrt(3.0)))),
     ("probe-bound_eps", _set("probe", {"b": 0.1, "bound_eps": 0.3}), "probe",
-     control.ProbingSignal(0.1, 2)),
+     control.ProbingSignal(0.1)),
     ("probe-bound_eps-zero",
      _set("probe", {"b": 0.1, "distribution": "scaled_uniform", "bound_eps": 0}), "probe",
-     control.ProbingSignal(0.1, 2, half_width=0.0)),
+     control.ProbingSignal(0.1, half_width=0.0)),
     ("probe-absent", _set("probe", None), "probe",
-     control.ProbingSignal(0.0, 2, half_width=0.0)),
+     control.ProbingSignal(0.0, half_width=0.0)),
     # all three noise kinds
     ("uniform_cube", _unchanged, "noise",
-     simulate.NoiseSpec("uniform_cube", 2, half_width=0.1)),
+     simulate.NoiseSpec("uniform_cube", half_width=0.1)),
     ("truncated_gaussian",
      _set("noise", {"kind": "truncated_gaussian", "sigma": 0.3, "trunc": 0.9}), "noise",
-     simulate.NoiseSpec("truncated_gaussian", 2, sigma=0.3, trunc=0.9)),
+     simulate.NoiseSpec("truncated_gaussian", sigma=0.3, trunc=0.9)),
     ("gaussian", _set("noise", {"kind": "gaussian", "sigma": 0.3}), "noise",
-     simulate.NoiseSpec("gaussian", 2, sigma=0.3)),
-    # the open-loop input policies
-    ("input-zero", _open_loop(None), "input_policy", "zero"),
-    ("input-iid_uniform", _open_loop({"kind": "iid_uniform"}), "input_policy",
-     ("iid_uniform", 1.0)),
+     simulate.NoiseSpec("gaussian", sigma=0.3)),
+    # the open-loop input policies: a probe of decay 0, and the gain K
+    ("input-zero", _open_loop(None), "probe input_gain", (control.ProbingSignal(0.0, 0.0), None)),
+    ("input-iid_uniform", _open_loop({"kind": "iid_uniform"}), "probe input_gain",
+     (control.ProbingSignal(0.0, 1.0), None)),
     ("input-state_feedback", _open_loop({"kind": "state_feedback", "K": [[0.1, 0], [0, 0.2]]}),
-     "input_policy", ("state_feedback", np.diag([0.1, 0.2]))),
+     "probe input_gain", (control.ProbingSignal(0.0, 0.0), np.diag([0.1, 0.2]))),
 ]
 
 
@@ -147,7 +147,7 @@ def _same(a, b):
                          ids=[case[0] for case in _CASES])
 def test_validate_config_builds_the_directly_constructed_objects(mutate, attr, expected):
     ro = cfgmod.validate_config(mutate(_base()))
-    assert _same(operator.attrgetter(attr)(ro), expected)
+    assert _same(operator.attrgetter(*attr.split())(ro), expected)
 
 
 _UNKNOWN_KINDS = [

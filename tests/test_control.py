@@ -356,28 +356,28 @@ def test_replaced_riccati_feedback_starts_with_a_cold_cache():
 
 
 def test_probe_no_decay_returns_raw_sample():
-    sig = control.ProbingSignal(decay_b=0.0, dim=3)
+    sig = control.ProbingSignal(decay_b=0.0)
     rng = np.random.default_rng(1)
-    v = control.probe_sample(sig, 10**6, rng)
+    v = control.probe_sample(sig, 10**6, rng, 3)
     assert np.all(np.abs(v) <= 1.0)
     assert np.any(v != 0.0)
 
 
 def test_probe_decay_factor_exact():
     # at t = 255 the (t+1)^(-1/8) factor is exactly 1/2
-    sig = control.ProbingSignal(decay_b=0.125, dim=1, half_width=1.0)
+    sig = control.ProbingSignal(decay_b=0.125, half_width=1.0)
     seed = 77
     raw = control.probe_sample(
-        control.ProbingSignal(decay_b=0.0, dim=1), 255, np.random.default_rng(seed)
+        control.ProbingSignal(decay_b=0.0), 255, np.random.default_rng(seed), 1
     )
-    scaled = control.probe_sample(sig, 255, np.random.default_rng(seed))
+    scaled = control.probe_sample(sig, 255, np.random.default_rng(seed), 1)
     np.testing.assert_allclose(scaled, 0.5 * raw, rtol=1e-14)
 
 
 def test_probe_moments_uniform_cube():
-    sig = control.ProbingSignal(decay_b=0.0, dim=2, half_width=1.0)
+    sig = control.ProbingSignal(decay_b=0.0, half_width=1.0)
     rng = np.random.default_rng(4)
-    samp = np.array([control.probe_sample(sig, 0, rng) for _ in range(200_000)])
+    samp = np.array([control.probe_sample(sig, 0, rng, 2) for _ in range(200_000)])
     assert np.abs(samp.mean(axis=0)).max() < 4.0 / np.sqrt(3 * 200_000)
     cov = np.cov(samp.T)
     np.testing.assert_allclose(np.diag(cov), [1 / 3, 1 / 3], rtol=0.02)
@@ -385,25 +385,26 @@ def test_probe_moments_uniform_cube():
 
 def test_probe_scaled_uniform_has_identity_covariance():
     # the half width config.py gives a "scaled_uniform" probe
-    sig = control.ProbingSignal(decay_b=0.0, dim=1, half_width=float(np.sqrt(3.0)))
+    sig = control.ProbingSignal(decay_b=0.0, half_width=float(np.sqrt(3.0)))
     rng = np.random.default_rng(4)
-    samp = np.array([control.probe_sample(sig, 0, rng) for _ in range(200_000)])
+    samp = np.array([control.probe_sample(sig, 0, rng, 1) for _ in range(200_000)])
     assert np.all(np.abs(samp) <= np.sqrt(3.0) + 1e-12)
     assert samp.var() == pytest.approx(1.0, rel=0.02)
 
 
 def test_probe_disabled_is_zero():
-    sig = control.ProbingSignal(decay_b=0.5, dim=2, half_width=0.0)
-    np.testing.assert_array_equal(control.probe_sample(sig, 3, np.random.default_rng(0)), np.zeros(2))
+    sig = control.ProbingSignal(decay_b=0.5, half_width=0.0)
+    v = control.probe_sample(sig, 3, np.random.default_rng(0), 2)
+    np.testing.assert_array_equal(v, np.zeros(2))
 
 
 def test_adaptive_input_null_policy_is_pure_probe():
     mech = control.PinningLeader(0.0, np.zeros(2))
-    sig = control.ProbingSignal(decay_b=0.0, dim=2)
+    sig = control.ProbingSignal(decay_b=0.0)
     seed = 5
-    v_raw = control.probe_sample(sig, 0, np.random.default_rng(seed))
+    v_raw = control.probe_sample(sig, 0, np.random.default_rng(seed), 2)
     u, v = control.adaptive_input(mech, np.zeros((4, 2)), np.zeros(2), v_raw)
-    expect = control.probe_sample(sig, 0, np.random.default_rng(seed))
+    expect = control.probe_sample(sig, 0, np.random.default_rng(seed), 2)
     np.testing.assert_array_equal(u, expect)
     np.testing.assert_array_equal(v, expect)
 
@@ -530,11 +531,11 @@ def test_riccati_feedback_keeps_positive_zero_for_scalar_state():
 def test_probe_rejects_negative_widths(field, bad):
     # a negative half_width would turn the probe off without a word
     with pytest.raises(ValueError, match=f"probe {field} must be >= 0"):
-        control.ProbingSignal(decay_b=0.1, dim=1, **{field: bad})
-    assert control.ProbingSignal(decay_b=0.1, dim=1, **{field: 0.0}).half_width == 0.0
+        control.ProbingSignal(decay_b=0.1, **{field: bad})
+    assert control.ProbingSignal(decay_b=0.1, **{field: 0.0}).half_width == 0.0
 
 
 def test_probe_rejects_nan_decay():
     # a NaN exponent would make every probe NaN and abort the run later
     with pytest.raises(ValueError, match="decay exponent"):
-        control.ProbingSignal(decay_b=np.nan, dim=1)
+        control.ProbingSignal(decay_b=np.nan)

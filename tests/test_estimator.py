@@ -112,7 +112,6 @@ def test_new_estimator_shapes_and_defaults():
     state = est.new_estimator(np.zeros((6, 4)), pset, 0.5, maps.Identity())
     np.testing.assert_array_equal(state.p_matrix, np.eye(6))
     assert state.r_accum == 1.0
-    assert state.step == 0
 
 
 def test_new_estimator_boundary_accepted_outside_rejected():
@@ -219,7 +218,7 @@ def test_estimator_step_leaves_input_state_unmodified(radius):
     values = copy.deepcopy(before)
     nxt, diag = est.estimator_step(state, np.array([1.0, 2.0]), np.array([3.0]), IDENT, pset)
     assert diag.projected == (radius < 1.0)
-    assert nxt is not state and nxt.step == 1
+    assert nxt is not state
     for name, obj in before.items():
         assert getattr(state, name) is obj, name
         np.testing.assert_array_equal(obj, values[name], err_msg=name, strict=True)
@@ -447,9 +446,9 @@ def test_lyapunov_diagnostic_stays_bounded():
     theta_ctrl = state.theta_hat.copy()
     series = []
     for t in range(T):
-        v_raw = control.probe_sample(ro.probe, t, streams["probe"])
+        v_raw = control.probe_sample(ro.probe, t, streams["probe"], ro.mech.raw_dim)
         u, v = control.adaptive_input(ro.mech, theta_ctrl, x, v_raw)
-        w = simulate.noise_sample(ro.noise, streams["noise"])
+        w = simulate.noise_sample(ro.noise, streams["noise"], ro.plant.n)
         x_next = simulate.plant_step(ro.plant, x, u, w)
         phi = np.concatenate([x, u])
         theta_prev = state.theta_hat
@@ -487,7 +486,7 @@ def test_run_norms_equal_each_runs_frobenius_norm():
 def _batch_of_one(state):
     return est.EstimatorState(
         theta_hat=state.theta_hat[None], p_matrix=state.p_matrix[None],
-        r_accum=np.array([state.r_accum]), step=state.step, delta=np.array([state.delta]),
+        r_accum=np.array([state.r_accum]), delta=np.array([state.delta]),
     )
 
 
@@ -520,7 +519,6 @@ def _step_alone_and_batched(state, phi, x_next, f, pset, given=False):
     assert st1.theta_hat.tobytes() == stb.theta_hat[0].tobytes()
     assert st1.p_matrix.tobytes() == stb.p_matrix[0].tobytes()
     assert _float_bits(st1.r_accum) == _float_bits(stb.r_accum[0])
-    assert st1.step == stb.step
     for name in ("d_gain", "g_bar", "a_weight", "mu_weight", "quad"):
         assert _float_bits(getattr(d1, name)) == _float_bits(getattr(db, name)[0]), name
     assert bool(d1.projected) == bool(db.projected[0])
@@ -544,7 +542,7 @@ def test_single_step_is_batch_of_one_while_learning():
         state, diag = _step_alone_and_batched(state, phi, x_next, link, pset, given=t % 2 == 0)
         assert not diag.projected
         x = x_next
-    assert state.step == 50 and np.linalg.norm(state.theta_hat - theta_star) < 0.5
+    assert np.linalg.norm(state.theta_hat - theta_star) < 0.5
 
 
 def test_single_step_is_batch_of_one_for_zero_regressor():

@@ -13,9 +13,7 @@ from nadac import control, estimator as est, maps, simulate
 
 def _identity_plant(a_gain=0.5, n=2):
     theta = np.vstack([(a_gain * np.eye(n)).T, np.eye(n).T])
-    return simulate.PlantSpec(
-        theta_star=theta, link=maps.Identity(), n=n, m=n, x0=np.zeros(n)
-    )
+    return simulate.PlantSpec(theta_star=theta, link=maps.Identity(), x0=np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +21,7 @@ def _identity_plant(a_gain=0.5, n=2):
 
 
 def test_plant_step_pure_noise():
-    plant = simulate.PlantSpec(
-        theta_star=np.zeros((4, 2)), link=maps.Identity(), n=2, m=2, x0=np.zeros(2)
-    )
+    plant = simulate.PlantSpec(theta_star=np.zeros((4, 2)), link=maps.Identity(), x0=np.zeros(2))
     w = np.array([0.3, -0.2])
     np.testing.assert_array_equal(
         simulate.plant_step(plant, np.ones(2), np.ones(2), w), w
@@ -34,9 +30,7 @@ def test_plant_step_pure_noise():
 
 def test_plant_step_tanh_equilibrium_at_zero():
     theta = np.zeros((5, 4))
-    plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.ScaledTanh(a=2.0), n=4, m=1, x0=np.zeros(4)
-    )
+    plant = simulate.PlantSpec(theta_star=theta, link=maps.ScaledTanh(a=2.0), x0=np.zeros(4))
     out = simulate.plant_step(plant, np.zeros(4), np.zeros(1), np.zeros(4))
     np.testing.assert_array_equal(out, np.zeros(4))
 
@@ -45,7 +39,7 @@ def test_plant_step_tanh_equilibrium_at_zero():
 def test_plant_step_with_prediction_is_two_calls_bit_for_bit(stack):
     link = maps.SmoothedClamp(N=10.0, sigma=5.0)
     theta = np.array([[0.9, 0.1], [-0.2, 0.7], [1.0, 0.0], [0.3, -1.0]])
-    plant = simulate.PlantSpec(theta_star=theta, link=link, n=2, m=2, x0=np.zeros(2))
+    plant = simulate.PlantSpec(theta_star=theta, link=link, x0=np.zeros(2))
     rng = np.random.default_rng(3)
     lead = () if stack is None else (stack,)
     x, u = rng.uniform(-8.0, 8.0, lead + (2,)), rng.uniform(-8.0, 8.0, lead + (2,))
@@ -63,7 +57,7 @@ def test_plant_step_smoothed_clamp_midpoint():
     theta = np.vstack([a.T, b.T])
     plant = simulate.PlantSpec(
         theta_star=theta, link=maps.SmoothedClamp(N=10.0, sigma=1.0),
-        n=2, m=5, x0=np.zeros(2),
+        x0=np.zeros(2),
     )
     x = np.array([10.0, 10.0])
     u = np.array([0.0, 0.0, 0.0, 40.0, 40.0])  # A x + B u = (5, 5)
@@ -76,34 +70,34 @@ def test_plant_step_smoothed_clamp_midpoint():
 
 
 def test_noise_uniform_moments():
-    spec = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1)
+    spec = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
     rng = np.random.default_rng(0)
-    samp = np.array([simulate.noise_sample(spec, rng) for _ in range(200_000)])
+    samp = np.array([simulate.noise_sample(spec, rng, 2) for _ in range(200_000)])
     sd = 0.1 / np.sqrt(3.0)
     assert np.abs(samp.mean(axis=0)).max() < 4.0 * sd / np.sqrt(200_000)
     np.testing.assert_allclose(samp.var(axis=0), [0.01 / 3] * 2, rtol=0.02)
 
 
 def test_noise_truncation_bound():
-    spec = simulate.NoiseSpec(kind="truncated_gaussian", n=3, sigma=5.0, trunc=20.0)
+    spec = simulate.NoiseSpec(kind="truncated_gaussian", sigma=5.0, trunc=20.0)
     rng = np.random.default_rng(1)
-    samp = np.array([simulate.noise_sample(spec, rng) for _ in range(50_000)])
+    samp = np.array([simulate.noise_sample(spec, rng, 3) for _ in range(50_000)])
     assert np.abs(samp).max() <= 20.0
     assert abs(samp.mean()) < 0.1  # clipping is symmetric, mean stays zero
 
 
 def test_noise_determinism():
-    spec = simulate.NoiseSpec(kind="gaussian", n=2, sigma=1.0)
-    a = [simulate.noise_sample(spec, np.random.default_rng(9)) for _ in range(10)]
-    b = [simulate.noise_sample(spec, np.random.default_rng(9)) for _ in range(10)]
+    spec = simulate.NoiseSpec(kind="gaussian", sigma=1.0)
+    a = [simulate.noise_sample(spec, np.random.default_rng(9), 2) for _ in range(10)]
+    b = [simulate.noise_sample(spec, np.random.default_rng(9), 2) for _ in range(10)]
     np.testing.assert_array_equal(np.array(a), np.array(b))
 
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
-        simulate.NoiseSpec(kind="levy", n=2)
+        simulate.NoiseSpec(kind="levy")
     with pytest.raises(ValueError):
-        simulate.NoiseSpec(kind="truncated_gaussian", n=2, trunc=np.inf)
+        simulate.NoiseSpec(kind="truncated_gaussian", trunc=np.inf)
 
 
 def test_spawn_streams_are_independent_and_stable():
@@ -147,10 +141,10 @@ def test_certainty_equivalence_zero_noise_tracks_exactly():
     plant = _identity_plant(a_gain=0.5)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
     mech = control.RiccatiFeedback(Q=np.eye(2), R=np.eye(2))
-    probe = control.ProbingSignal(decay_b=0.125, dim=2, half_width=0.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.0)
+    probe = control.ProbingSignal(decay_b=0.125, half_width=0.0)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.0)
     plant = simulate.PlantSpec(
-        theta_star=plant.theta_star, link=plant.link, n=2, m=2, x0=np.array([1.0, -2.0])
+        theta_star=plant.theta_star, link=plant.link, x0=np.array([1.0, -2.0])
     )
     rec = _run(plant, pset, mech, probe, noise, 200, 0, theta0=plant.theta_star)
     np.testing.assert_allclose(rec.x, rec.x_star, atol=1e-12)
@@ -162,8 +156,8 @@ def test_reference_and_adaptive_share_noise_and_log_consistently():
     plant = _identity_plant(a_gain=0.3)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
     mech = _null_policy(2, 2)
-    probe = control.ProbingSignal(decay_b=0.125, dim=2)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    probe = control.ProbingSignal(decay_b=0.125)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.2)
     rec = _run(plant, pset, mech, probe, noise, 100, 7)
     for t in range(100):
         # both logged trajectories advance with the logged w_t
@@ -182,11 +176,11 @@ def test_reference_and_adaptive_share_noise_and_log_consistently():
 def test_probe_toggle_keeps_noise_realization():
     plant = _identity_plant(a_gain=0.3)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.2)
     on = _run(plant, pset, _null_policy(2, 2),
-              control.ProbingSignal(decay_b=0.0, dim=2), noise, 50, 3)
+              control.ProbingSignal(decay_b=0.0), noise, 50, 3)
     off = _run(plant, pset, _null_policy(2, 2),
-               control.ProbingSignal(decay_b=0.0, dim=2, half_width=0.0), noise, 50, 3)
+               control.ProbingSignal(decay_b=0.0, half_width=0.0), noise, 50, 3)
     np.testing.assert_array_equal(on.w, off.w)
     assert not np.allclose(on.x, off.x)
 
@@ -195,8 +189,8 @@ def test_run_determinism_bit_exact():
     plant = _identity_plant(a_gain=0.4)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
     mech = _null_policy(2, 2)
-    probe = control.ProbingSignal(decay_b=0.125, dim=2)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    probe = control.ProbingSignal(decay_b=0.125)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.2)
     a = _run(plant, pset, mech, probe, noise, 200, 11)
     b = _run(plant, pset, mech, probe, noise, 200, 11)
     np.testing.assert_array_equal(a.x, b.x)
@@ -207,13 +201,13 @@ def test_run_determinism_bit_exact():
 def test_divergence_guard_aborts_with_partial_record():
     plant = _identity_plant(a_gain=2.0)  # unstable, null policy
     plant = simulate.PlantSpec(
-        theta_star=plant.theta_star, link=plant.link, n=2, m=2, x0=np.array([1.0, 1.0])
+        theta_star=plant.theta_star, link=plant.link, x0=np.array([1.0, 1.0])
     )
     pset = est.FrobeniusBall(5.0, rho_eps=0.9)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.0)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.0)
     with pytest.raises(simulate.RunAbort) as exc:
         _run(plant, pset, _null_policy(2, 2),
-             control.ProbingSignal(decay_b=0.0, dim=2, half_width=0.0),
+             control.ProbingSignal(decay_b=0.0, half_width=0.0),
              noise, 500, 0, divergence_ceiling=1e3)
     assert 0 < exc.value.record.steps_completed < 500
     assert str(exc.value).endswith(f"(step {exc.value.record.steps_completed})")
@@ -224,8 +218,8 @@ def test_abort_mid_block_keeps_the_rows_before_it(monkeypatch):
     # before it are absorbed before the abort and match an unaborted run
     plant = _identity_plant(a_gain=0.4)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
-    probe = control.ProbingSignal(decay_b=0.125, dim=2)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    probe = control.ProbingSignal(decay_b=0.125)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.2)
     full = _run(plant, pset, _null_policy(2, 2), probe, noise, 300, 11)
 
     real, calls = est.estimator_step, []
@@ -250,22 +244,20 @@ def test_abort_mid_block_keeps_the_rows_before_it(monkeypatch):
 def test_theta_star_must_fit_the_shrunken_set():
     plant = _identity_plant(a_gain=0.5)
     pset = est.FrobeniusBall(1.0, rho_eps=0.5)  # ||theta*|| > 0.5
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
     with pytest.raises(ValueError):
         _run(plant, pset, _null_policy(2, 2),
-             control.ProbingSignal(decay_b=0.0, dim=2), noise, 10, 0)
+             control.ProbingSignal(decay_b=0.0), noise, 10, 0)
 
 
 def test_gaussian_noise_rejected_with_bounded_link():
     theta = np.zeros((5, 4))
-    plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.ScaledTanh(a=2.0), n=4, m=1, x0=np.zeros(4)
-    )
+    plant = simulate.PlantSpec(theta_star=theta, link=maps.ScaledTanh(a=2.0), x0=np.zeros(4))
     pset = est.FrobeniusBall(5.0)
-    noise = simulate.NoiseSpec(kind="gaussian", n=4, sigma=1.0)
+    noise = simulate.NoiseSpec(kind="gaussian", sigma=1.0)
     with pytest.raises(ValueError):
         _run(plant, pset, _null_policy(1, 4),
-             control.ProbingSignal(decay_b=0.0, dim=1), noise, 10, 0)
+             control.ProbingSignal(decay_b=0.0), noise, 10, 0)
 
 
 def test_reference_trajectory_forgets_initial_condition():
@@ -282,7 +274,7 @@ def test_reference_trajectory_forgets_initial_condition():
     d0 = np.linalg.norm(x_a - x_b)
     noise_rng = simulate.spawn_streams(0)["noise"]
     for _ in range(200):
-        w = simulate.noise_sample(ro.noise, noise_rng)
+        w = simulate.noise_sample(ro.noise, noise_rng, ro.plant.n)
         u_a = control.policy_eval(ro.mech, ro.plant.theta_star, x_a)
         u_b = control.policy_eval(ro.mech, ro.plant.theta_star, x_b)
         x_a = simulate.plant_step(ro.plant, x_a, u_a, w)
@@ -296,28 +288,31 @@ def test_reference_trajectory_forgets_initial_condition():
 # ---------------------------------------------------------------------------
 # open loop
 
+# the open-loop inputs of the config in the engine's form: the input is a
+# probe of decay 0, of width 0 for "zero" and "state_feedback", whose gain K
+# rides in the options
+ZERO_INPUT = control.ProbingSignal(0.0, 0.0)
+IID_INPUT = control.ProbingSignal(0.0, 1.0)
+
 
 def test_open_loop_zero_input_stays_bounded():
     theta = np.zeros((5, 4))
     theta[:4] = (0.7 * np.eye(4)).T
     plant = simulate.PlantSpec(
-        theta_star=theta, link=maps.ScaledTanh(a=2.0), n=4, m=1,
-        x0=np.array([1.0, 1.0, -1.0, -1.0]),
+        theta_star=theta, link=maps.ScaledTanh(a=2.0), x0=np.array([1.0, 1.0, -1.0, -1.0]),
     )
     pset = est.FrobeniusBall(5.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=4, half_width=0.1)
-    rec = simulate.run_open_loop_id(plant, pset, "zero", noise, 500, 1)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    rec = simulate.run_open_loop_id(plant, pset, ZERO_INPUT, noise, 500, 1)
     assert np.nanmax(np.abs(rec.x)) <= 2.0 + 0.1 + 1e-12
 
 
 def test_open_loop_excitation_grows_lambda_linearly():
     theta_star = np.array([[0.5], [0.3]])
-    plant = simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.zeros(1)
-    )
+    plant = simulate.PlantSpec(theta_star=theta_star, link=maps.Identity(), x0=np.zeros(1))
     pset = est.FrobeniusBall(2.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
-    rec = simulate.run_open_loop_id(plant, pset, ("iid_uniform", 1.0), noise, 4_000, 2)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    rec = simulate.run_open_loop_id(plant, pset, IID_INPUT, noise, 4_000, 2)
     lam_half, lam_full = rec.lambda_t[1_999], rec.lambda_t[3_999]
     assert lam_full > 0
     assert lam_full / lam_half == pytest.approx(2.0, rel=0.25)
@@ -326,42 +321,40 @@ def test_open_loop_excitation_grows_lambda_linearly():
 def test_open_loop_rank_deficient_input_stalls_lambda_but_settles():
     # x0 = 0, zero noise, zero input: the regressor never leaves {0}
     theta_star = np.array([[0.5], [0.3]])
-    plant = simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.zeros(1)
-    )
+    plant = simulate.PlantSpec(theta_star=theta_star, link=maps.Identity(), x0=np.zeros(1))
     pset = est.FrobeniusBall(2.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.0)
-    rec = simulate.run_open_loop_id(plant, pset, "zero", noise, 200, 0)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.0)
+    rec = simulate.run_open_loop_id(plant, pset, ZERO_INPUT, noise, 200, 0)
     assert rec.lambda_t[-1] == 0.0
     assert rec.param_err[-1] == rec.param_err[0]  # estimate settled immediately
 
 
 def test_open_loop_state_feedback_policy():
     theta_star = np.array([[0.5], [0.3]])
-    plant = simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.array([1.0])
-    )
+    plant = simulate.PlantSpec(theta_star=theta_star, link=maps.Identity(), x0=np.array([1.0]))
     pset = est.FrobeniusBall(2.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
     K = np.array([[-0.4]])
-    rec = simulate.run_open_loop_id(plant, pset, ("state_feedback", K), noise, 100, 3)
+    rec = simulate.run_open_loop_id(plant, pset, ZERO_INPUT, noise, 100, 3, input_gain=K)
     np.testing.assert_allclose(rec.u[:100], rec.x[:100] @ K.T, atol=1e-12)
 
 
 def _identification_plant():
     theta_star = np.array([[0.5], [0.3]])
-    return simulate.PlantSpec(
-        theta_star=theta_star, link=maps.Identity(), n=1, m=1, x0=np.array([1.0])
-    )
+    return simulate.PlantSpec(theta_star=theta_star, link=maps.Identity(), x0=np.array([1.0]))
 
 
-@pytest.mark.parametrize("input_policy", [
-    "zero", ("iid_uniform", 1.0), ("state_feedback", np.array([[-0.4]])),
+FEEDBACK = (ZERO_INPUT, {"input_gain": np.array([[-0.4]])})
+
+
+@pytest.mark.parametrize("open_input", [
+    (ZERO_INPUT, {}), (IID_INPUT, {}), FEEDBACK,
 ], ids=["zero", "iid_uniform", "state_feedback"])
-def test_open_loop_record_has_no_reference(input_policy):
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
+def test_open_loop_record_has_no_reference(open_input):
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    probe, options = open_input
     rec = simulate.run_open_loop_id(
-        _identification_plant(), est.FrobeniusBall(2.0), input_policy, noise, 50, 4
+        _identification_plant(), est.FrobeniusBall(2.0), probe, noise, 50, 4, **options
     )
     assert np.isnan(rec.x_star).all()
     assert np.isnan(rec.u_star).all()
@@ -370,12 +363,12 @@ def test_open_loop_record_has_no_reference(input_policy):
     assert np.isfinite(rec.x).all() and np.isfinite(rec.u).all()
 
 
-@pytest.mark.parametrize("input_policy", [
-    ("state_feedback", np.array([[-0.4]])),
-    ("iid_uniform", 1.0),
+@pytest.mark.parametrize("open_input", [
+    FEEDBACK,
+    (IID_INPUT, {}),
     None,  # closed loop: the reference trajectory rides the same call
 ], ids=["state_feedback", "iid_uniform", "closed_loop"])
-def test_plant_step_calls_per_step(monkeypatch, input_policy):
+def test_plant_step_calls_per_step(monkeypatch, open_input):
     real, calls = simulate.plant_step, []
 
     def counting(*args):
@@ -385,21 +378,21 @@ def test_plant_step_calls_per_step(monkeypatch, input_policy):
     monkeypatch.setattr(simulate, "plant_step", counting)
     plant = _identification_plant()
     pset = est.FrobeniusBall(2.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
-    if input_policy is None:
-        _run(plant, pset, _null_policy(1, 1), control.ProbingSignal(decay_b=0.125, dim=1),
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    if open_input is None:
+        _run(plant, pset, _null_policy(1, 1), control.ProbingSignal(decay_b=0.125),
              noise, 40, 5)
     else:
-        simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
+        simulate.run_open_loop_id(plant, pset, open_input[0], noise, 40, 5, **open_input[1])
     assert len(calls) == 40
 
 
-@pytest.mark.parametrize("input_policy", [
-    ("state_feedback", np.array([[-0.4]])),
-    ("iid_uniform", 1.0),
+@pytest.mark.parametrize("open_input", [
+    FEEDBACK,
+    (IID_INPUT, {}),
     None,
 ], ids=["state_feedback", "iid_uniform", "closed_loop"])
-def test_link_eval_calls_per_step(monkeypatch, input_policy):
+def test_link_eval_calls_per_step(monkeypatch, open_input):
     # per step one call: the plant step, with the reference (if any) and the
     # estimator's prediction f(theta_hat^T phi) stacked after it, which the
     # metrics reuse; per metric block the metrics' f(theta*^T phi).  40 steps
@@ -413,18 +406,17 @@ def test_link_eval_calls_per_step(monkeypatch, input_policy):
     monkeypatch.setattr(maps.Identity, "eval", counting)
     plant = _identification_plant()
     pset = est.FrobeniusBall(2.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
-    if input_policy is None:
-        _run(plant, pset, _null_policy(1, 1), control.ProbingSignal(decay_b=0.125, dim=1),
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    if open_input is None:
+        _run(plant, pset, _null_policy(1, 1), control.ProbingSignal(decay_b=0.125),
              noise, 40, 5)
     else:
-        simulate.run_open_loop_id(plant, pset, input_policy, noise, 40, 5)
+        simulate.run_open_loop_id(plant, pset, open_input[0], noise, 40, 5, **open_input[1])
     assert len(calls) == 40 + 2
 
 
-@pytest.mark.parametrize("input_policy", [("iid_uniform", 1.0), None],
-                         ids=["iid_uniform", "closed_loop"])
-def test_link_eval_calls_per_batch_step(monkeypatch, input_policy):
+@pytest.mark.parametrize("closed", [False, True], ids=["iid_uniform", "closed_loop"])
+def test_link_eval_calls_per_batch_step(monkeypatch, closed):
     # a batch of three makes one call per batch step for all its runs, and
     # per metric block one call per run
     real, calls = maps.Identity.eval, []
@@ -436,15 +428,58 @@ def test_link_eval_calls_per_batch_step(monkeypatch, input_policy):
     monkeypatch.setattr(maps.Identity, "eval", counting)
     plant = _identification_plant()
     pset = est.FrobeniusBall(2.0)
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=1, half_width=0.1)
-    if input_policy is None:
-        kw = dict(mech=_null_policy(1, 1), probe=control.ProbingSignal(decay_b=0.125, dim=1))
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    if closed:
+        kw = dict(mech=_null_policy(1, 1), probe=control.ProbingSignal(decay_b=0.125))
     else:
-        kw = dict(input_policy=input_policy)
+        kw = dict(probe=IID_INPUT)
     specs = [simulate.RunSpec(plant, pset, noise, seed, horizon=40, **kw) for seed in (5, 6, 7)]
     results = simulate.run_batch(specs)
     assert all(isinstance(rec, simulate.RunRecord) for rec in results)
     assert len(calls) == 40 + 2 * 3
+
+
+def test_one_noise_spec_draws_the_plants_n():
+    # the noise takes its size from the plant: one spec drives a scalar
+    # plant and the 4-state opinion plant, whose four w coordinates differ
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    scalar = simulate.run_open_loop_id(
+        _identification_plant(), est.FrobeniusBall(2.0), IID_INPUT, noise, 50, 4
+    )
+    assert scalar.w.shape == (50, 1)
+    ro = cfgmod.validate_config(_open_loop_iid_cfg(50))
+    rec = simulate.run_open_loop_id(ro.plant, ro.pset, ro.probe, noise, 50, 4)
+    assert rec.w.shape == (50, 4)
+    assert all(len(set(w)) == 4 for w in rec.w.tolist())
+
+
+def test_zero_input_is_the_iid_input_of_width_zero(tmp_path):
+    # both are a probe that draws nothing: the same bytes alone, and one
+    # batch_key, in whose batch each run gives the bytes it gives alone
+    zero, iid0 = _open_loop_iid_cfg(300), _open_loop_iid_cfg(300)
+    zero["input_policy"] = {"kind": "zero"}
+    iid0["input_policy"]["half_width"] = 0.0
+    specs = [cfgmod.validate_config(c) for c in (zero, iid0)]
+    assert simulate.batch_key(specs[0]) == simulate.batch_key(specs[1])
+    solos = [cfgmod.build_run(c) for c in (zero, iid0)]
+    assert (solos[0].u == 0.0).all() and not np.signbit(solos[0].u).any()
+    assert _record_bytes(solos[0], tmp_path) == _record_bytes(solos[1], tmp_path)
+    for solo, rec in zip(solos, simulate.run_batch(specs)):
+        _assert_same_run(solo, rec, tmp_path)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_state_feedback_input_is_the_bytes_of_k_x(n):
+    # u = K x plus a probe of width 0, whose +0.0 would turn a -0.0 of K x
+    # into +0.0: from x0 = 0 under a negative K, u keeps the bytes of K x
+    theta = np.vstack([0.5 * np.eye(n), np.ones((1, n))])
+    plant = simulate.PlantSpec(theta_star=theta, link=maps.Identity(), x0=np.zeros(n))
+    K = -np.linspace(0.1, 0.4, n)[None]
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    rec = simulate.run_open_loop_id(
+        plant, est.FrobeniusBall(5.0), ZERO_INPUT, noise, 100, 3, input_gain=K
+    )
+    assert rec.u[:100].tobytes() == np.array([np.matvec(K, x) for x in rec.x[:100]]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +490,8 @@ def test_csv_header_order_and_write(tmp_path):
     plant = _identity_plant(a_gain=0.3)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
     rec = _run(plant, pset, _null_policy(2, 2),
-               control.ProbingSignal(decay_b=0.0, dim=2),
-               simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1),
+               control.ProbingSignal(decay_b=0.0),
+               simulate.NoiseSpec(kind="uniform_cube", half_width=0.1),
                20, 0)
     assert simulate.csv_header(rec.n, rec.m) == [
         "t", "x0", "x1", "u0", "u1", "v0", "v1", "w0", "w1",
@@ -506,12 +541,12 @@ def _projected_record():
 def _truncated_record():
     plant = simulate.PlantSpec(
         theta_star=_identity_plant(a_gain=2.0).theta_star, link=maps.Identity(),
-        n=2, m=2, x0=np.array([1.0, 1.0]),
+        x0=np.array([1.0, 1.0]),
     )
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
     with pytest.raises(simulate.RunAbort) as exc:
         _run(plant, est.FrobeniusBall(5.0, rho_eps=0.9), _null_policy(2, 2),
-             control.ProbingSignal(decay_b=0.0, dim=2), noise, 500, 0,
+             control.ProbingSignal(decay_b=0.0), noise, 500, 0,
              divergence_ceiling=1e3)
     return exc.value.record
 
@@ -538,8 +573,8 @@ def test_summary_fields():
     plant = _identity_plant(a_gain=0.3)
     pset = est.FrobeniusBall(3.0, rho_eps=0.9)
     rec = _run(plant, pset, _null_policy(2, 2),
-               control.ProbingSignal(decay_b=0.0, dim=2),
-               simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.1),
+               control.ProbingSignal(decay_b=0.0),
+               simulate.NoiseSpec(kind="uniform_cube", half_width=0.1),
                50, 0)
     s = rec.summary()
     assert s["steps"] == 50
@@ -731,13 +766,13 @@ def test_rerun_of_one_spec_gives_the_same_bytes(tmp_path):
 def _divergent_specs(ceilings):
     plant = simulate.PlantSpec(
         theta_star=_identity_plant(a_gain=1.05).theta_star, link=maps.Identity(),
-        n=2, m=2, x0=np.array([1.0, 1.0]),
+        x0=np.array([1.0, 1.0]),
     )
-    noise = simulate.NoiseSpec(kind="uniform_cube", n=2, half_width=0.2)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.2)
     return [
         simulate.RunSpec(
             plant, est.FrobeniusBall(5.0, rho_eps=0.9), noise, seed, mech=_null_policy(2, 2),
-            probe=control.ProbingSignal(decay_b=0.125, dim=2), divergence_ceiling=ceiling,
+            probe=control.ProbingSignal(decay_b=0.125), divergence_ceiling=ceiling,
             horizon=300,
         )
         for seed, ceiling in enumerate(ceilings)
@@ -813,7 +848,7 @@ def test_riccati_batch_run_that_aborts_late_leaves_as_alone(tmp_path):
 
 def test_batch_rejects_runs_of_different_kinds():
     specs = _divergent_specs([1e9, 1e9])
-    specs[1].noise = simulate.NoiseSpec(kind="gaussian", n=2)
+    specs[1].noise = simulate.NoiseSpec(kind="gaussian")
     with pytest.raises(ValueError, match="batch_key"):
         simulate.run_batch(specs)
 
@@ -963,8 +998,8 @@ def test_noise_spec_rejects_negative_widths(field, bad):
     # a negative trunc would draw w = -trunc on every step; zero stays valid
     widths = {"sigma": 5.0, "trunc": 1.0}
     with pytest.raises(ValueError, match=f"noise {field} must be >= 0"):
-        simulate.NoiseSpec("truncated_gaussian", 2, **{**widths, field: bad})
-    spec = simulate.NoiseSpec("truncated_gaussian", 2, **{**widths, field: 0.0})
+        simulate.NoiseSpec("truncated_gaussian", **{**widths, field: bad})
+    spec = simulate.NoiseSpec("truncated_gaussian", **{**widths, field: 0.0})
     assert getattr(spec, field) == 0.0
 
 
@@ -973,8 +1008,7 @@ def test_plant_step_keeps_positive_zero_for_scalar_state(with_prediction):
     # with n = 1, A < 0 and x = 0, np.matvec gives +0.0 where ndarray.dot
     # gives -0.0; with a -0.0 draw of w the state's sign would show it
     plant = simulate.PlantSpec(
-        theta_star=np.array([[-0.5], [-0.3]]), link=maps.Identity(), n=1, m=1,
-        x0=np.zeros(1),
+        theta_star=np.array([[-0.5], [-0.3]]), link=maps.Identity(), x0=np.zeros(1),
     )
     x, u, w = np.zeros(1), np.zeros(1), np.array([-0.0])
     z = np.array([-0.0])
