@@ -263,13 +263,13 @@ class StepDiagnostics:
     g_bar: float
     a_weight: float
     mu_weight: float
+    quad: float  # phi^T P phi with the pre-update P
+    z: np.ndarray  # theta_hat^T phi, the link input of the prediction
     projected: bool = False
-    quad: float = float("nan")  # phi^T P phi with the pre-update P
     prediction: np.ndarray | None = None  # f(theta_hat^T phi), pre-update theta_hat
-    z: np.ndarray | None = None  # theta_hat^T phi, the link input of the prediction
 
 
-def new_estimator(theta0, pset, delta, f):
+def new_estimator(theta0, pset, delta):
     """Fresh recursion state: P0 = identity, r0 = 1 (no regressor absorbed)."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim != 2 or theta0.shape[0] <= theta0.shape[1]:

@@ -163,10 +163,10 @@ COLUMNS = (
 STATE_COLUMNS = ("x", "x_star")
 
 
-def _columns(n, m, horizon, runs=None):
-    """The arrays of COLUMNS set to their fills: for one record, or for
-    ``runs`` records at once with the run axis second, so that a step writes
-    one row of all runs and a record's columns are views [:, r]."""
+def _columns(n, m, horizon, runs):
+    """The arrays of COLUMNS set to their fills: for one record (``runs``
+    None), or for ``runs`` records at once with the run axis second, so that
+    a step writes one row of all runs and a record's columns are views [:, r]."""
     dims = {"n": n, "m": m}
     out = {}
     for attr, _, width, fill in COLUMNS:
@@ -209,21 +209,18 @@ def _csv_rows(table, first, stride):
 @dataclass
 class RunRecord:
     """Full per-step log of one simulation plus its wall time: one array per
-    entry of COLUMNS for ``horizon`` steps, set to the column's fill until
-    written (x_star, u_star and j_t stay NaN in a run without a reference).
-    ``columns`` may hand in the arrays (views into a batch's)."""
+    entry of COLUMNS (``columns``, from _columns or views into a batch's),
+    set to the column's fill until written (x_star, u_star and j_t stay NaN
+    in a run without a reference)."""
 
     n: int
     m: int
-    horizon: int
     acc: metrics.MetricAccumulator
+    columns: InitVar[dict]
     steps_completed: int = field(init=False, default=0)
     wall_time_s: float | None = field(init=False, default=None)  # of a completed run
-    columns: InitVar[dict | None] = None
 
     def __post_init__(self, columns):
-        if columns is None:
-            columns = _columns(self.n, self.m, self.horizon)
         for attr, *_ in COLUMNS:
             setattr(self, attr, columns[attr])
 
@@ -244,7 +241,7 @@ class RunRecord:
             "projections": int(np.count_nonzero(self.projected[: self.steps_completed])),
         }
         out["empirical_gain_ratio"] = metrics.empirical_gain_ratio(self.acc)
-        if self.acc.sum_sign_mismatch or self.acc.sum_track_sq:
+        if not math.isnan(out["final_tracking_error"]):  # NaN without a reference
             out["sign_regret"] = metrics.sign_regret(self.acc)
         out["prediction_regret"] = self.acc.sum_pred_regret
         return out
@@ -259,9 +256,11 @@ class CsvWriter:
     which then renames the temporary file to ``path``; ``close`` without a
     commit, or the parent's death, leaves the child at the end of its pipe,
     and it deletes the temporary file.  A child that cannot write the file
-    deletes it too and sends back its reason: ``error`` is then the OSError
-    "cannot write PATH: REASON", which the next ``send`` or the ``commit``
-    raises.  Use it as a context manager, so that the child is reaped on
+    deletes it too and exits with the errno of its OSError: ``error`` is
+    then the OSError "cannot write PATH: REASON", which the next ``send`` or
+    the ``commit`` raises.  A block on the pipe is headed by its end row
+    alone (it starts where the last one stopped); a commit of ``rows`` sends
+    -1 - rows.  Use it as a context manager, so that the child is reaped on
     every way out.  The temporary file is opened before the fork, so an
     OSError for the directory is raised before any row; a fork that fails
     raises a ChildProcessError and leaves no file.  The child never calls
@@ -275,28 +274,25 @@ class CsvWriter:
         tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         rfd, wfd = os.pipe()
-        erfd, ewfd = os.pipe()  # the child's reason, should it fail
         try:
             pid = os.fork()
         except OSError as exc:
-            for f in (fd, rfd, wfd, erfd, ewfd):
+            for f in (fd, rfd, wfd):
                 os.close(f)
             os.unlink(tmp)
             raise ChildProcessError(f"cannot start the CSV writer: {exc.strerror}") from exc
         if pid == 0:
             os.close(wfd)
-            os.close(erfd)
-            _csv_child(rfd, fd, ewfd, tmp, path, csv_header(n, m), stride)
-        for f in (rfd, fd, ewfd):
+            _csv_child(rfd, fd, tmp, path, csv_header(n, m), stride)
+        for f in (rfd, fd):
             os.close(f)
         self.pid, self.status, self.error = pid, None, None
         self._pipe = open(wfd, "wb")
-        self._reasons = erfd
 
     def send(self, rec, start, stop):
-        """Hand the child rows start .. stop-1 of ``rec``, which are final."""
+        """Hand the child rows start .. stop-1 of ``rec``, its next final rows."""
         try:
-            self._pipe.write(_block_head(start, stop))
+            self._pipe.write(stop.to_bytes(8, "little", signed=True))
             self._pipe.write(_csv_table(rec, start, stop))
             self._pipe.flush()
         except BrokenPipeError:
@@ -306,7 +302,7 @@ class CsvWriter:
     def commit(self, rows):
         """Report a completed run of ``rows`` steps, wait for the child and
         raise its OSError if it did not write the file whole."""
-        self._pipe.write(_block_head(-1, rows))
+        self._pipe.write((-1 - rows).to_bytes(8, "little", signed=True))
         self.close()
         if self.error:
             raise self.error
@@ -321,9 +317,10 @@ class CsvWriter:
             except BrokenPipeError:
                 pass  # the child is gone; its status tells
             self.status = os.waitpid(self.pid, 0)[1]
-            with open(self._reasons, "rb") as fh:
-                reason = fh.read().decode() or f"the CSV writer failed (wait status {self.status})"
             if self.status:
+                code = os.waitstatus_to_exitcode(self.status)  # -N after signal N
+                reason = f"the CSV writer failed (wait status {self.status})"
+                reason = os.strerror(code) if 0 < code < 255 else reason
                 self.error = OSError(f"cannot write {self.path}: {reason}")
 
     def __enter__(self):
@@ -332,11 +329,6 @@ class CsvWriter:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-def _block_head(start, stop):
-    """What precedes a block on the writer's pipe; start -1 commits."""
-    return start.to_bytes(8, "little", signed=True) + stop.to_bytes(8, "little", signed=True)
 
 
 def _leave_parent_cpu():
@@ -357,10 +349,10 @@ def _leave_parent_cpu():
         pass
 
 
-def _csv_child(rfd, fd, ewfd, tmp, path, header, stride):
+def _csv_child(rfd, fd, tmp, path, header, stride):
     """The writer's child (never returns): formats the blocks from ``rfd``
     into the temporary file ``fd`` and renames it to ``path`` on a commit
-    after rows 0 .. rows-1 in order; writes why it cannot to ``ewfd``."""
+    after rows 0 .. rows-1 in order; exits 0 then, the errno of an OSError or 255."""
     import gc
     import os
     import signal
@@ -372,38 +364,34 @@ def _csv_child(rfd, fd, ewfd, tmp, path, header, stride):
     gc.disable()
     _leave_parent_cpu()
     ncols = len(header) - 1
-    done = False
+    status = 255
     try:
         with open(rfd, "rb") as pipe, open(fd, "w") as fh:
             fh.write(",".join(header) + "\n")
-            rows = 0
-            while True:
-                head = pipe.read(16)
-                if len(head) < 16:
-                    break  # the end of the pipe before a commit: no file
-                start = int.from_bytes(head[:8], "little", signed=True)
-                stop = int.from_bytes(head[8:], "little", signed=True)
-                if start < 0:
-                    done = stop == rows
+            rows, done = 0, False
+            while len(head := pipe.read(8)) == 8:  # else the pipe ended before a commit
+                stop = int.from_bytes(head, "little", signed=True)
+                if stop < 0:
+                    done = -1 - stop == rows
                     break
-                size = 8 * ncols * (stop - start)
+                size = 8 * ncols * (stop - rows)
                 data = pipe.read(size)
-                if start != rows or len(data) < size:
+                if len(data) != size:
                     break
-                fh.write(_csv_rows(np.frombuffer(data).reshape(-1, ncols), start, stride))
+                fh.write(_csv_rows(np.frombuffer(data).reshape(-1, ncols), rows, stride))
                 rows = stop
         if done:
             os.replace(tmp, path)
-    except Exception as exc:  # noqa: BLE001 - reported, then the exit status
-        done = False
-        os.write(ewfd, str(getattr(exc, "strerror", None) or exc).encode())
-    finally:
-        if not done:
+            status = 0
+    except OSError as exc:
+        status = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    finally:  # any other exception ends here too, with status 255
+        if status:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-        os._exit(0 if done else 1)
+        os._exit(status)
 
 
 @dataclass
@@ -503,13 +491,15 @@ class _Member:
 
     def __init__(self, index, spec):
         plant = spec.plant
-        if spec.mech is not None and not spec.pset.contains(plant.theta_star, shrunk=True):
+        if not spec.pset.contains(plant.theta_star, shrunk=True):
             raise ValueError("theta_star must lie strictly inside the shrunken set")
+        if spec.mech is not None and spec.input_gain is not None:
+            raise ValueError("a closed-loop run takes no input_gain")
         if not spec.noise.bounded and plant.link.bounded:
             raise ValueError("bounded links require almost-surely bounded noise")
         n, m = plant.n, plant.m
         theta0 = np.zeros((n + m, n)) if spec.theta0 is None else np.asarray(spec.theta0, float)
-        self.state = estimator.new_estimator(theta0, spec.pset, spec.delta, plant.link)
+        self.state = estimator.new_estimator(theta0, spec.pset, spec.delta)
         streams = spawn_streams(spec.seed)
         self.rng_noise, self.rng_probe = streams["noise"], streams["probe"]
         # the loop's Riccati feedback solves on a copy with a cold cache: every
@@ -548,15 +538,12 @@ class _Loop:
                 link=maps.stacked([s.plant.link for s in specs], 1), x0=None,
             )
             self.pset = maps.stacked([s.pset for s in specs])
-            self.mech = self.ref_mech = None  # open loop
-            if first.mech is not None:
-                self.mech = tuple(mb.mech for mb in members)
-                self.ref_mech = tuple(s.mech for s in specs)
+            self.mech = None if first.mech is None else tuple(mb.mech for mb in members)
             self.ceiling = np.array([s.divergence_ceiling for s in specs])
         else:
             (mb,) = members
             self.plant, self.pset, self.ceiling = first.plant, first.pset, first.divergence_ceiling
-            self.mech, self.ref_mech = mb.mech, first.mech
+            self.mech = mb.mech
         self.reference = None
         self.zero = np.zeros((len(specs), first.plant.m) if self.batched else first.plant.m)
         self.gain = first.input_gain
@@ -578,12 +565,12 @@ class _Loop:
         phi = np.concatenate([x, u], axis=-1)
         z = estimator.link_input(state.theta_hat, phi)
         u_star = x_star_next = None
-        if self.ref_mech is None:
+        if self.mech is None:
             x_next, prediction = plant_step(plant, x, u, w, z)
         else:
             # so does the reference, stacked before any run axis
             if self.reference is None:
-                self.reference = control.frozen_policy(self.ref_mech, plant.theta_star)
+                self.reference = control.frozen_policy(self.mech, plant.theta_star)
             u_star = self.reference(x_star)
             (x_next, x_star_next), prediction = plant_step(
                 plant, np.array((x, x_star)), np.array((u, u_star)), w, z
@@ -643,7 +630,7 @@ def _run(specs):
     for pos, mb in enumerate(members):
         mb.pos = pos if runs else None
         views = {attr: c if runs is None else c[:, pos] for attr, c in cols.items()}
-        mb.rec = RunRecord(n=n, m=m, horizon=horizon, acc=mb.acc, columns=views)
+        mb.rec = RunRecord(n=n, m=m, acc=mb.acc, columns=views)
     loop = _Loop(members)
     block = (METRIC_BLOCK,) + ((runs,) if runs else ())
     prediction = np.empty(block + (n,))

@@ -50,7 +50,7 @@ def openloop_run():
     n, m = plant.n, plant.m
     streams = simulate.spawn_streams(ro.seed)
     rng_noise, rng_input = streams["noise"], streams["probe"]
-    state = est.new_estimator(np.zeros((n + m, n)), pset, delta, plant.link)
+    state = est.new_estimator(np.zeros((n + m, n)), pset, delta)
     x = plant.x0.copy()
     gram = np.zeros((n + m, n + m))
     param_err = np.empty(T)
@@ -138,7 +138,7 @@ def test_criterion_01_transcription_equivalence():
     rng = np.random.default_rng(12345)
     delta = 0.5
 
-    state = est.new_estimator(np.zeros((2, 1)), pset, delta, link)
+    state = est.new_estimator(np.zeros((2, 1)), pset, delta)
     # independent straight-line transcription of the same recursion
     theta = np.zeros((2, 1))
     P = np.eye(2)
@@ -193,7 +193,7 @@ def test_criterion_02_sherman_morrison_invariant():
     )
     # replay the estimator offline; P_{t+1}^{-1} must equal
     # P_t^{-1} + (d_t^2/mu_t) phi phi^T at every step
-    state = est.new_estimator(ro.theta0, ro.pset, ro.delta, ro.plant.link)
+    state = est.new_estimator(ro.theta0, ro.pset, ro.delta)
     p_inv = np.eye(ro.plant.n + ro.plant.m)
     worst = 0.0
     for t in range(10_000):
@@ -260,7 +260,7 @@ def test_criterion_04_self_convergence_zero_input():
     T = 100_000
     n, m = plant.n, plant.m
     rng_noise = simulate.spawn_streams(ro.seed)["noise"]
-    state = est.new_estimator(np.zeros((n + m, n)), pset, ro.delta, plant.link)
+    state = est.new_estimator(np.zeros((n + m, n)), pset, ro.delta)
     x = plant.x0.copy()
     max_change = 0.0
     for t in range(T):

@@ -396,13 +396,23 @@ def _open_loop_iid(*mutations):
     ("opinion", "metrics.gamma", _set_field("metrics", {"gamma": 0.0})),
     ("opinion", "input_policy.half_width",
      _open_loop_iid(_set_field("input_policy.half_width", -1.0))),
+    ("opinion", "plant.n", _set_field("plant.n", 0)),
+    # the shrunken set is the ball of radius 2.5
+    ("opinion", "plant.theta_star", _set_entry("plant", "theta_star", 0, 0, value=3.0)),
+    ("opinion", "estimator.delta", _set_field("estimator.delta", 0)),
+    ("opinion", "estimator.theta0", _set_entry("estimator", "theta0", value=[[3.0] * 4] * 5)),
+    # opinion's metrics.rate_probes is on, with b = 0.125
+    ("opinion", "metrics.gamma", _set_field("metrics.gamma", 2.0)),
+    ("opinion", "metrics.gamma", _set_field("metrics.gamma", 4.0)),
 ], ids=["gain-not-object", "radius-null", "rho_eps-list", "radius_a-object",
         "radius_b-null", "theta_star-null-entry", "x0-null-entry", "Q-scalar",
         "R-wrong-size", "seed-negative", "gain-kind-unknown", "trunc-negative",
         "noise-half_width-negative", "sigma-negative", "probe-half_width-negative",
         "bound_eps-negative", "m-zero", "distribution-unknown", "rate_probes-string",
         "rate_probes-float", "rate_probes-list", "c1-zero", "c1-negative",
-        "gamma-negative-open-loop", "gamma-zero", "input-half_width-negative"])
+        "gamma-negative-open-loop", "gamma-zero", "input-half_width-negative", "n-zero",
+        "theta_star-outside-shrunken-set", "delta-zero", "theta0-outside-set",
+        "rate_probes-gamma-2", "rate_probes-empty-eta-interval"])
 def test_bad_value_is_validation_error(tmp_path, capsys, preset, field, mutate):
     p = _write_cfg(tmp_path, mutate(_preset_cfg(preset, horizon=3)))
     for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "o")]):
@@ -562,11 +572,16 @@ _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
     # Q must be positive semidefinite, as a run config's policy.Q
     ({"A": [[1.0]], "Q": [[-1.0]], "R": [[1.0]]}, "Q"),
     ({"A": [[0.9, 0.2], [-0.3, 0.7]], "Q": [[-0.5, 0.0], [0.0, 1.0]], "R": _EYE2}, "Q"),
+    # no file, and a file that holds no JSON object
+    (None, "matrices"),
+    ([[0.5]], "matrices"),
 ], ids=["A-not-square", "A-vector", "Q-3x3", "R-1x1", "A-nan", "Q-inf", "R-inf", "A-bool",
-        "Q-bool", "R-bool", "R-negative", "R-indefinite", "Q-negative", "Q-indefinite"])
+        "Q-bool", "R-bool", "R-negative", "R-indefinite", "Q-negative", "Q-indefinite",
+        "missing-file", "json-list"])
 def test_dare_bad_matrix_is_validation_error(tmp_path, capsys, spec, name):
     p = tmp_path / "m.json"
-    p.write_text(json.dumps(spec))
+    if spec is not None:
+        p.write_text(json.dumps(spec))
     assert cli.main(["dare", str(p)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"validation error: {name}:")
 
@@ -604,6 +619,16 @@ def test_sweep_unknown_axis_fails_fast(tmp_path):
     cfg = _opinion_cfg(horizon=50)
     with pytest.raises(cfgmod.ConfigError):
         cli.run_sweep(cfg, "plant.does_not_exist", [1.0], [0], workers=1)
+
+
+def test_sweep_axis_with_an_unknown_middle_key_exits_2(tmp_path, capsys):
+    argv = ["sweep", str(_write_cfg(tmp_path, _opinion_cfg(horizon=50))), "--param",
+            "plant.nolink.sigma", "--values", "1", "--seeds", "0", "--workers", "1",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: plant.nolink.sigma: unknown sweep field\n"
+    )
 
 
 @pytest.mark.parametrize("config, values, seeds, workers, field", [
@@ -1120,6 +1145,26 @@ def test_send_after_the_child_failed_raises_its_reason(tmp_path, monkeypatch):
         reason = os.strerror(errno.ENOSPC)
         assert str(info.value) == f"cannot write {tmp_path / 'run.csv'}: {reason}"
         assert info.value is writer.error
+    _assert_reaped([writer])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("case", ["not-an-oserror", "commit-of-another-count"])
+def test_a_child_that_fails_without_an_errno_gives_its_wait_status(tmp_path, monkeypatch,
+                                                                  case):
+    # the child exits 255: it raised something other than an OSError, or the
+    # commit's row count is not the count of the rows it was sent
+    if case == "not-an-oserror":
+        monkeypatch.setattr(simulate, "_csv_rows", lambda *args: 1 / 0)
+    ro = cfgmod.validate_config(_opinion_cfg(10))
+    rec = cfgmod.build_run(ro)
+    with simulate.CsvWriter(tmp_path / "run.csv", ro.plant.n, ro.plant.m, 1) as writer:
+        writer.send(rec, 0, 10)
+        with pytest.raises(OSError) as info:
+            writer.commit(10 if case == "not-an-oserror" else 9)
+    assert str(info.value) == (
+        f"cannot write {tmp_path / 'run.csv'}: the CSV writer failed (wait status {255 << 8})"
+    )
     _assert_reaped([writer])
     assert os.listdir(tmp_path) == []
 

@@ -109,7 +109,7 @@ def test_block_membership_matches_svd_reference(shrunk):
 
 def test_new_estimator_shapes_and_defaults():
     pset = est.FrobeniusBall(5.0)
-    state = est.new_estimator(np.zeros((6, 4)), pset, 0.5, maps.Identity())
+    state = est.new_estimator(np.zeros((6, 4)), pset, 0.5)
     np.testing.assert_array_equal(state.p_matrix, np.eye(6))
     assert state.r_accum == 1.0
 
@@ -118,13 +118,13 @@ def test_new_estimator_boundary_accepted_outside_rejected():
     pset = est.FrobeniusBall(5.0)
     boundary = np.zeros((3, 2))
     boundary[0, 0] = 5.0
-    est.new_estimator(boundary, pset, 0.5, maps.Identity())  # closed set
+    est.new_estimator(boundary, pset, 0.5)  # closed set
     outside = boundary.copy()
     outside[0, 0] = 5.01
     with pytest.raises(ValueError):
-        est.new_estimator(outside, pset, 0.5, maps.Identity())
+        est.new_estimator(outside, pset, 0.5)
     with pytest.raises(ValueError):
-        est.new_estimator(np.zeros((3, 2)), pset, -0.1, maps.Identity())
+        est.new_estimator(np.zeros((3, 2)), pset, -0.1)
 
 
 def test_frobenius_ball_rejects_nan_radius():
@@ -142,7 +142,7 @@ def test_block_balls_reject_nan_radius(radii):
 
 def test_new_estimator_rejects_nan_delta():
     with pytest.raises(ValueError, match="delta must be positive"):
-        est.new_estimator(np.zeros((3, 2)), est.FrobeniusBall(5.0), np.nan, maps.Identity())
+        est.new_estimator(np.zeros((3, 2)), est.FrobeniusBall(5.0), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_step_weights_hand_example():
     # identity link, theta_hat = 0, P = I, unit regressor, unit-radius ball:
     # r becomes 2, c = 1, d = 1/2, g = 1, mu = (1+log 2)^1.5 + 1/2
     pset = est.FrobeniusBall(1.0)
-    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5, IDENT)
+    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5)
     diag = est.step_weights(state, np.array([1.0, 0.0]), IDENT, pset)
     mu_expect = (1.0 + np.log(2.0)) ** 1.5 + 0.5
     assert state.r_accum == pytest.approx(2.0)
@@ -165,7 +165,7 @@ def test_step_weights_hand_example():
 
 def test_step_weights_zero_regressor():
     pset = est.FrobeniusBall(1.0)
-    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5, IDENT)
+    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5)
     diag = est.step_weights(state, np.zeros(2), IDENT, pset)
     assert diag.mu_weight == pytest.approx(1.0)  # r stays 1, log term is 1
     assert diag.a_weight == pytest.approx(1.0)
@@ -178,7 +178,7 @@ def test_step_weight_orderings(seed):
     rng = np.random.default_rng(seed)
     pset = est.FrobeniusBall(3.0)
     f = maps.ScaledTanh(a=2.0)
-    state = est.new_estimator(rng.uniform(-1, 1, (3, 2)), pset, 0.5, f)
+    state = est.new_estimator(rng.uniform(-1, 1, (3, 2)), pset, 0.5)
     diag = est.step_weights(state, rng.uniform(-2, 2, 3), f, pset)
     assert 0.0 < diag.a_weight <= 1.0 / diag.mu_weight + 1e-15
     assert diag.mu_weight >= (1.0 + np.log(state.r_accum)) ** 1.5 - 1e-12
@@ -192,7 +192,7 @@ def test_step_weight_orderings(seed):
 def test_zero_residual_keeps_estimate_but_contracts_p():
     theta0 = np.array([[0.4], [0.1]])
     pset = est.FrobeniusBall(2.0)
-    state = est.new_estimator(theta0, pset, 0.5, IDENT)
+    state = est.new_estimator(theta0, pset, 0.5)
     phi = np.array([1.0, 2.0])
     x_next = theta0.T @ phi  # exact prediction
     nxt, diag = est.estimator_step(state, phi, x_next, IDENT, pset)
@@ -204,7 +204,7 @@ def test_zero_residual_keeps_estimate_but_contracts_p():
 def test_zero_regressor_is_a_no_op():
     theta0 = np.array([[0.4], [0.1]])
     pset = est.FrobeniusBall(2.0)
-    state = est.new_estimator(theta0, pset, 0.5, IDENT)
+    state = est.new_estimator(theta0, pset, 0.5)
     nxt, _ = est.estimator_step(state, np.zeros(2), np.array([3.0]), IDENT, pset)
     np.testing.assert_array_equal(nxt.theta_hat, theta0)
     np.testing.assert_array_equal(nxt.p_matrix, np.eye(2))
@@ -213,7 +213,7 @@ def test_zero_regressor_is_a_no_op():
 @pytest.mark.parametrize("radius", [2.0, 0.3], ids=["inside", "projecting"])
 def test_estimator_step_leaves_input_state_unmodified(radius):
     pset = est.FrobeniusBall(radius, rho_eps=0.5)
-    state = est.new_estimator(np.array([[0.1], [0.1]]), pset, 0.5, IDENT)
+    state = est.new_estimator(np.array([[0.1], [0.1]]), pset, 0.5)
     before = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
     values = copy.deepcopy(before)
     nxt, diag = est.estimator_step(state, np.array([1.0, 2.0]), np.array([3.0]), IDENT, pset)
@@ -226,7 +226,7 @@ def test_estimator_step_leaves_input_state_unmodified(radius):
 
 def test_dimension_mismatch_rejected():
     pset = est.FrobeniusBall(2.0)
-    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5, IDENT)
+    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5)
     with pytest.raises(ValueError):
         est.estimator_step(state, np.zeros(3), np.zeros(1), IDENT, pset)
 
@@ -235,7 +235,7 @@ def test_estimator_step_matches_straight_line_recursion():
     # five steps compared entrywise against an independent hand transcription
     theta_star, pset = _scalar_system(radius=2.0)
     rng = np.random.default_rng(11)
-    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5, IDENT)
+    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5)
 
     th = np.zeros((2, 1))
     P = np.eye(2)
@@ -274,7 +274,7 @@ def test_estimator_step_is_expression_form_bit_for_bit(n, m):
     pset = est.FrobeniusBall(50.0)
     rng = np.random.default_rng(7 * n + m)
     theta_star = 0.3 * rng.standard_normal((n + m, n))
-    state = est.new_estimator(np.zeros((n + m, n)), pset, 0.5, link)
+    state = est.new_estimator(np.zeros((n + m, n)), pset, 0.5)
     th, P, r = np.zeros((n + m, n)), np.eye(n + m), 1.0
     x = np.zeros(n)
     for _ in range(300):
@@ -303,7 +303,7 @@ def _short_run(T=2_000, seed=5):
     """Scalar identity-link identification run returning per-step records."""
     theta_star, pset = _scalar_system(radius=2.0)
     rng = np.random.default_rng(seed)
-    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5, IDENT)
+    state = est.new_estimator(np.zeros((2, 1)), pset, 0.5)
     x = np.array([0.0])
     rows = []
     for _ in range(T):
@@ -351,7 +351,7 @@ def test_estimate_stays_in_set_with_projection_counting():
     theta_star = np.array([[0.15], [0.1]])
     pset = est.FrobeniusBall(0.4, rho_eps=0.5)
     rng = np.random.default_rng(2)
-    state = est.new_estimator(np.array([[0.4], [0.0]]), pset, 0.5, IDENT)
+    state = est.new_estimator(np.array([[0.4], [0.0]]), pset, 0.5)
     x = np.array([0.0])
     projections = 0
     for _ in range(400):
@@ -440,7 +440,7 @@ def test_lyapunov_diagnostic_stays_bounded():
     ro = _opinion_objects()
     T = 20_000
     streams = simulate.spawn_streams(ro.seed)
-    state = est.new_estimator(ro.theta0, ro.pset, ro.delta, ro.plant.link)
+    state = est.new_estimator(ro.theta0, ro.pset, ro.delta)
     acc = metrics.MetricAccumulator(ro.plant.theta_star, ro.plant.link, ro.gamma)
     x = ro.plant.x0.copy()
     theta_ctrl = state.theta_hat.copy()
@@ -534,7 +534,7 @@ def test_single_step_is_batch_of_one_while_learning():
     pset = est.FrobeniusBall(50.0)
     rng = np.random.default_rng(31)
     theta_star = 0.3 * rng.standard_normal((n + m, n))
-    state = est.new_estimator(np.zeros((n + m, n)), pset, 0.7, link)
+    state = est.new_estimator(np.zeros((n + m, n)), pset, 0.7)
     x = np.zeros(n)
     for t in range(50):
         phi = np.concatenate([x, rng.uniform(-1.0, 1.0, m)])
@@ -548,7 +548,7 @@ def test_single_step_is_batch_of_one_while_learning():
 def test_single_step_is_batch_of_one_for_zero_regressor():
     pset = est.FrobeniusBall(2.0)
     link = maps.ScaledTanh(a=2.0)
-    state = est.new_estimator(np.full((4, 2), 0.25), pset, 0.5, link)
+    state = est.new_estimator(np.full((4, 2), 0.25), pset, 0.5)
     nxt, _ = _step_alone_and_batched(state, np.zeros(4), np.array([0.4, -0.1]), link, pset)
     np.testing.assert_array_equal(nxt.theta_hat, state.theta_hat)
 
@@ -557,7 +557,7 @@ def test_single_step_is_batch_of_one_for_zero_regressor():
                          ids=["frobenius", "blocks"])
 def test_single_step_is_batch_of_one_when_projecting(pset):
     link = maps.Identity()
-    state = est.new_estimator(np.full((4, 2), 0.01), pset, 0.5, link)
+    state = est.new_estimator(np.full((4, 2), 0.01), pset, 0.5)
     phi = np.array([1.0, -2.0, 0.5, 1.5])
     nxt, diag = _step_alone_and_batched(state, phi, np.array([4.0, -3.0]), link, pset)
     assert diag.projected
@@ -566,7 +566,7 @@ def test_single_step_is_batch_of_one_when_projecting(pset):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_single_step_is_batch_of_one_for_non_finite_regressor(bad):
     pset = est.FrobeniusBall(2.0)
-    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, maps.Identity())
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5)
     phi = np.array([0.5, bad, 0.0, 1.0])
     exc = _step_alone_and_batched(state, phi, np.zeros(2), maps.Identity(), pset)
     assert isinstance(exc, ValueError) and str(exc) == "regressor must be finite"
@@ -577,7 +577,7 @@ def test_single_step_is_batch_of_one_when_energy_overflows():
     # the envelope's radius check raises
     pset = est.FrobeniusBall(2.0)
     link = maps.LeakyRelu(slope=0.3)
-    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, link)
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5)
     with np.errstate(over="ignore"):
         exc = _step_alone_and_batched(
             state, np.array([1e200, 0.0, 0.0, 0.0]), np.zeros(2), link, pset
@@ -601,7 +601,7 @@ def test_single_step_is_batch_of_one_in_extended_precision(monkeypatch, phi, res
     )
     link = maps.ScaledTanh(a=1e-17)
     pset = est.FrobeniusBall(1e-30)
-    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5, link)
+    state = est.new_estimator(np.zeros((4, 2)), pset, 0.5)
     out = _step_alone_and_batched(state, phi, np.zeros(2), link, pset)
     assert len(calls) == 2  # once alone, once in the batch
     if np.finfo(np.longdouble).eps < np.finfo(float).eps:
@@ -661,7 +661,7 @@ def test_ball_support_from_regressor_energy_is_support_value(d):
         phi = rng.standard_normal(d) * rng.uniform(1e-3, 1e3)
         theta = rng.uniform(-1.0, 1.0, (d, 1)) * radius / (2.0 * d)
         got, want = (
-            est.step_weights(est.new_estimator(theta, pset, 0.5, f), phi, f, pset)
+            est.step_weights(est.new_estimator(theta, pset, 0.5), phi, f, pset)
             for pset in (est.FrobeniusBall(radius), _PlainBall(radius))
         )
         for key in ("d_gain", "g_bar", "a_weight", "mu_weight", "quad"):

@@ -242,12 +242,35 @@ def test_abort_mid_block_keeps_the_rows_before_it(monkeypatch):
 
 
 def test_theta_star_must_fit_the_shrunken_set():
+    # in both modes, as the config requires
     plant = _identity_plant(a_gain=0.5)
     pset = est.FrobeniusBall(1.0, rho_eps=0.5)  # ||theta*|| > 0.5
     noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
-    with pytest.raises(ValueError):
-        _run(plant, pset, _null_policy(2, 2),
-             control.ProbingSignal(decay_b=0.0), noise, 10, 0)
+    probe = control.ProbingSignal(decay_b=0.0)
+    with pytest.raises(ValueError, match="shrunken set"):
+        _run(plant, pset, _null_policy(2, 2), probe, noise, 10, 0)
+    with pytest.raises(ValueError, match="shrunken set"):
+        simulate.run_open_loop_id(plant, pset, probe, noise, 10, 0)
+
+
+def test_closed_loop_takes_no_input_gain():
+    # it once ran as if it had none; alone it raises, and in a batch (whose
+    # key keeps runs with a gain apart) it is each such run's entry
+    plant = _identity_plant(a_gain=0.5)
+    pset = est.FrobeniusBall(3.0, rho_eps=0.9)
+    noise = simulate.NoiseSpec(kind="uniform_cube", half_width=0.1)
+    probe = control.ProbingSignal(decay_b=0.125)
+    gain = np.full((2, 2), 5.0)
+    with pytest.raises(ValueError, match="a closed-loop run takes no input_gain"):
+        _run(plant, pset, _null_policy(2, 2), probe, noise, 10, 0, input_gain=gain)
+    specs = [
+        simulate.RunSpec(plant, pset, noise, seed, probe, mech=_null_policy(2, 2),
+                         input_gain=gain, horizon=10)
+        for seed in (0, 1)
+    ]
+    for entry in simulate.run_batch(specs):
+        assert isinstance(entry, ValueError)
+        assert str(entry) == "a closed-loop run takes no input_gain"
 
 
 def test_gaussian_noise_rejected_with_bounded_link():
@@ -525,7 +548,7 @@ def _reference_csv(rec, stride=1):
 
 def _projected_record():
     rng = np.random.default_rng(17)
-    rec = simulate.RunRecord(n=2, m=3, horizon=11, acc=None)  # the CSV reads no metrics
+    rec = simulate.RunRecord(2, 3, None, simulate._columns(2, 3, 11, None))  # the CSV reads no metrics
     for attr, _, _, _ in simulate.COLUMNS:
         arr = getattr(rec, attr)
         if arr.dtype == bool:
@@ -552,7 +575,7 @@ def _truncated_record():
 
 
 def _empty_record():
-    return simulate.RunRecord(n=2, m=2, horizon=5, acc=None)  # aborted at step 0
+    return simulate.RunRecord(2, 2, None, simulate._columns(2, 2, 5, None))  # aborted at step 0
 
 
 @pytest.mark.parametrize("make_record, stride", [
@@ -580,6 +603,16 @@ def test_summary_fields():
     assert s["steps"] == 50
     assert s["final_param_err"] == pytest.approx(rec.param_err[-1])
     assert "prediction_regret" in s
+
+
+def test_closed_loop_summary_without_tracking_error_has_sign_regret():
+    # without a probe, opinion's loop never leaves its reference: the sums
+    # of the tracking metrics are 0, and the summary still reports the sign
+    # regret of a closed loop, which an open loop's (J_t NaN) does not
+    cfg = _preset("opinion", 300) | {"probe": {"b": 0.125, "bound_eps": 0.0}}
+    s = cfgmod.build_run(cfg).summary()
+    assert s["final_tracking_error"] == 0.0 and s["sign_regret"] == 0.0
+    assert "sign_regret" not in cfgmod.build_run(_open_loop_iid_cfg(300)).summary()
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +700,11 @@ BATCHES = {
     "open-loop-iid": lambda: _variants(
         _open_loop_iid_cfg(300), **{"input_policy.half_width": [0.5, 1.0]}
     ),
+    # the runs' gains K are stacked along the run axis
+    "open-loop-feedback": lambda: _variants(
+        _open_loop_iid_cfg(300) | {"input_policy": {"kind": "state_feedback", "K": None}},
+        **{"input_policy.K": [[[-0.1, 0.0, 0.05, 0.0]], [[0.05, -0.1, 0.0, 0.02]]]},
+    ),
 }
 
 
@@ -687,7 +725,7 @@ def _replayed_projections(cfg, rec):
     """The projection count of the estimator run on the record's phi_t and
     x_{t+1}."""
     ro = cfgmod.validate_config(cfg)
-    state = est.new_estimator(ro.theta0, ro.pset, ro.delta, ro.plant.link)
+    state = est.new_estimator(ro.theta0, ro.pset, ro.delta)
     count = 0
     for t in range(rec.steps_completed):
         phi = np.concatenate([rec.x[t], rec.u[t]])
